@@ -305,9 +305,11 @@ def cmd_simulate(args) -> int:
                        fdr_phi_values(foliation, paths, model, spec.weight))
         artifacts.append("fdr_phis.csv")
 
-        final = reconstruct(foliation, paths, model)
+        # the (n_paths, n_x) ensemble is needed only for its mean; it is
+        # freed here rather than held through the direct run
+        mean_curve = reconstruct(foliation, paths, model).mean(axis=0)
         _write_csv(os.path.join(args.out_dir, "fdr_mean_curve.csv"), "x,value",
-                   zip(model.grid.x.tolist(), final.mean(axis=0).tolist()))
+                   zip(model.grid.x.tolist(), mean_curve.tolist()))
         artifacts.append("fdr_mean_curve.csv")
 
     if args.mode in ("direct", "both"):

@@ -4,7 +4,8 @@ The realization evolves the boundary curve psi by a deterministic transport
 ODE on ker ell and the scalar state X by a time-inhomogeneous square-root
 SDE; curves are reconstructed as r = psi + X lam.  The direct oracle
 discretizes the full SPDE by method of lines with exact index-shift
-transport, so weak statistics of the two runs can be compared.
+transport, evaluated in factored form as shifted rank-one sums, so the
+statistics of the two runs can be compared.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .errors import (CflViolated, ConstraintViolated, GridMismatch, HorizonMisma
 from .hjmm import CirModel
 
 SCHEMES = ("full_truncation", "drift_implicit")
+
+# Paths per block in the ensemble functionals, so their temporaries stay a
+# few MB instead of several copies of the whole (n_paths, n_x) ensemble.
+PATH_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -234,11 +239,22 @@ def simulate_direct(model: CirModel, h0: np.ndarray, config: SimConfig,
                     scheme_tol: float = 1e-3) -> DirectRun:
     """Method-of-lines simulation of dr = (d/dx r + alpha(r)) dt + sigma(r) dW.
 
-    Transport is an exact index shift, which requires dt to be an integer
-    multiple of dx (and at most allows CFL-conforming steps); the right
-    boundary holds its last value (curves treated as absorbed past x_max).
-    Brownian increments use the same counter-based per-path streams as the
-    realization run, so equal seeds give coupled noise.
+    One explicit step is r_{k+1} = S r_k + a_k D + b_k L.  S is the exact
+    transport: a shift by dt/dx nodes that holds the right boundary value
+    (curves treated as absorbed past x_max).  The CFL check (dt at most dx
+    and an integer multiple of it) leaves a shift of exactly one node.  The
+    forcing is rank one along the fixed curves D = lam Lam and L = lam, with
+    per-path scalars a_k = rho^2 |ell(r_k)| dt and
+    b_k = rho sqrt|ell(r_k)| dW_k.  S is linear, so the steps unroll to
+
+        r_K = S^K h0 + sum_j (a_j S^(K-1-j) D + b_j S^(K-1-j) L).
+
+    Hence ell(r_k), and with it a_k and b_k, is a causal convolution of the
+    earlier scalars against ell(S^i D) and ell(S^i L), and the final curves
+    are one matrix product.  Only h0, S, lam, Lam and ell enter; nothing of
+    the realization does.  Brownian increments use the same counter-based
+    per-path streams as the realization run, so equal seeds give coupled
+    noise.
     """
     grid = model.grid
     h0 = np.asarray(h0, dtype=float)
@@ -253,26 +269,27 @@ def simulate_direct(model: CirModel, h0: np.ndarray, config: SimConfig,
     if abs(shift * grid.dx - config.dt) > 1e-12 or shift < 1:
         raise CflViolated("dt must be a positive integer multiple of dx")
 
-    n = config.n_steps
-    dt = config.dt
-    lam = model.lam
-    lam_cap = model.lam_capital
-    drift_shape = lam * lam_cap
-    noise = path_normals(config.seed, config.n_paths, n) * np.sqrt(dt) \
-        if model.rho > 0 else np.zeros((config.n_paths, n))
+    n, n_paths, dt = config.n_steps, config.n_paths, config.dt
+    noise = path_normals(config.seed, n_paths, n) * np.sqrt(dt) \
+        if model.rho > 0 else np.zeros((n_paths, n))
 
-    r = np.tile(h0, (config.n_paths, 1))
-    min_ell = float(np.min(model.ell_of(r)))
-    for k in range(n):
-        ell_r = model.ell_of(r)
-        amp_drift = model.rho ** 2 * np.abs(ell_r)
-        amp_noise = model.rho * np.sqrt(np.abs(ell_r))
-        # exact transport: shift left, hold the right boundary value
-        r[:, :-shift] = r[:, shift:].copy()
-        r[:, -shift:] = r[:, -1:]
-        r += np.outer(amp_drift * dt, drift_shape)
-        r += np.outer(amp_noise * noise[:, k], lam)
-        min_ell = min(min_ell, float(np.min(model.ell_of(r))))
+    # row i gathers S^i: node m reads node min(m + i shift, last)
+    idx = np.minimum(np.arange(grid.n) + shift * np.arange(n + 1)[:, None], grid.n - 1)
+    ell_h0 = model.ell_of(h0[idx])                       # ell(S^i h0)
+    shifted = np.stack([(model.lam * model.lam_capital)[idx], model.lam[idx]],
+                       axis=1)                           # (n+1, 2, n_x): S^i D, S^i L
+    kernel = model.ell_of(shifted)                       # ell(S^i D), ell(S^i L)
+
+    coef = np.zeros((n_paths, n, 2))   # (a_j, b_j) per path and step
+    min_ell = np.inf
+    for k in range(n + 1):
+        ell_r = ell_h0[k] + coef[:, :k].reshape(n_paths, 2 * k) @ kernel[:k][::-1].ravel()
+        min_ell = min(min_ell, float(ell_r.min()))
+        if k < n:
+            coef[:, k, 0] = model.rho ** 2 * np.abs(ell_r) * dt
+            coef[:, k, 1] = model.rho * np.sqrt(np.abs(ell_r)) * noise[:, k]
+    r = coef.reshape(n_paths, 2 * n) @ shifted[:n][::-1].reshape(2 * n, grid.n)
+    r += h0[idx[n]]
     return DirectRun(grid, config.horizon, r, min_ell, config.seed,
                      negative_short_rate=bool(min_ell < -scheme_tol))
 
@@ -281,14 +298,17 @@ def direct_phi_values(curves: np.ndarray, model: CirModel,
                       weight: Weight = Weight()) -> dict[str, np.ndarray]:
     """The three comparison functionals per path: ell, eval at x=1, hw_norm.
 
-    hw_norm is evaluated batched over the curve ensemble.
+    hw_norm is evaluated over blocks of PATH_BLOCK paths.
     """
     grid = model.grid
     i1 = grid.index_of(1.0)
     ell = np.asarray(model.ell_of(curves), dtype=float)
     at1 = curves[:, i1]
-    d = derivative(curves, grid)
-    integ = np.trapezoid(d * d * weight.values(grid)[None, :], dx=grid.dx, axis=-1)
+    w = weight.values(grid)
+    integ = np.empty(len(curves))
+    for s in range(0, len(curves), PATH_BLOCK):
+        d = derivative(curves[s:s + PATH_BLOCK], grid)
+        integ[s:s + PATH_BLOCK] = np.trapezoid(d * d * w, dx=grid.dx, axis=-1)
     norms = np.sqrt(curves[:, 0] ** 2 + integ)
     return {"ell": ell, "eval_at_1": at1, "hw_norm": norms}
 
@@ -322,12 +342,19 @@ def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: CirModel,
 
 
 def foliation_residual(curves: np.ndarray, psi: np.ndarray, lam: np.ndarray) -> float:
-    """Max distance of r - psi to the span of lam, relative to curve scale."""
-    diff = curves - psi[None, :]
+    """Max distance of r - psi to the span of lam, relative to curve scale.
+
+    Evaluated over blocks of PATH_BLOCK paths.
+    """
     lam_unit = lam / np.linalg.norm(lam)
-    proj = diff - np.outer(diff @ lam_unit, lam_unit)
-    scale = max(1.0, float(np.abs(curves).max()))
-    return float(np.linalg.norm(proj, axis=1).max() / scale)
+    worst = peak = 0.0
+    for s in range(0, len(curves), PATH_BLOCK):
+        block = curves[s:s + PATH_BLOCK]
+        diff = block - psi[None, :]
+        proj = diff - np.outer(diff @ lam_unit, lam_unit)
+        worst = max(worst, float(np.linalg.norm(proj, axis=1).max()))
+        peak = max(peak, float(np.abs(block).max()))
+    return worst / max(1.0, peak)
 
 
 def verify_invariance(fdr_phis: dict[str, np.ndarray],

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from affinefdr.curves import Grid, derivative
+from affinefdr.curves import Grid, PointCombo, Weight, derivative
 from affinefdr.errors import (CflViolated, ConstraintViolated, HorizonMismatch,
                               LeftBoundary, NotInInitialSet)
-from affinefdr.hjmm import CirModel
-from affinefdr.simulate import (DirectRun, Foliation, SimConfig, StatePaths,
+from affinefdr.hjmm import CirModel, riccati_small
+from affinefdr.simulate import (PATH_BLOCK, DirectRun, Foliation, SimConfig, StatePaths,
                                 direct_phi_values,
                                 evolve_psi, fdr_phi_values, foliation_residual,
                                 path_normals, reconstruct, simulate_direct,
@@ -186,3 +186,67 @@ def test_strong_convergence_rho_zero(grid):
     e1 = abs(simulate_state(det, fol, 0.02, SimConfig(0.4, 0.04, 1)).final[0] - ref)
     e2 = abs(simulate_state(det, fol, 0.02, SimConfig(0.4, 0.02, 1)).final[0] - ref)
     assert e1 / e2 >= 1.8
+
+
+def dense_direct(model, h0, config):
+    """Reference stepper: advance every path's full curve one step at a time."""
+    noise = path_normals(config.seed, config.n_paths, config.n_steps) * np.sqrt(config.dt)
+    r = np.tile(h0, (config.n_paths, 1))
+    min_ell = float(np.min(model.ell_of(r)))
+    for k in range(config.n_steps):
+        mag = np.abs(model.ell_of(r))
+        r[:, :-1] = r[:, 1:].copy()  # the CFL check leaves a one-node shift
+        r += np.outer(model.rho ** 2 * mag * config.dt, model.lam * model.lam_capital)
+        r += np.outer(model.rho * np.sqrt(mag) * noise[:, k], model.lam)
+        min_ell = min(min_ell, float(np.min(model.ell_of(r))))
+    return r, min_ell
+
+
+def _points_model(grid):
+    c2 = -1.0 / float(riccati_small(np.array([1.0]), 0.1, 0.05)[0])
+    return CirModel(grid, 0.1, 0.05, PointCombo((0.0, 1.0), (2.0, c2)))
+
+
+@pytest.mark.parametrize("case", ["short_end", "points", "high_rho"])
+@pytest.mark.parametrize("n_paths", [1, 16])
+def test_simulate_direct_matches_dense_stepper(grid, cir_model, case, n_paths):
+    h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
+    model = {"short_end": cir_model, "points": _points_model(grid),
+             "high_rho": CirModel(grid, 0.3, 0.05)}[case]
+    if case == "high_rho":
+        h0 = 0.002 + 0.01 * grid.x * np.exp(-grid.x)
+    cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=3)
+    run = simulate_direct(model, h0, cfg)
+    ref_curves, ref_min_ell = dense_direct(model, h0, cfg)
+    assert np.abs(run.final_curves - ref_curves).max() <= 1e-14
+    assert abs(run.min_ell - ref_min_ell) <= 1e-14
+    assert run.negative_short_rate == bool(ref_min_ell < -1e-3)
+    if case == "high_rho":
+        # ell turns negative, so the |ell| amplitudes are exercised
+        assert ref_min_ell < 0.0
+        if n_paths == 16:
+            assert run.negative_short_rate
+
+
+@pytest.mark.parametrize("n_paths", [1, PATH_BLOCK + 1, 2001])
+def test_blocked_functionals_bit_identical(grid, cir_model, n_paths):
+    rng = np.random.default_rng(n_paths)
+    lam = cir_model.lam
+    psi = 0.01 * grid.x * np.exp(-grid.x)
+    curves = (psi + 0.02 * lam + rng.standard_normal((n_paths, 1)) * 1e-3 * lam
+              + 1e-5 * rng.standard_normal((n_paths, grid.n)))
+    # the whole-ensemble formulas the blocked helpers replace
+    d = derivative(curves, grid)
+    integ = np.trapezoid(d * d * Weight().values(grid)[None, :], dx=grid.dx, axis=-1)
+    norms = np.sqrt(curves[:, 0] ** 2 + integ)
+    diff = curves - psi[None, :]
+    lam_unit = lam / np.linalg.norm(lam)
+    proj = diff - np.outer(diff @ lam_unit, lam_unit)
+    scale = max(1.0, float(np.abs(curves).max()))
+    resid = float(np.linalg.norm(proj, axis=1).max() / scale)
+
+    phis = direct_phi_values(curves, cir_model)
+    assert np.array_equal(phis["hw_norm"], norms)
+    assert np.array_equal(phis["ell"], curves[:, 0])
+    assert np.array_equal(phis["eval_at_1"], curves[:, grid.index_of(1.0)])
+    assert foliation_residual(curves, psi, lam) == resid
