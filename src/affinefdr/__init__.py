@@ -18,12 +18,12 @@ from .cones import (ConeBasis, SplitSpace, StateBasis, cone_minus, coordinates,
                     orthogonal_split, project)
 from .curves import Grid, PointCombo, ShortEnd, Weight, derivative, hw_norm, primitive
 from .errors import AffineFdrError
-from .hjmm import (CirModel, TwoFactorModel, build_s_operator, cir_initial_set,
-                   hjm_drift, riccati_pair, sigma_cir, two_factor_initial_set)
+from .hjmm import (CirModel, TwoFactorModel, build_s_operator, hjm_drift,
+                   square_root_model_data)
 from .realization import (KSpace, ModelData, RealizabilityReport, Tolerances,
                           check_const_mod_k, check_damir, check_qe_affine,
-                          check_thm_main2, compute_k, maximal_initial_membership,
-                          quasi_exp_subspace)
+                          check_thm_main2, compute_k, initial_set_coords,
+                          maximal_initial_membership, quasi_exp_subspace)
 from .simulate import (DirectRun, Foliation, SimConfig, StatePaths, evolve_psi,
                        reconstruct, simulate_direct, simulate_state,
                        verify_invariance)

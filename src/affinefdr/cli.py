@@ -18,12 +18,11 @@ import numpy as np
 
 from . import __version__
 from . import realization as rz
-from .curves import Grid, derivative, hw_norm  # noqa: F401 - hw_norm in module API
+from .curves import Grid, derivative
 from .errors import (AffineFdrError, CflViolated, ConstraintViolated, GridMismatch,
                      HorizonMismatch, LeftBoundary, MissingArtifacts, ModelFileError,
                      NotInInitialSet)
-from .hjmm import (CirModel, build_two_factor_model_data, hjm_drift,
-                   riccati_capital, riccati_small)
+from .hjmm import hjm_drift, riccati_capital, riccati_small
 from .modelfile import ModelSpec, custom_model_data, parse_model_file
 from .simulate import (evolve_psi, direct_phi_values, fdr_phi_values,
                        foliation_residual, reconstruct, simulate_direct,
@@ -97,41 +96,7 @@ def _condition_summary(report: rz.RealizabilityReport) -> dict:
 def _run_checks(spec: ModelSpec) -> dict:
     """All applicable structural checks for the parsed model."""
     checks: dict = {}
-    if spec.kind == "cir":
-        model = spec.cir_model()
-        n_b = spec.check_options.get("boundary_samples", 6)
-        md = model.model_data()
-        md = rz.ModelData(md.split, md.apply_a, md.s_op, md.sigma_sq_at,
-                          md.boundary_samples[:n_b] if n_b <= len(md.boundary_samples)
-                          else md.boundary_samples, md.r_basis, md.tol)
-        report = rz.check_thm_main2(md)
-        checks["realizability"] = _condition_summary(report)
-        checks["check_damir"] = rz.check_damir(md)
-        checks["check_const_mod_k"] = rz.check_const_mod_k(md)
-        checks["overall"] = bool(report.overall and checks["check_damir"]
-                                 and checks["check_const_mod_k"])
-    elif spec.kind == "two_factor":
-        model = spec.two_factor_model()
-        md = build_two_factor_model_data(model)
-        report = rz.check_thm_main2(md)
-        checks["realizability"] = _condition_summary(report)
-        # quasi-exponential span: seeds are the volatility direction and its
-        # induced drift curve, iterated under d/dx
-        grid = spec.grid
-        seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)
-                 if model.rho > 0 else hjm_drift(model.lam, grid)]
-        a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid), seeds,
-                                        max_dim=spec.check_options.get("max_dim", 20))
-        in_v = all(
-            np.linalg.norm(q - md.split.v_basis.matrix.T
-                           @ np.linalg.lstsq(md.split.v_basis.matrix.T, q,
-                                             rcond=None)[0])
-            <= 1e-5 * np.linalg.norm(q) for q in a_sigma)
-        checks["a_sigma_dim"] = int(len(a_sigma))
-        checks["a_sigma_in_v"] = bool(in_v)
-        checks["overall"] = bool(report.overall and in_v
-                                 and len(a_sigma) == md.split.v_basis.dim_v)
-    elif spec.kind == "linear":
+    if spec.kind == "linear":
         grid = spec.grid
         try:
             a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid),
@@ -150,8 +115,29 @@ def _run_checks(spec: ModelSpec) -> dict:
         checks["quasi_exponential"] = True
         checks["a_sigma_dim"] = int(qe.a_sigma_dim)
         checks["overall"] = bool(qe.ok)
-    else:  # custom: split-independent structural checks only
-        md = custom_model_data(spec)
+        return checks
+    # custom gets the split-independent structural checks only
+    md = custom_model_data(spec) if spec.kind == "custom" else spec.model_data()
+    ok = True
+    if spec.kind != "custom":
+        report = rz.check_thm_main2(md)
+        checks["realizability"] = _condition_summary(report)
+        ok = report.overall
+    if spec.kind == "two_factor":
+        # quasi-exponential span: seeds are the volatility direction and its
+        # induced drift curve, iterated under d/dx
+        model = spec.two_factor_model()
+        grid = spec.grid
+        seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)
+                 if model.rho > 0 else hjm_drift(model.lam, grid)]
+        a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid), seeds,
+                                        max_dim=spec.check_options.get("max_dim", 20))
+        in_v = all(rz._span_residual(q, md.split.v_basis.matrix) <= md.tol.span
+                   for q in a_sigma)
+        checks["a_sigma_dim"] = int(len(a_sigma))
+        checks["a_sigma_in_v"] = bool(in_v)
+        ok = ok and in_v and len(a_sigma) == md.dim_v
+    else:
         checks["check_damir"] = rz.check_damir(md)
         try:
             checks["check_const_mod_k"] = rz.check_const_mod_k(md)
@@ -159,7 +145,8 @@ def _run_checks(spec: ModelSpec) -> dict:
             # the squared volatility need not fit affinely over this split
             checks["check_const_mod_k"] = False
             checks["const_mod_k_detail"] = str(exc)
-        checks["overall"] = bool(checks["check_damir"] and checks["check_const_mod_k"])
+        ok = ok and checks["check_damir"] and checks["check_const_mod_k"]
+    checks["overall"] = bool(ok)
     return checks
 
 
@@ -205,23 +192,12 @@ def _read_curve_csv(path: str, grid: Grid) -> np.ndarray:
 def cmd_initial_set(args) -> int:
     spec = parse_model_file(args.modelfile)
     h = _read_curve_csv(args.curve, spec.grid)
-    if spec.kind == "cir":
-        model = spec.cir_model()
-        member, on_boundary = model.initial_set(h)
-        ell_h = float(model.ell_of(h))
-        coef = model.rho ** 2 * float(model.ell_of(model.lam * model.lam_capital)) \
-            + model.gamma
-        strict = float(model.ell_of(derivative(h, model.grid))) + coef * max(ell_h, 0.0)
-        print(f"ell(h) = {ell_h:.10g}")
-        print(f"ell(h') + (rho^2 ell(lam Lam) + gamma) ell(h) = {strict:.10g}")
-    elif spec.kind == "two_factor":
-        model = spec.two_factor_model()
-        member, on_boundary = model.initial_set(h)
-        print(f"ell(h) = {float(model.ell_of(h)):.10g}")
-        print(f"ell(h' + gamma h) = "
-              f"{float(model.ell_of(derivative(h, model.grid) + model.gamma * h)):.10g}")
-    else:
-        raise ModelFileError(f"initial-set is not defined for kind {spec.kind!r}")
+    md = spec.model_data()
+    member, on_boundary = rz.maximal_initial_membership(h, md)
+    coords, drift = rz.initial_set_coords(h, md)
+    print("state coordinates of h = " + ", ".join(f"{c:.10g}" for c in coords))
+    print("state coordinates of the boundary drift = "
+          + ", ".join(f"{c:.10g}" for c in drift))
     if member and on_boundary:
         print("verdict: boundary")
     elif member:
@@ -276,7 +252,7 @@ def cmd_simulate(args) -> int:
     model = spec.cir_model()
     config = spec.sim
     h0 = spec.h0
-    member, _ = model.initial_set(h0)
+    member, _ = rz.maximal_initial_membership(h0, spec.model_data())
     if not member:
         raise NotInInitialSet("h0 is not in the admissible initial set")
 

@@ -1,6 +1,6 @@
 """Forward-rate models with square-root volatility and their Riccati curves.
 
-The one-dimensional model has volatility sigma(h) = rho sqrt(ell(h)) lam,
+The one-dimensional model has volatility sigma(h) = rho sqrt(|ell(h)|) lam,
 where lam solves the pre-Riccati equation lam' + rho^2 lam Lam + gamma lam = 0
 and Lam is its primitive, the solution of the scalar Riccati equation
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import realization as rz
 from .cones import ConeBasis, SplitSpace, StateBasis, orthogonal_split
 from .curves import Grid, PointCombo, ShortEnd, apply_functional, derivative, primitive
-from .errors import ConstraintViolated
+from .errors import ConstraintViolated, NotInV
 
 
 def riccati_capital(x, rho: float, gamma: float) -> np.ndarray:
@@ -45,11 +45,6 @@ def riccati_small(x, rho: float, gamma: float) -> np.ndarray:
     """The derivative lam = Lam' = 1 - (rho^2/2) Lam^2 - gamma Lam."""
     lam_cap = riccati_capital(x, rho, gamma)
     return 1.0 - (rho * rho / 2.0) * lam_cap * lam_cap - gamma * lam_cap
-
-
-def riccati_pair(rho: float, gamma: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Grid samples of (Lam, lam)."""
-    return riccati_capital(grid.x, rho, gamma), riccati_small(grid.x, rho, gamma)
 
 
 def riccati_rk4(grid: Grid, rho: float, gamma: float, substeps: int = 4) -> np.ndarray:
@@ -100,6 +95,44 @@ def build_s_operator(basis_curves: np.ndarray, grid: Grid) -> Callable[[np.ndarr
     return s_op
 
 
+def square_root_model_data(grid: Grid, split: SplitSpace, ell, rho: float,
+                           vol_curve: np.ndarray, amplitude: str, boundary_samples,
+                           tol: rz.Tolerances = rz.Tolerances()) -> rz.ModelData:
+    """Checker input for a volatility amp(h) vol_curve on the state space of split.
+
+    The generator is d/dx and the drift-image operator is built on the state
+    basis.  With c the least-squares coordinates of vol_curve in that basis,
+    the squared volatility is sigma^2(h) = amp(h)^2 c c^T, where amp(h)^2
+    is rho^2 |ell(h)| for amplitude "sqrt_ell" and rho^2 for "const".
+    Raises NotInV when vol_curve does not lie in the state space.
+    """
+    B = split.v_basis.matrix
+    coef, *_ = np.linalg.lstsq(B.T, vol_curve, rcond=None)
+    if np.linalg.norm(vol_curve - B.T @ coef) > 1e-6 * max(1.0, np.linalg.norm(vol_curve)):
+        raise NotInV("volatility curve does not lie in the state space")
+    outer = np.outer(coef, coef)
+
+    def sigma_sq_at(h: np.ndarray) -> np.ndarray:
+        amp = 1.0 if amplitude == "const" else abs(float(apply_functional(ell, h, grid)))
+        return rho * rho * amp * outer
+
+    return rz.ModelData(
+        split=split,
+        apply_a=lambda h: derivative(h, grid),
+        s_op=build_s_operator(B, grid),
+        sigma_sq_at=sigma_sq_at,
+        boundary_samples=list(boundary_samples),
+        tol=tol,
+    )
+
+
+def shape_boundary_samples(grid: Grid, split: SplitSpace, n: int) -> list[np.ndarray]:
+    """The first n of x e^-x, sin(x) e^-x/2 and x e^-2x, scaled by 0.05, in G."""
+    x = grid.x
+    shapes = [x * np.exp(-x), np.sin(x) * np.exp(-0.5 * x), x * np.exp(-2.0 * x)]
+    return [split.project_g(0.05 * s) for s in shapes[:n]]
+
+
 @dataclass(frozen=True)
 class CirModel:
     """Square-root forward-rate model with a one-dimensional state space.
@@ -131,18 +164,6 @@ class CirModel:
     def ell_of(self, values: np.ndarray) -> np.ndarray:
         return apply_functional(self.ell, values, self.grid)
 
-    def sigma(self, h: np.ndarray) -> np.ndarray:
-        """Volatility curve rho sqrt(ell(h)) lam; negative ell clipped to 0."""
-        amp = self.rho * np.sqrt(np.maximum(self.ell_of(h), 0.0))
-        return np.multiply.outer(amp, self.lam) if np.ndim(amp) else amp * self.lam
-
-    def drift(self, h: np.ndarray) -> np.ndarray:
-        """Full SPDE drift d/dx h + alpha_HJM(h)."""
-        amp = self.rho * self.rho * np.maximum(self.ell_of(h), 0.0)
-        alpha = np.multiply.outer(amp, self.lam * self.lam_capital) \
-            if np.ndim(amp) else amp * self.lam * self.lam_capital
-        return derivative(h, self.grid) + alpha
-
     @property
     def state_drift_slope(self) -> float:
         """Coefficient a in the state equation dX = (b(t) + a X) dt + ...
@@ -156,14 +177,16 @@ class CirModel:
         return float(self.ell_of(lam_prime) + self.rho * self.rho
                      * self.ell_of(self.lam * self.lam_capital))
 
-    def split(self) -> SplitSpace:
-        """Direct-sum split with V = <lam>+ and G = ker ell."""
-        lam_norm = float(np.linalg.norm(self.lam))
-        basis = StateBasis(ConeBasis(self.lam.reshape(1, -1) / lam_norm, normed=True))
-        dual = (getattr(self.ell, "dual_vector")(self.grid) * lam_norm).reshape(1, -1)
+    def split(self, lam: np.ndarray | None = None) -> SplitSpace:
+        """Split with V = <lam>+ and G = ker ell, for any lam with ell(lam) != 0."""
+        lam = self.lam if lam is None else lam
+        lam_norm = float(np.linalg.norm(lam))
+        basis = StateBasis(ConeBasis(lam.reshape(1, -1) / lam_norm, normed=True))
+        dual = (self.ell.dual_vector(self.grid)
+                * lam_norm / float(self.ell_of(lam))).reshape(1, -1)
         return SplitSpace(basis, dual)
 
-    def model_data(self, boundary_samples=None, tol: rz.Tolerances | None = None,
+    def model_data(self, boundary_samples=None, tol: rz.Tolerances = rz.Tolerances(),
                    lam_override: np.ndarray | None = None) -> rz.ModelData:
         """Assembled checker input; lam_override swaps in a non-Riccati lam.
 
@@ -172,59 +195,11 @@ class CirModel:
         the realizability conditions are exercised.
         """
         lam = self.lam if lam_override is None else np.asarray(lam_override, dtype=float)
-        lam_norm = float(np.linalg.norm(lam))
-        basis = StateBasis(ConeBasis(lam.reshape(1, -1) / lam_norm, normed=True))
-        ell_lam = float(self.ell_of(lam))
-        dual = (getattr(self.ell, "dual_vector")(self.grid)
-                * lam_norm / ell_lam).reshape(1, -1)
-        split = SplitSpace(basis, dual)
+        split = self.split(lam)
         if boundary_samples is None:
             boundary_samples = default_boundary_samples(self, split)
-        basis_curve = (lam / lam_norm).reshape(1, -1)
-        s_op = build_s_operator(basis_curve, self.grid)
-
-        def sigma_sq_at(h: np.ndarray) -> np.ndarray:
-            amp = self.rho * self.rho * max(float(self.ell_of(h)), 0.0)
-            return np.array([[amp * lam_norm * lam_norm]])
-
-        return rz.ModelData(
-            split=split,
-            apply_a=lambda h: derivative(h, self.grid),
-            s_op=s_op,
-            sigma_sq_at=sigma_sq_at,
-            boundary_samples=list(boundary_samples),
-            tol=tol if tol is not None else rz.Tolerances(),
-        )
-
-    def initial_set(self, h: np.ndarray) -> tuple[bool, bool]:
-        """Membership in the maximal initial set, and boundary flag.
-
-        A curve belongs iff ell(h) >= 0 and
-        ell(h') + (rho^2 ell(lam Lam) + gamma) ell(h) > 0; it sits on the
-        boundary iff additionally ell(h) = 0.
-        """
-        h = np.asarray(h, dtype=float)
-        val = float(self.ell_of(h))
-        scale = max(1.0, float(np.linalg.norm(h)))
-        tol = 1e-9 * scale
-        if val < -tol:
-            return False, False
-        coef = self.rho * self.rho * float(self.ell_of(self.lam * self.lam_capital)) + self.gamma
-        strict = float(self.ell_of(derivative(h, self.grid))) + coef * max(val, 0.0)
-        if strict <= tol:
-            return False, False
-        return True, bool(abs(val) <= tol)
-
-
-def cir_initial_set(h: np.ndarray, model: CirModel) -> tuple[bool, bool]:
-    """Functional form of CirModel.initial_set."""
-    return model.initial_set(h)
-
-
-def sigma_cir(h: np.ndarray, model: CirModel) -> np.ndarray:
-    """Volatility curve rho sqrt(|ell(h)|) lam."""
-    amp = model.rho * np.sqrt(np.abs(model.ell_of(h)))
-    return np.multiply.outer(amp, model.lam) if np.ndim(amp) else amp * model.lam
+        return square_root_model_data(self.grid, split, self.ell, self.rho, lam,
+                                      "sqrt_ell", boundary_samples, tol)
 
 
 def default_boundary_samples(model: CirModel, split: SplitSpace, n: int = 6,
@@ -294,88 +269,16 @@ class TwoFactorModel:
         d2 = orthogonal_split(basis).dual[1]
         return SplitSpace(basis, np.vstack([d1, d2]))
 
-    def initial_set(self, h: np.ndarray) -> tuple[bool, bool]:
-        """Membership: ell(h) >= 0 and ell(h' + gamma h) > 0."""
-        h = np.asarray(h, dtype=float)
-        val = float(self.ell_of(h))
-        scale = max(1.0, float(np.linalg.norm(h)))
-        tol = 1e-9 * scale
-        if val < -tol:
-            return False, False
-        strict = float(self.ell_of(derivative(h, self.grid) + self.gamma * h))
-        if strict <= tol:
-            return False, False
-        return True, bool(abs(val) <= tol)
-
-
-def two_factor_initial_set(h: np.ndarray, model: TwoFactorModel) -> bool:
-    member, _ = model.initial_set(h)
-    return member
-
 
 def build_two_factor_model_data(model: TwoFactorModel,
-                                boundary_samples=None) -> rz.ModelData:
+                                tol: rz.Tolerances = rz.Tolerances()) -> rz.ModelData:
     """ModelData for the two-factor state space.
 
-    The volatility is rho sqrt(ell(h)) lam; its squared-volatility matrix in
-    the normed basis is rho^2 ell(h) |lam|^2 on the cone coordinate, zero on
-    the subspace block, and vanishes on the boundary leaves.
+    The volatility is rho sqrt(|ell(h)|) lam with lam the cone direction, so
+    its squared-volatility matrix loads the cone coordinate only and
+    vanishes on the boundary leaves.
     """
     split = model.split()
-    grid = model.grid
-    lam_norm = float(np.linalg.norm(model.lam))
-    s_op = build_s_operator(split.v_basis.matrix, grid)
-
-    def sigma_sq_at(h: np.ndarray) -> np.ndarray:
-        amp = model.rho * model.rho * max(float(model.ell_of(h)), 0.0)
-        out = np.zeros((2, 2))
-        out[0, 0] = amp * lam_norm * lam_norm
-        return out
-
-    if boundary_samples is None:
-        x = grid.x
-        shapes = [x * np.exp(-x), np.sin(x) * np.exp(-0.5 * x)]
-        boundary_samples = [split.project_g(0.05 * s) for s in shapes]
-
-    return rz.ModelData(
-        split=split,
-        apply_a=lambda h: derivative(h, grid),
-        s_op=s_op,
-        sigma_sq_at=sigma_sq_at,
-        boundary_samples=list(boundary_samples),
-    )
-
-
-def build_example64_model_data(grid: Grid, gamma: float = 1.0,
-                               rho: float = 0.2) -> rz.ModelData:
-    """Two-dimensional state space whose drift image leaks into V.
-
-    Volatility rho sqrt(ell(h)) lam on V = <lam>+ (+) <lam^2>: the image of
-    the squared-volatility family under the drift operator is the span of
-    lam (1 - lam) / gamma, which lies inside V, so the intersection
-    conditions for realizability with affine state processes fail.
-    """
-    model = TwoFactorModel(grid, rho=rho, gamma=gamma)
-    split = model.split()
-    lam_norm = float(np.linalg.norm(model.lam))
-    s_op = build_s_operator(split.v_basis.matrix, grid)
-
-    def sigma_sq_at(h: np.ndarray) -> np.ndarray:
-        amp = rho * rho * max(float(model.ell_of(h)), 0.0)
-        out = np.zeros((2, 2))
-        out[0, 0] = amp * lam_norm * lam_norm
-        return out
-
-    x = grid.x
-    shapes = [x * np.exp(-x), np.sin(x) * np.exp(-0.5 * x)]
-    boundary_samples = [split.project_g(0.05 * s) for s in shapes]
-    r_basis = [np.array([[1.0, 0.0], [0.0, 0.0]])]
-
-    return rz.ModelData(
-        split=split,
-        apply_a=lambda h: derivative(h, grid),
-        s_op=s_op,
-        sigma_sq_at=sigma_sq_at,
-        boundary_samples=boundary_samples,
-        r_basis=r_basis,
-    )
+    return square_root_model_data(model.grid, split, model.ell, model.rho, model.lam,
+                                  "sqrt_ell", shape_boundary_samples(model.grid, split, 2),
+                                  tol)

@@ -14,9 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import realization as rz
+from .cones import ConeBasis, StateBasis, orthogonal_split
 from .curves import Grid, PointCombo, ShortEnd, Weight
-from .errors import ModelFileError
-from .hjmm import CirModel, TwoFactorModel
+from .errors import ModelFileError, NotInV
+from .hjmm import (CirModel, TwoFactorModel, build_two_factor_model_data,
+                   default_boundary_samples, shape_boundary_samples,
+                   square_root_model_data)
 from .simulate import SimConfig
 
 _EXPR_NAMES = {
@@ -102,6 +106,25 @@ class ModelSpec:
         if self.kind != "two_factor":
             raise ModelFileError(f"model kind is {self.kind!r}, not two_factor")
         return TwoFactorModel(self.grid, rho=self.rho, gamma=self.gamma)
+
+    @property
+    def tolerances(self) -> rz.Tolerances:
+        return rz.Tolerances(span=self.check_options.get("span_tol", 1e-5))
+
+    def model_data(self) -> rz.ModelData:
+        """ModelData of kind cir or two_factor, whose split has G = ker ell.
+
+        For cir it keeps the first [check] boundary_samples (default 6) of
+        the default boundary samples.
+        """
+        if self.kind not in ("cir", "two_factor"):
+            raise ModelFileError(f"model kind {self.kind!r} has no split along ker ell")
+        if self.kind == "two_factor":
+            return build_two_factor_model_data(self.two_factor_model(), self.tolerances)
+        model = self.cir_model()
+        samples = default_boundary_samples(model, model.split())
+        return model.model_data(samples[:self.check_options.get("boundary_samples", 6)],
+                                self.tolerances)
 
 
 def _get(cfg: configparser.ConfigParser, section: str, key: str, cast,
@@ -198,7 +221,7 @@ def parse_model_text(text: str) -> ModelSpec:
                      sim=sim, h0=h0, source_text=text)
 
 
-def custom_model_data(spec: ModelSpec):
+def custom_model_data(spec: ModelSpec) -> rz.ModelData:
     """ModelData assembly for kind = custom.
 
     The state space comes from the declared cone and subspace curves with
@@ -206,11 +229,6 @@ def custom_model_data(spec: ModelSpec):
     scaled by a constant or by rho sqrt(|ell(h)|).  Only split-independent
     structural checks should be run on this assembly.
     """
-    from . import realization as rz
-    from .cones import ConeBasis, StateBasis, orthogonal_split
-    from .curves import apply_functional, derivative
-    from .hjmm import build_s_operator
-
     grid = spec.grid
     cone_rows = np.array([c / np.linalg.norm(c) for c in spec.cone_curves]) \
         if spec.cone_curves else np.zeros((0, grid.n))
@@ -222,36 +240,14 @@ def custom_model_data(spec: ModelSpec):
         split = orthogonal_split(basis)
     except Exception as exc:
         raise ModelFileError(f"[cone]/[subspace]: {exc}") from exc
-    B = basis.matrix
-    s_op = build_s_operator(B, grid)
-    vol = spec.vol_curves[0]
-    coef, *_ = np.linalg.lstsq(B.T, vol, rcond=None)
-    resid = np.linalg.norm(vol - B.T @ coef)
-    if resid > 1e-6 * max(1.0, np.linalg.norm(vol)):
-        raise ModelFileError("[model] vol_curve does not lie in the state space")
-    outer = np.outer(coef, coef)
-
-    def sigma_sq_at(h: np.ndarray) -> np.ndarray:
-        if spec.vol_amplitude == "const":
-            return spec.rho * spec.rho * outer
-        amp = spec.rho * spec.rho * abs(float(apply_functional(spec.ell, h, grid)))
-        return amp * outer
-
-    x = grid.x
-    shapes = [x * np.exp(-x), np.sin(x) * np.exp(-0.5 * x), x * np.exp(-2.0 * x)]
     n_b = spec.check_options.get("boundary_samples", 3)
-    boundary_samples = [split.project_g(0.05 * s) for s in shapes[:max(1, n_b)]]
-    tol = rz.Tolerances(span=spec.check_options.get("span_tol", 1e-5))
-
-    return rz.ModelData(
-        split=split,
-        apply_a=lambda h: derivative(h, grid),
-        s_op=s_op,
-        sigma_sq_at=sigma_sq_at,
-        boundary_samples=boundary_samples,
-        r_basis=[outer / max(np.abs(outer).max(), 1e-30)],
-        tol=tol,
-    )
+    try:
+        return square_root_model_data(grid, split, spec.ell, spec.rho, spec.vol_curves[0],
+                                      spec.vol_amplitude,
+                                      shape_boundary_samples(grid, split, max(1, n_b)),
+                                      spec.tolerances)
+    except NotInV as exc:
+        raise ModelFileError(f"[model] vol_curve: {exc}") from exc
 
 
 def parse_model_file(path: str) -> ModelSpec:

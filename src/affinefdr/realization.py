@@ -393,28 +393,32 @@ def _gram(vecs: Sequence[np.ndarray]) -> np.ndarray:
     return arr @ arr.T
 
 
-def maximal_initial_membership(h: np.ndarray, model: ModelData,
-                               deriv_check: bool = True) -> tuple[bool, bool]:
+def initial_set_coords(h: np.ndarray, model: ModelData) -> tuple[np.ndarray, np.ndarray]:
+    """State coordinates of h, and of the projected drift of its G-part."""
+    g = model.split.project_g(h)
+    return (model.split.v_coords(h),
+            model.split.v_coords(model.apply_a(g) + model.s_op(model.sigma_sq_at(g))))
+
+
+def maximal_initial_membership(h: np.ndarray, model: ModelData) -> tuple[bool, bool]:
     """Membership of a curve in the maximal initial set, and boundary flag.
 
     A member has its V-part in the state space and the projected drift of
-    its boundary part strictly inside; it sits on the boundary when its
-    V-part vanishes.
+    its boundary part strictly inside; it sits on the boundary of the state
+    space when one of its cone coordinates vanishes.
     """
     h = np.asarray(h, dtype=float)
-    if deriv_check and not np.all(np.isfinite(model.apply_a(h))):
+    if not np.all(np.isfinite(model.apply_a(h))):
         raise NotInDomain("generator not evaluable on this curve")
-    coords = model.split.v_coords(h)
+    coords, drift_coords = initial_set_coords(h, model)
     m = model.m
     scale = max(1.0, float(np.linalg.norm(coords)))
     if not membership_coords(coords, m, "closed", tol=model.tol.membership * scale):
         return False, False
-    g = model.split.project_g(h)
-    drift_coords = model.split.v_coords(model.apply_a(g) + model.s_op(model.sigma_sq_at(g)))
     interior = membership_coords(drift_coords, m, "interior",
                                  tol=model.tol.membership)
     if not interior:
         return False, False
-    on_boundary = bool(np.linalg.norm(coords) <= 1e3 * model.tol.membership * max(
-        1.0, float(np.linalg.norm(h))))
+    on_boundary = bool(np.abs(coords[:m]).min(initial=np.inf) <= 1e3 * model.tol.membership
+                       * max(1.0, float(np.linalg.norm(h))))
     return True, on_boundary

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import realization as rz
 from .curves import Grid, Weight, derivative
 from .errors import (CflViolated, ConstraintViolated, GridMismatch, HorizonMismatch,
                      LeftBoundary, NotInInitialSet)
@@ -62,6 +63,11 @@ class Foliation:
 
     def b_at_step(self, k: int) -> float:
         return float(self.psi_ell_deriv[k])
+
+
+def _steps_per(dt: float, foliation: Foliation) -> int:
+    """Foliation steps per time step dt."""
+    return round(dt / (foliation.times[1] - foliation.times[0]))
 
 
 def evolve_psi(model: CirModel, g0: np.ndarray, horizon: float,
@@ -181,7 +187,7 @@ def simulate_state(model: CirModel, foliation: Foliation, x0: float,
         raise ConstraintViolated("x0 must be nonnegative")
     if config.horizon > foliation.horizon + 1e-12:
         raise HorizonMismatch("foliation does not cover the requested horizon")
-    steps_per = round(config.dt / (foliation.times[1] - foliation.times[0]))
+    steps_per = _steps_per(config.dt, foliation)
     if abs(steps_per * (foliation.times[1] - foliation.times[0]) - config.dt) > 1e-12:
         raise HorizonMismatch("config.dt must be a multiple of the foliation step")
     _validate_coefficient_reduction(model, foliation)
@@ -209,8 +215,7 @@ def simulate_state(model: CirModel, foliation: Foliation, x0: float,
 def reconstruct(foliation: Foliation, paths: StatePaths,
                 model: CirModel, at_step: int | None = None) -> np.ndarray:
     """Curves r = psi(t) + X_t lam for every path, at one time step."""
-    steps_per = round((paths.times[1] - paths.times[0])
-                      / (foliation.times[1] - foliation.times[0])) \
+    steps_per = _steps_per(paths.times[1] - paths.times[0], foliation) \
         if len(paths.times) > 1 else 1
     k = (len(paths.times) - 1) if at_step is None else at_step
     fk = k * steps_per
@@ -260,7 +265,7 @@ def simulate_direct(model: CirModel, h0: np.ndarray, config: SimConfig,
     h0 = np.asarray(h0, dtype=float)
     if h0.shape != (grid.n,):
         raise GridMismatch("h0 is not sampled on the model grid")
-    member, _ = model.initial_set(h0)
+    member, _ = rz.maximal_initial_membership(h0, model.model_data())
     if not member:
         raise NotInInitialSet("h0 fails the initial-set test")
     if config.dt > grid.dx + 1e-12:
@@ -322,9 +327,8 @@ def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: CirModel,
     quadrature.
     """
     grid = model.grid
-    steps_per = round((paths.times[1] - paths.times[0])
-                      / (foliation.times[1] - foliation.times[0]))
-    psi = foliation.psi[(len(paths.times) - 1) * steps_per]
+    psi = foliation.psi[(len(paths.times) - 1)
+                        * _steps_per(paths.times[1] - paths.times[0], foliation)]
     x_final = paths.final
     lam = model.lam
     ell = np.asarray(model.ell_of(psi) + x_final * model.ell_of(lam), dtype=float)

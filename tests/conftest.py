@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from affinefdr.cones import ConeBasis, StateBasis
-from affinefdr.curves import Grid
+from affinefdr.curves import Grid, derivative
 from affinefdr.hjmm import CirModel
 
 
@@ -14,6 +14,29 @@ def grid():
 @pytest.fixture(scope="session")
 def cir_model(grid):
     return CirModel(grid, 0.1, 0.05)
+
+
+def _closed_form_membership(h, model, strict):
+    """Member iff ell(h) >= 0 and strict > 0, on a 1e-9 max(1, |h|) band."""
+    val = float(model.ell_of(h))
+    tol = 1e-9 * max(1.0, float(np.linalg.norm(h)))
+    member = val >= -tol and strict > tol
+    return member, member and abs(val) <= tol
+
+
+def cir_membership(h, model):
+    """Reference CIR initial-set test:
+    ell(h) >= 0 and ell(h') + (rho^2 ell(lam Lam) + gamma) ell(h) > 0."""
+    coef = model.rho ** 2 * float(model.ell_of(model.lam * model.lam_capital)) + model.gamma
+    strict = float(model.ell_of(derivative(h, model.grid))) \
+        + coef * max(float(model.ell_of(h)), 0.0)
+    return _closed_form_membership(h, model, strict)
+
+
+def two_factor_membership(h, model):
+    """Reference two-factor initial-set test: ell(h) >= 0 and ell(h' + gamma h) > 0."""
+    strict = float(model.ell_of(derivative(h, model.grid) + model.gamma * h))
+    return _closed_form_membership(h, model, strict)
 
 
 def random_state_basis(rng, d_max=5, ambient_extra=3):

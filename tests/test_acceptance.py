@@ -23,14 +23,13 @@ from affinefdr.admissibility import (AffineDrift, AffineSquareVol, VolMatrix,
 from affinefdr.cones import ConeBasis, StateBasis, cone_minus, edges, inner_v
 from affinefdr.curves import Grid, derivative
 from affinefdr.errors import DimensionExceeded
-from affinefdr.hjmm import (CirModel, TwoFactorModel, cir_initial_set,
-                            default_boundary_samples, hjm_drift, riccati_capital,
-                            riccati_rk4, riccati_small)
+from affinefdr.hjmm import (CirModel, TwoFactorModel, default_boundary_samples,
+                            hjm_drift, riccati_capital, riccati_rk4, riccati_small)
 from affinefdr.simulate import (SimConfig, direct_phi_values, evolve_psi,
                                 fdr_phi_values, reconstruct, simulate_direct,
                                 simulate_state, verify_invariance)
 
-from conftest import (admissible_drift_coeffs, parallel_sqvol_coeffs,
+from conftest import (admissible_drift_coeffs, cir_membership, parallel_sqvol_coeffs,
                       random_state_basis, violate_drift_coeffs,
                       violate_sqvol_coeffs)
 
@@ -218,12 +217,12 @@ def test_criterion_06_initial_set_consistency(grid, cir_model):
         c = rng.normal(0.0, 0.02, 4)
         h = c[0] + c[1] * x * np.exp(-x) + c[2] * np.exp(-0.5 * x) \
             + c[3] * np.sin(x) * np.exp(-x)
-        a, _ = cir_initial_set(h, cir_model)
+        a, _ = cir_membership(h, cir_model)
         b, _ = rz.maximal_initial_membership(h, md)
         disagreements += a != b
-    m1, b1 = cir_initial_set(np.full(grid.n, 0.02), cir_model)
-    m2, _ = cir_initial_set(np.zeros(grid.n), cir_model)
-    m3, b3 = cir_initial_set(x * np.exp(-x), cir_model)
+    m1, b1 = rz.maximal_initial_membership(np.full(grid.n, 0.02), md)
+    m2, _ = rz.maximal_initial_membership(np.zeros(grid.n), md)
+    m3, b3 = rz.maximal_initial_membership(x * np.exp(-x), md)
     examples_ok = m1 and not b1 and not m2 and m3 and b3
     verdict(6, disagreements == 0 and examples_ok,
             f"100 random curves, {disagreements} disagreements; "

@@ -5,11 +5,13 @@ import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 MODELS = resources.files("affinefdr") / "models"
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv, cwd=None):
@@ -64,6 +66,23 @@ def test_check_determinism():
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("name", ["cir", "two_factor", "example64", "linear_qe"])
+def test_check_json_matches_golden(name):
+    res = run_cli("check", model_path(f"{name}.model"), "--json")
+    assert res.stdout.encode() == (DATA / f"check_{name}.json").read_bytes()
+
+
+def test_check_cir_honours_span_tol(tmp_path):
+    text = (MODELS / "cir.model").read_text().replace("span_tol = 1e-5", "span_tol = 1e-12")
+    strict = tmp_path / "strict.model"
+    strict.write_text(text)
+    res = run_cli("check", str(strict), "--json")
+    assert res.returncode == 1, res.stderr
+    realizability = json.loads(res.stdout)["checks"]["realizability"]
+    failing = {name for name, summary in realizability.items() if not summary["ok"]}
+    assert failing == {"cond-AR-2", "beta-inc-V"}
+
+
 def test_check_bad_modelfile(tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text("[model]\nkind = cir\n")
@@ -95,6 +114,26 @@ def test_initial_set_verdicts(tmp_path):
     write_curve(boundary, n, x * np.exp(-x))
     res = run_cli("initial-set", model_path("cir.model"), "--curve", str(boundary))
     assert res.returncode == 0 and "boundary" in res.stdout.lower()
+
+
+def test_initial_set_two_factor(tmp_path):
+    n = 2001
+    member = tmp_path / "member.csv"
+    write_curve(member, n, np.full(n, 0.5))
+    res = run_cli("initial-set", model_path("two_factor.model"), "--curve", str(member))
+    assert res.returncode == 0 and "verdict: member\n" in res.stdout
+
+    outside = tmp_path / "outside.csv"
+    write_curve(outside, n, np.full(n, -0.5))
+    res = run_cli("initial-set", model_path("two_factor.model"), "--curve", str(outside))
+    assert res.returncode == 1 and "verdict: non-member\n" in res.stdout
+
+
+@pytest.mark.parametrize("name", ["linear_qe.model", "example64.model"])
+def test_initial_set_needs_split_along_ker_ell(tmp_path, name):
+    curve = tmp_path / "curve.csv"
+    write_curve(curve, 2001, np.full(2001, 0.02))
+    assert run_cli("initial-set", model_path(name), "--curve", str(curve)).returncode == 2
 
 
 def test_initial_set_grid_mismatch(tmp_path):

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from affinefdr import realization as rz
 from affinefdr.curves import Grid, derivative, primitive
-from affinefdr.errors import ConstraintViolated
+from affinefdr.errors import ConstraintViolated, NotInV
 from affinefdr.hjmm import (CirModel, TwoFactorModel, build_s_operator,
-                            cir_initial_set, hjm_drift, riccati_capital,
-                            riccati_pair, riccati_rk4, riccati_small, sigma_cir,
-                            two_factor_initial_set)
+                            build_two_factor_model_data, hjm_drift, riccati_capital,
+                            riccati_rk4, riccati_small, square_root_model_data)
 
 
 def test_riccati_boundary_values(grid):
-    lam_cap, lam = riccati_pair(0.1, 0.05, grid)
+    lam_cap, lam = riccati_capital(grid.x, 0.1, 0.05), riccati_small(grid.x, 0.1, 0.05)
     assert lam_cap[0] == 0.0
     assert lam[0] == 1.0
 
@@ -87,18 +87,37 @@ def test_cir_model_invariants(grid, cir_model):
 
 
 def test_sigma_cir_values(grid, cir_model):
+    sigma_sq_at = cir_model.model_data().sigma_sq_at
     zero_ell = grid.x * np.exp(-grid.x)
-    assert np.all(sigma_cir(zero_ell, cir_model) == 0.0)
+    assert np.all(sigma_sq_at(zero_ell) == 0.0)
     unit_ell = np.ones(grid.n)
-    assert np.allclose(sigma_cir(unit_ell, cir_model), 0.1 * cir_model.lam)
+    assert np.allclose(sigma_sq_at(unit_ell),
+                       0.1 ** 2 * float(np.linalg.norm(cir_model.lam)) ** 2)
+
+
+def test_square_root_model_data_amplitudes(grid, cir_model):
+    split = cir_model.split()
+    vol = 2.0 * cir_model.lam
+    unit = 0.1 ** 2 * (2.0 * float(np.linalg.norm(cir_model.lam))) ** 2
+    const = square_root_model_data(grid, split, cir_model.ell, 0.1, vol, "const", [])
+    sqrt_ell = square_root_model_data(grid, split, cir_model.ell, 0.1, vol, "sqrt_ell", [])
+    for level in (0.0, 1.0, -1.0, -3.0):
+        h = np.full(grid.n, level)
+        assert const.sigma_sq_at(h) == pytest.approx(np.array([[unit]]), rel=1e-12)
+        # negative ell(h) enters through |ell(h)|, as in the direct simulator
+        assert sqrt_ell.sigma_sq_at(h) == pytest.approx(np.array([[abs(level) * unit]]),
+                                                        rel=1e-12)
+    with pytest.raises(NotInV):
+        square_root_model_data(grid, split, cir_model.ell, 0.1, np.sin(grid.x), "const", [])
 
 
 def test_cir_initial_set_examples(grid, cir_model):
-    member, boundary = cir_initial_set(np.full(grid.n, 0.02), cir_model)
+    md = cir_model.model_data()
+    member, boundary = rz.maximal_initial_membership(np.full(grid.n, 0.02), md)
     assert member and not boundary
-    member, boundary = cir_initial_set(np.zeros(grid.n), cir_model)
+    member, boundary = rz.maximal_initial_membership(np.zeros(grid.n), md)
     assert not member
-    member, boundary = cir_initial_set(grid.x * np.exp(-grid.x), cir_model)
+    member, boundary = rz.maximal_initial_membership(grid.x * np.exp(-grid.x), md)
     assert member and boundary
 
 
@@ -111,14 +130,15 @@ def test_two_factor_functional_constraints(grid):
 
 def test_two_factor_initial_set(grid):
     model = TwoFactorModel(grid, gamma=1.0)
-    assert two_factor_initial_set(np.full(grid.n, 0.5), model)
-    assert not two_factor_initial_set(np.zeros(grid.n), model)
+    md = build_two_factor_model_data(model)
+    assert rz.maximal_initial_membership(np.full(grid.n, 0.5), md)[0]
+    assert not rz.maximal_initial_membership(np.zeros(grid.n), md)[0]
     # verdict invariant under adding g with ell(g) = 0 and ell(g' + g) = 0
     lam2 = model.lam ** 2
     h = np.full(grid.n, 0.5)
     # lam^2 satisfies ell(lam^2) = 0 and ell((lam^2)' + lam^2) = -ell(lam^2) = 0
-    assert two_factor_initial_set(h + 3.0 * lam2, model) == \
-        two_factor_initial_set(h, model)
+    assert rz.maximal_initial_membership(h + 3.0 * lam2, md)[0] == \
+        rz.maximal_initial_membership(h, md)[0]
 
 
 def test_state_drift_slope_short_end(grid, cir_model):

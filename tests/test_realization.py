@@ -1,11 +1,15 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from affinefdr import realization as rz
 from affinefdr.curves import Grid, derivative
 from affinefdr.errors import DimensionExceeded
-from affinefdr.hjmm import (TwoFactorModel, build_example64_model_data,
-                            build_two_factor_model_data, hjm_drift)
+from affinefdr.hjmm import TwoFactorModel, build_two_factor_model_data, hjm_drift
+from affinefdr.modelfile import custom_model_data, parse_model_file
+
+from conftest import cir_membership, two_factor_membership
 
 
 def test_cir_fixture_passes_all_conditions(cir_model):
@@ -28,7 +32,8 @@ def test_two_factor_fixture_passes(grid):
 
 def test_check_damir_verdicts(grid, cir_model):
     assert rz.check_damir(cir_model.model_data())
-    assert not rz.check_damir(build_example64_model_data(grid))
+    example64 = resources.files("affinefdr") / "models" / "example64.model"
+    assert not rz.check_damir(custom_model_data(parse_model_file(str(example64))))
 
 
 def test_const_mod_k_and_kspace(cir_model):
@@ -76,7 +81,25 @@ def test_maximal_initial_membership_against_cir(grid, cir_model):
         h = c[0] + c[1] * x * np.exp(-x) + c[2] * np.exp(-0.5 * x) \
             + c[3] * np.sin(x) * np.exp(-x)
         member, _ = rz.maximal_initial_membership(h, md)
-        assert member == cir_model.initial_set(h)[0]
+        assert member == cir_membership(h, cir_model)[0]
+
+
+def test_maximal_initial_membership_against_two_factor(grid):
+    model = TwoFactorModel(grid, rho=0.1, gamma=1.0)
+    md = build_two_factor_model_data(model)
+    rng = np.random.default_rng(22)
+    x = grid.x
+    verdicts = set()
+    for _ in range(30):
+        c = rng.normal(0.0, 0.02, 4)
+        s = c[0] + c[1] * x * np.exp(-x) + c[2] * np.exp(-0.5 * x)
+        # the second curve lies in ker ell, on the boundary whenever it is a member
+        for h in (s, s - float(model.ell_of(s)) * model.lam):
+            h = h + c[3] * model.lam ** 2
+            verdict = rz.maximal_initial_membership(h, md)
+            assert verdict == two_factor_membership(h, model)
+            verdicts.add(verdict)
+    assert verdicts == {(True, False), (True, True), (False, False)}
 
 
 def test_report_structure(cir_model):
