@@ -50,12 +50,27 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _formatted(values: np.ndarray) -> list[str]:
+    """FLOAT_FMT strings of values, for the columns baked into row templates."""
+    return [FLOAT_FMT % v for v in values.tolist()]
+
+
+def _row_templates(keys, n_values: int) -> list[str]:
+    """One row template per key: the key, then n_values FLOAT_FMT fields."""
+    tail = ",".join([FLOAT_FMT] * n_values) + "\n"
+    return [f"{key},{tail}" for key in keys]
+
+
+def _write_csv(path: str, header: str, templates, values: np.ndarray) -> None:
+    """Write the header line, then templates[i] % values[i] for each row i.
+
+    A template holds its row's repeated columns already formatted, so each
+    row costs one C-level format call.  Rows are streamed, not joined.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % v if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        for template, row in zip(templates, values):
+            fh.write(template % tuple(row.tolist()))
 
 
 # ---------------------------------------------------------------- riccati
@@ -72,8 +87,8 @@ def cmd_riccati(args) -> int:
     lam_cap = riccati_capital(grid.x, args.rho, args.gamma)
     lam = riccati_small(grid.x, args.rho, args.gamma)
     residual = derivative(lam, grid) + args.rho ** 2 * lam * lam_cap + args.gamma * lam
-    rows = zip(grid.x.tolist(), lam_cap.tolist(), lam.tolist(), residual.tolist())
-    _write_csv(args.out, "x,Lambda,lambda,residual", rows)
+    _write_csv(args.out, "x,Lambda,lambda,residual", _row_templates(_formatted(grid.x), 3),
+               np.column_stack([lam_cap, lam, residual]))
     print(f"max residual = {np.abs(residual).max():.6e}")
     return 0
 
@@ -237,10 +252,9 @@ def build_verify_report(run_dir: str) -> dict:
 
 
 def _write_phi_csv(path: str, phis: dict[str, np.ndarray]) -> None:
-    n = len(phis["ell"])
-    rows = ((p, float(phis["ell"][p]), float(phis["eval_at_1"][p]),
-             float(phis["hw_norm"][p])) for p in range(n))
-    _write_csv(path, "path,ell,eval_at_1,hw_norm", rows)
+    values = np.column_stack([phis["ell"], phis["eval_at_1"], phis["hw_norm"]])
+    _write_csv(path, "path,ell,eval_at_1,hw_norm", _row_templates(range(len(values)), 3),
+               values)
 
 
 def cmd_simulate(args) -> int:
@@ -258,6 +272,7 @@ def cmd_simulate(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     artifacts = []
+    x_keys = _formatted(model.grid.x)
 
     foliation = None
     if args.mode in ("fdr", "both"):
@@ -266,15 +281,17 @@ def cmd_simulate(args) -> int:
         foliation = evolve_psi(model, g0, config.horizon, config.dt)
         paths = simulate_state(model, foliation, x0, config)
 
-        psi_rows = ((float(foliation.times[k]), *foliation.psi[k].tolist())
-                    for k in range(len(foliation.times)))
-        header = "t," + ",".join(FLOAT_FMT % v for v in model.grid.x)
-        _write_csv(os.path.join(args.out_dir, "psi.csv"), header, psi_rows)
+        _write_csv(os.path.join(args.out_dir, "psi.csv"), "t," + ",".join(x_keys),
+                   _row_templates(_formatted(foliation.times), model.grid.n),
+                   foliation.psi)
         artifacts.append("psi.csv")
 
-        path_rows = ((p, float(paths.times[k]), float(paths.values[p, k]))
-                     for p in range(paths.n_paths) for k in range(len(paths.times)))
-        _write_csv(os.path.join(args.out_dir, "paths.csv"), "path,t,X", path_rows)
+        # one row per path: its lines "p,t_k,X_pk" share one template
+        t_fields = [f"{t},{FLOAT_FMT}" for t in _formatted(paths.times)]
+        path_templates = (f"{p}," + f"\n{p},".join(t_fields) + "\n"
+                          for p in range(paths.n_paths))
+        _write_csv(os.path.join(args.out_dir, "paths.csv"), "path,t,X", path_templates,
+                   paths.values)
         artifacts.append("paths.csv")
 
         _write_phi_csv(os.path.join(args.out_dir, "fdr_phis.csv"),
@@ -285,7 +302,7 @@ def cmd_simulate(args) -> int:
         # freed here rather than held through the direct run
         mean_curve = reconstruct(foliation, paths, model).mean(axis=0)
         _write_csv(os.path.join(args.out_dir, "fdr_mean_curve.csv"), "x,value",
-                   zip(model.grid.x.tolist(), mean_curve.tolist()))
+                   _row_templates(x_keys, 1), mean_curve[:, None])
         artifacts.append("fdr_mean_curve.csv")
 
     if args.mode in ("direct", "both"):
@@ -298,13 +315,11 @@ def cmd_simulate(args) -> int:
         else:
             resid = foliation_residual(run.final_curves, foliation.psi[-1], model.lam)
         _write_csv(os.path.join(args.out_dir, "direct_stats.csv"), "key,value",
-                   [("min_ell", run.min_ell),
-                    ("negative_short_rate", float(run.negative_short_rate)),
-                    ("foliation_residual", resid)])
+                   _row_templates(("min_ell", "negative_short_rate", "foliation_residual"), 1),
+                   np.array([[run.min_ell], [float(run.negative_short_rate)], [resid]]))
         artifacts.append("direct_stats.csv")
         _write_csv(os.path.join(args.out_dir, "direct_mean_curve.csv"), "x,value",
-                   zip(model.grid.x.tolist(),
-                       run.final_curves.mean(axis=0).tolist()))
+                   _row_templates(x_keys, 1), run.final_curves.mean(axis=0)[:, None])
         artifacts.append("direct_mean_curve.csv")
 
     if args.mode == "both":

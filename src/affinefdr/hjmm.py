@@ -12,6 +12,7 @@ evaluated in an overflow-free rational-in-expm1 arrangement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -126,6 +127,11 @@ def square_root_model_data(grid: Grid, split: SplitSpace, ell, rho: float,
     )
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 def shape_boundary_samples(grid: Grid, split: SplitSpace, n: int) -> list[np.ndarray]:
     """The first n of x e^-x, sin(x) e^-x/2 and x e^-2x, scaled by 0.05, in G."""
     x = grid.x
@@ -153,13 +159,13 @@ class CirModel:
         if abs(self.ell_of(self.lam) - 1.0) > 1e-8:
             raise ConstraintViolated("functional must normalize lam to 1")
 
-    @property
+    @functools.cached_property
     def lam(self) -> np.ndarray:
-        return riccati_small(self.grid.x, self.rho, self.gamma)
+        return _read_only(riccati_small(self.grid.x, self.rho, self.gamma))
 
-    @property
+    @functools.cached_property
     def lam_capital(self) -> np.ndarray:
-        return riccati_capital(self.grid.x, self.rho, self.gamma)
+        return _read_only(riccati_capital(self.grid.x, self.rho, self.gamma))
 
     def ell_of(self, values: np.ndarray) -> np.ndarray:
         return apply_functional(self.ell, values, self.grid)

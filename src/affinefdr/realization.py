@@ -237,7 +237,9 @@ def compute_k(model: ModelData) -> KSpace:
         coef, *_ = np.linalg.lstsq(B.T, curve, rcond=None)
         residuals.append(curve - B.T @ coef)
     M = np.array(residuals).T  # ambient x nR
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
+    # the thin SVD skips the ambient x ambient U; with nR <= ambient it has
+    # the same s and vt, otherwise vt must be square for the nullspace rows
+    _, s, vt = np.linalg.svd(M, full_matrices=M.shape[1] > M.shape[0])
     scale = max(float(s[0]) if s.size else 0.0, 1e-30)
     in_null = np.ones(len(r_basis), dtype=bool)
     in_null[: s.size] = s <= model.tol.span * scale

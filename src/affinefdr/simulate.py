@@ -10,6 +10,7 @@ statistics of the two runs can be compared.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,12 +142,24 @@ def path_normals(seed: int, n_paths: int, n_steps: int, stream: int = 0) -> np.n
 
     Each path p draws from a Philox generator keyed by (seed, stream, p),
     so a path's increments do not depend on n_paths or scheduling order.
+    The last draw is cached, so the realization and the direct oracle of
+    one run share it; the array is read-only so neither alters the other's
+    noise.
     """
+    # a plain function in front of the cache keeps its calls visible to
+    # function-level tracing, and passing stream positionally gives keyword
+    # and positional calls one cache key
+    return _cached_normals(seed, n_paths, n_steps, stream)
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_normals(seed: int, n_paths: int, n_steps: int, stream: int) -> np.ndarray:
     out = np.empty((n_paths, n_steps))
     for p in range(n_paths):
         gen = np.random.Generator(np.random.Philox(
             key=[seed + (stream << 32), p]))
         out[p] = gen.standard_normal(n_steps)
+    out.flags.writeable = False
     return out
 
 
@@ -165,7 +178,7 @@ def _validate_coefficient_reduction(model: CirModel, foliation: Foliation) -> fl
         for x in (0.0, 0.05, 0.4):
             h = psi + x * model.lam
             lhs = float(model.ell_of(derivative(h, model.grid))
-                        + model.rho ** 2 * max(float(model.ell_of(h)), 0.0)
+                        + model.rho ** 2 * abs(float(model.ell_of(h)))
                         * float(model.ell_of(model.lam * model.lam_capital)))
             rhs = foliation.b_at_step(k) + a * x
             worst = max(worst, abs(lhs - rhs))

@@ -10,6 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affinefdr.curves import Grid, derivative
+from affinefdr.hjmm import riccati_capital, riccati_small
+from affinefdr.modelfile import parse_model_file
+from affinefdr.simulate import (direct_phi_values, evolve_psi, fdr_phi_values,
+                                foliation_residual, reconstruct, simulate_direct,
+                                simulate_state)
+
 MODELS = resources.files("affinefdr") / "models"
 DATA = Path(__file__).parent / "data"
 
@@ -33,6 +40,31 @@ def test_riccati_writes_csv(tmp_path):
     assert set(rows[0]) == {"x", "Lambda", "lambda", "residual"}
     assert float(rows[0]["Lambda"]) == 0.0 and float(rows[0]["lambda"]) == 1.0
     assert max(abs(float(r["residual"])) for r in rows) <= 1e-6
+
+
+def reference_write_csv(path, header, rows):
+    """The generic writer the CLI's row templates replace: one value at a
+    time, floats as %.17g and anything else through str()."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def test_riccati_csv_matches_reference_writer(tmp_path):
+    out = tmp_path / "ric.csv"
+    res = run_cli("riccati", "--rho", "0.3", "--gamma", "0.05", "--xmax", "5",
+                  "--dx", "0.01", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    grid = Grid(5.0, 0.01)
+    lam_cap, lam = riccati_capital(grid.x, 0.3, 0.05), riccati_small(grid.x, 0.3, 0.05)
+    residual = derivative(lam, grid) + 0.3 ** 2 * lam * lam_cap + 0.05 * lam
+    ref = tmp_path / "ref.csv"
+    reference_write_csv(ref, "x,Lambda,lambda,residual",
+                        zip(grid.x.tolist(), lam_cap.tolist(), lam.tolist(),
+                            residual.tolist()))
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_riccati_rejects_nonpositive_rho(tmp_path):
@@ -180,6 +212,65 @@ def test_simulate_byte_identical(fast_model, sim_run, tmp_path):
         with open(os.path.join(sim_run, name), "rb") as f1, \
                 open(out2 / name, "rb") as f2:
             assert f1.read() == f2.read(), name
+
+
+def reference_simulate_csvs(modelfile, out, mode):
+    """simulate's CSV artifacts rebuilt from the library's arrays with the
+    reference writer; returns their names."""
+    spec = parse_model_file(modelfile)
+    model, config, h0, x = spec.cir_model(), spec.sim, spec.h0, spec.grid.x.tolist()
+
+    def phi_rows(phis):
+        return [(p, float(phis["ell"][p]), float(phis["eval_at_1"][p]),
+                 float(phis["hw_norm"][p])) for p in range(len(phis["ell"]))]
+
+    written = {}
+    foliation = None
+    if mode in ("fdr", "both"):
+        x0 = float(model.ell_of(h0))
+        foliation = evolve_psi(model, h0 - x0 * model.lam, config.horizon, config.dt)
+        paths = simulate_state(model, foliation, x0, config)
+        written["psi.csv"] = ("t," + ",".join("%.17g" % v for v in x),
+                              [(t, *row) for t, row in zip(foliation.times.tolist(),
+                                                           foliation.psi.tolist())])
+        written["paths.csv"] = ("path,t,X", [(p, t, v) for p in range(paths.n_paths)
+                                             for t, v in zip(paths.times.tolist(),
+                                                             paths.values[p].tolist())])
+        written["fdr_phis.csv"] = ("path,ell,eval_at_1,hw_norm",
+                                   phi_rows(fdr_phi_values(foliation, paths, model,
+                                                           spec.weight)))
+        mean = reconstruct(foliation, paths, model).mean(axis=0)
+        written["fdr_mean_curve.csv"] = ("x,value", zip(x, mean.tolist()))
+    if mode in ("direct", "both"):
+        run = simulate_direct(model, h0, config)
+        resid = float("nan") if foliation is None else \
+            foliation_residual(run.final_curves, foliation.psi[-1], model.lam)
+        written["direct_phis.csv"] = ("path,ell,eval_at_1,hw_norm",
+                                      phi_rows(direct_phi_values(run.final_curves, model,
+                                                                 spec.weight)))
+        written["direct_stats.csv"] = ("key,value", [
+            ("min_ell", run.min_ell),
+            ("negative_short_rate", float(run.negative_short_rate)),
+            ("foliation_residual", resid)])
+        written["direct_mean_curve.csv"] = ("x,value",
+                                            zip(x, run.final_curves.mean(axis=0).tolist()))
+    for name, (header, rows) in written.items():
+        reference_write_csv(os.path.join(out, name), header, rows)
+    return sorted(written)
+
+
+@pytest.mark.parametrize("mode", ["fdr", "direct", "both"])
+def test_simulate_csvs_match_reference_writer(fast_model, tmp_path, mode):
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    res = run_cli("simulate", fast_model, "--mode", mode, "--out-dir", str(out))
+    assert res.returncode == 0, res.stderr
+    ref.mkdir()
+    names = reference_simulate_csvs(fast_model, str(ref), mode)
+    assert names == sorted(n for n in os.listdir(out) if n.endswith(".csv"))
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    if mode == "direct":
+        assert (out / "direct_stats.csv").read_text().endswith("foliation_residual,nan\n")
 
 
 def test_simulate_rejects_outside_initial_set(fast_model, tmp_path):

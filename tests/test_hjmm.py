@@ -86,6 +86,17 @@ def test_cir_model_invariants(grid, cir_model):
     CirModel(grid, 0.0, 0.05)
 
 
+def test_cir_riccati_curves_cached_read_only(grid):
+    model = CirModel(grid, 0.1, 0.05)
+    assert model.lam is model.lam and model.lam_capital is model.lam_capital
+    assert np.array_equal(model.lam, riccati_small(grid.x, 0.1, 0.05))
+    assert np.array_equal(model.lam_capital, riccati_capital(grid.x, 0.1, 0.05))
+    with pytest.raises(ValueError):
+        model.lam[0] = 0.0
+    with pytest.raises(ValueError):
+        model.lam_capital[0] = 1.0
+
+
 def test_sigma_cir_values(grid, cir_model):
     sigma_sq_at = cir_model.model_data().sigma_sq_at
     zero_ell = grid.x * np.exp(-grid.x)

@@ -56,6 +56,16 @@ def test_path_normals_counter_based():
     assert not np.array_equal(path_normals(7, 4, 50, stream=1), a)
 
 
+def test_path_normals_shared_and_read_only():
+    a = path_normals(11, 3, 20)
+    b = path_normals(11, 3, 20)
+    assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        b *= 2.0
+
+
 def test_simulate_state_deterministic_oracle(cir_model, g0):
     # rho = 0 freezes the diffusion; compare against RK4 on dx = b(t) + a x
     det = CirModel(cir_model.grid, 0.0, cir_model.gamma)
