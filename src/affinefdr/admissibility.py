@@ -137,37 +137,29 @@ def embed_sigma_square(vol: VolMatrix, bigger_basis: StateBasis,
     return out
 
 
-def _edge_verdict_conditions(drift: AffineDrift, m: int, d: int, tol: float):
-    witnesses = []
-    b1, b2 = drift.beta1, drift.beta2
-    bad = np.where(b1[:m] < -tol)[0]
-    for i in bad:
-        witnesses.append(("nu-1", int(i), float(-b1[i])))
-    for j in range(m):
-        col = b2[:, j]
-        bad = [i for i in range(m) if i != j and col[i] < -tol]
-        for i in bad:
-            witnesses.append(("nu-2-C", (int(j), int(i)), float(-col[i])))
-    for j in range(m, d):
-        col = b2[:, j]
-        viol = np.abs(col[:m])
-        bad = np.where(viol > tol)[0]
-        for i in bad:
-            witnesses.append(("nu-2-U", (int(j), int(i)), float(viol[i])))
-    return witnesses
-
-
 def is_inward_pointing(drift: AffineDrift, basis: StateBasis,
                        tol: float = DEFAULT_TOL) -> Verdict:
     """Exact characterization of inward-pointing affine drift.
 
     Requires (a) the constant part in the state space, (b) each edge image
     in the cone widened by the edge's own line, (c) the subspace invariant.
+    Each witness carries its magnitude: nu-1 (edge i of beta1), nu-2-C
+    (column j, row i of an edge column) and nu-2-U (column j, row i of a
+    subspace column).
     """
-    d = basis.dim_v
+    d, m = basis.dim_v, basis.m
     if drift.dim != d:
         raise DimensionMismatch(f"drift dimension {drift.dim} != basis dimension {d}")
-    witnesses = _edge_verdict_conditions(drift, basis.m, d, tol)
+    b1, b2 = drift.beta1, drift.beta2
+    witnesses = [("nu-1", int(i), float(-b1[i])) for i in np.flatnonzero(b1[:m] < -tol)]
+    for j in range(d):
+        col = b2[:m, j]
+        if j < m:
+            witnesses += [("nu-2-C", (j, int(i)), float(-col[i]))
+                          for i in np.flatnonzero(col < -tol) if i != j]
+        else:
+            witnesses += [("nu-2-U", (j, int(i)), float(abs(col[i])))
+                          for i in np.flatnonzero(np.abs(col) > tol)]
     return Verdict(ok=not witnesses, witnesses=tuple(witnesses))
 
 
@@ -283,71 +275,3 @@ def fit_affine_square(samples, basis: StateBasis,
     t1 = (t1 + t1.T) / 2.0
     t2 = (t2 + np.transpose(t2, (0, 2, 1))) / 2.0
     return AffineSquareVol(t1, t2)
-
-
-def _sample_boundary_pairs(m: int, d: int, n_samples: int, rng: np.random.Generator):
-    """Random (v, eta) with v in the state space, eta in the cone, <v,eta>_V = 0.
-
-    The support of eta is a random edge subset; v's cone coordinates on that
-    subset are zero.  v is drawn with a log-uniform scale so violations that
-    only appear far from the origin are caught.
-    """
-    if m == 0:
-        return None, None
-    mask = rng.random((n_samples, m)) < 0.5
-    empty = ~mask.any(axis=1)
-    mask[empty, rng.integers(0, m, size=int(empty.sum()))] = True
-    eta = rng.random((n_samples, m)) * mask
-    zero_eta = eta.sum(axis=1) == 0.0
-    eta[zero_eta] += mask[zero_eta] * 0.5
-    scale = 10.0 ** rng.uniform(-1.0, 3.0, size=(n_samples, 1))
-    v = np.zeros((n_samples, d))
-    v[:, :m] = rng.random((n_samples, m)) * (~mask) * scale
-    if d > m:
-        v[:, m:] = rng.uniform(-1.0, 1.0, size=(n_samples, d - m)) * scale
-    return v, eta
-
-
-def brute_force_inward(drift: AffineDrift, basis: StateBasis, n_samples: int = 10_000,
-                       rng: np.random.Generator | None = None,
-                       tol: float = 1e-7) -> Verdict:
-    """Definition-level sampling oracle for the inward-pointing property."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    d, m = basis.dim_v, basis.m
-    if drift.dim != d:
-        raise DimensionMismatch("drift does not match basis")
-    v, eta = _sample_boundary_pairs(m, d, n_samples, rng)
-    if v is None:
-        return Verdict(ok=True)
-    beta = drift.beta1[None, :] + v @ drift.beta2.T
-    vals = np.einsum("ij,ij->i", beta[:, :m], eta)
-    norms = np.linalg.norm(beta, axis=1) * np.linalg.norm(eta, axis=1)
-    bad = np.where(vals < -tol * np.maximum(norms, 1.0))[0]
-    if bad.size == 0:
-        return Verdict(ok=True)
-    i = int(bad[np.argmin(vals[bad] / np.maximum(norms[bad], 1.0))])
-    return Verdict(ok=False, witnesses=((("beta-inv", (v[i], eta[i]), float(-vals[i]))),))
-
-
-def brute_force_parallel(sqvol: AffineSquareVol, basis: StateBasis,
-                         n_samples: int = 10_000,
-                         rng: np.random.Generator | None = None,
-                         tol: float = 1e-7) -> Verdict:
-    """Definition-level sampling oracle for the boundary-parallel property."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    d, m = basis.dim_v, basis.m
-    if sqvol.dim != d:
-        raise DimensionMismatch("squared volatility does not match basis")
-    v, eta = _sample_boundary_pairs(m, d, n_samples, rng)
-    if v is None:
-        return Verdict(ok=True)
-    eta_full = np.zeros((v.shape[0], d))
-    eta_full[:, :m] = eta
-    tv = sqvol.t1[None, :, :] + np.tensordot(v, sqvol.t2, axes=(1, 0))
-    vals = np.einsum("nij,nj,ni->n", tv, eta_full, eta_full)
-    scale = np.maximum(np.abs(tv).max(axis=(1, 2)) * (eta * eta).sum(axis=1), 1.0)
-    bad = np.where(np.abs(vals) > tol * scale)[0]
-    if bad.size == 0:
-        return Verdict(ok=True)
-    i = int(bad[np.argmax(np.abs(vals[bad]) / scale[bad])])
-    return Verdict(ok=False, witnesses=((("sigma-inv", (v[i], eta[i]), float(abs(vals[i])))),))

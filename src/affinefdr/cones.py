@@ -204,18 +204,13 @@ def membership(x: np.ndarray, basis: StateBasis, mode: str = "closed",
 
 
 def membership_coords(coords: np.ndarray, m: int, mode: str = "closed",
-                      shift_index: int | None = None, tol: float = DEFAULT_TOL) -> bool:
-    """Membership test given coordinates in the normed state basis directly."""
+                      tol: float = DEFAULT_TOL) -> bool:
+    """Closed or interior membership given coordinates in the normed state basis."""
     cone_coords = np.asarray(coords, dtype=float)[:m]
     if mode == "closed":
         return bool(np.all(cone_coords >= -tol))
     if mode == "interior":
         return bool(np.all(cone_coords > tol))
-    if mode == "shifted":
-        free = np.ones(m, dtype=bool)
-        if shift_index is not None:
-            free[shift_index] = False
-        return bool(np.all(cone_coords[free] >= -tol))
     raise ValueError(f"unknown membership mode {mode!r}")
 
 

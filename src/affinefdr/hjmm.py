@@ -48,27 +48,6 @@ def riccati_small(x, rho: float, gamma: float) -> np.ndarray:
     return 1.0 - (rho * rho / 2.0) * lam_cap * lam_cap - gamma * lam_cap
 
 
-def riccati_rk4(grid: Grid, rho: float, gamma: float, substeps: int = 4) -> np.ndarray:
-    """Classical Runge-Kutta reference integration of the Riccati equation."""
-
-    def f(y):
-        return 1.0 - (rho * rho / 2.0) * y * y - gamma * y
-
-    out = np.empty(grid.n)
-    out[0] = 0.0
-    h = grid.dx / substeps
-    y = 0.0
-    for i in range(1, grid.n):
-        for _ in range(substeps):
-            k1 = f(y)
-            k2 = f(y + h / 2 * k1)
-            k3 = f(y + h / 2 * k2)
-            k4 = f(y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = y
-    return out
-
-
 def hjm_drift(sigma_curves: np.ndarray, grid: Grid) -> np.ndarray:
     """Drift alpha(x) = sum_k sigma_k(x) * int_0^x sigma_k(u) du.
 
@@ -174,10 +153,9 @@ class CirModel:
     def state_drift_slope(self) -> float:
         """Coefficient a in the state equation dX = (b(t) + a X) dt + ...
 
-        Computed as ell applied to the generator drift of lam:
-        a = ell(lam') + rho^2 ell(lam Lam) reduces to -gamma - rho^2 ell(lam Lam)
-        + rho^2 ell(lam Lam) cancellation aside; evaluated numerically so it
-        stays correct for any normalizing functional.
+        a = ell(lam') + rho^2 ell(lam Lam), the functional applied to the drift
+        of the state direction lam.  For the Riccati lam with ell(lam) = 1 it
+        equals -gamma; it is evaluated numerically from the discretized curves.
         """
         lam_prime = derivative(self.lam, self.grid)
         return float(self.ell_of(lam_prime) + self.rho * self.rho
@@ -192,19 +170,13 @@ class CirModel:
                 * lam_norm / float(self.ell_of(lam))).reshape(1, -1)
         return SplitSpace(basis, dual)
 
-    def model_data(self, boundary_samples=None, tol: rz.Tolerances = rz.Tolerances(),
-                   lam_override: np.ndarray | None = None) -> rz.ModelData:
-        """Assembled checker input; lam_override swaps in a non-Riccati lam.
-
-        The override rebuilds the state space, the drift-image operator and
-        the volatility around the supplied curve, which is how failures of
-        the realizability conditions are exercised.
-        """
-        lam = self.lam if lam_override is None else np.asarray(lam_override, dtype=float)
-        split = self.split(lam)
+    def model_data(self, boundary_samples=None,
+                   tol: rz.Tolerances = rz.Tolerances()) -> rz.ModelData:
+        """Assembled checker input on the Riccati state space V = <lam>+."""
+        split = self.split()
         if boundary_samples is None:
             boundary_samples = default_boundary_samples(self, split)
-        return square_root_model_data(self.grid, split, self.ell, self.rho, lam,
+        return square_root_model_data(self.grid, split, self.ell, self.rho, self.lam,
                                       "sqrt_ell", boundary_samples, tol)
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from affinefdr.admissibility import AffineDrift, AffineSquareVol, Verdict
 from affinefdr.cones import ConeBasis, StateBasis
 from affinefdr.curves import Grid, derivative
-from affinefdr.hjmm import CirModel
+from affinefdr.errors import DimensionMismatch
+from affinefdr.hjmm import CirModel, default_boundary_samples, square_root_model_data
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +16,20 @@ def grid():
 @pytest.fixture(scope="session")
 def cir_model(grid):
     return CirModel(grid, 0.1, 0.05)
+
+
+def perturbed_cir_model_data(model, vol_curve, boundary_samples=None):
+    """Checker input of a CIR model whose lam is replaced by a non-Riccati curve.
+
+    The state space, the drift-image operator and the volatility are all
+    rebuilt around vol_curve, which is how the realizability conditions are
+    made to fail.
+    """
+    split = model.split(vol_curve)
+    if boundary_samples is None:
+        boundary_samples = default_boundary_samples(model, split)
+    return square_root_model_data(model.grid, split, model.ell, model.rho, vol_curve,
+                                  "sqrt_ell", boundary_samples)
 
 
 def _closed_form_membership(h, model, strict):
@@ -146,3 +162,92 @@ def violate_sqvol_coeffs(rng, m, d, t1, t2):
         u = int(rng.integers(m, d))
         t2v[u, j, j] += mag
     return t1v, t2v
+
+
+def riccati_rk4(grid: Grid, rho: float, gamma: float, substeps: int = 4) -> np.ndarray:
+    """Classical Runge-Kutta reference integration of the Riccati equation."""
+
+    def f(y):
+        return 1.0 - (rho * rho / 2.0) * y * y - gamma * y
+
+    out = np.empty(grid.n)
+    out[0] = 0.0
+    h = grid.dx / substeps
+    y = 0.0
+    for i in range(1, grid.n):
+        for _ in range(substeps):
+            k1 = f(y)
+            k2 = f(y + h / 2 * k1)
+            k3 = f(y + h / 2 * k2)
+            k4 = f(y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[i] = y
+    return out
+
+
+def _sample_boundary_pairs(m: int, d: int, n_samples: int, rng: np.random.Generator):
+    """Random (v, eta) with v in the state space, eta in the cone, <v,eta>_V = 0.
+
+    The support of eta is a random edge subset; v's cone coordinates on that
+    subset are zero.  v is drawn with a log-uniform scale so violations that
+    only appear far from the origin are caught.
+    """
+    if m == 0:
+        return None, None
+    mask = rng.random((n_samples, m)) < 0.5
+    empty = ~mask.any(axis=1)
+    mask[empty, rng.integers(0, m, size=int(empty.sum()))] = True
+    eta = rng.random((n_samples, m)) * mask
+    zero_eta = eta.sum(axis=1) == 0.0
+    eta[zero_eta] += mask[zero_eta] * 0.5
+    scale = 10.0 ** rng.uniform(-1.0, 3.0, size=(n_samples, 1))
+    v = np.zeros((n_samples, d))
+    v[:, :m] = rng.random((n_samples, m)) * (~mask) * scale
+    if d > m:
+        v[:, m:] = rng.uniform(-1.0, 1.0, size=(n_samples, d - m)) * scale
+    return v, eta
+
+
+def brute_force_inward(drift: AffineDrift, basis: StateBasis, n_samples: int = 10_000,
+                       rng: np.random.Generator | None = None,
+                       tol: float = 1e-7) -> Verdict:
+    """Definition-level sampling oracle for the inward-pointing property."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    d, m = basis.dim_v, basis.m
+    if drift.dim != d:
+        raise DimensionMismatch("drift does not match basis")
+    v, eta = _sample_boundary_pairs(m, d, n_samples, rng)
+    if v is None:
+        return Verdict(ok=True)
+    beta = drift.beta1[None, :] + v @ drift.beta2.T
+    vals = np.einsum("ij,ij->i", beta[:, :m], eta)
+    norms = np.linalg.norm(beta, axis=1) * np.linalg.norm(eta, axis=1)
+    bad = np.where(vals < -tol * np.maximum(norms, 1.0))[0]
+    if bad.size == 0:
+        return Verdict(ok=True)
+    i = int(bad[np.argmin(vals[bad] / np.maximum(norms[bad], 1.0))])
+    return Verdict(ok=False, witnesses=((("beta-inv", (v[i], eta[i]), float(-vals[i]))),))
+
+
+def brute_force_parallel(sqvol: AffineSquareVol, basis: StateBasis,
+                         n_samples: int = 10_000,
+                         rng: np.random.Generator | None = None,
+                         tol: float = 1e-7) -> Verdict:
+    """Definition-level sampling oracle for the boundary-parallel property."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    d, m = basis.dim_v, basis.m
+    if sqvol.dim != d:
+        raise DimensionMismatch("squared volatility does not match basis")
+    v, eta = _sample_boundary_pairs(m, d, n_samples, rng)
+    if v is None:
+        return Verdict(ok=True)
+    eta_full = np.zeros((v.shape[0], d))
+    eta_full[:, :m] = eta
+    tv = sqvol.t1[None, :, :] + np.tensordot(v, sqvol.t2, axes=(1, 0))
+    vals = np.einsum("nij,nj,ni->n", tv, eta_full, eta_full)
+    scale = np.maximum(np.abs(tv).max(axis=(1, 2)) * (eta * eta).sum(axis=1), 1.0)
+    bad = np.where(np.abs(vals) > tol * scale)[0]
+    if bad.size == 0:
+        return Verdict(ok=True)
+    i = int(bad[np.argmax(np.abs(vals[bad]) / scale[bad])])
+    return Verdict(ok=False, witnesses=((("sigma-inv", (v[i], eta[i]), float(abs(vals[i])))),))

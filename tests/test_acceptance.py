@@ -16,7 +16,6 @@ import pytest
 
 from affinefdr import realization as rz
 from affinefdr.admissibility import (AffineDrift, AffineSquareVol, VolMatrix,
-                                     brute_force_inward, brute_force_parallel,
                                      embed_sigma_square, is_inward_pointing,
                                      is_parallel, sigma_square,
                                      symmetric_kernel_equivalences)
@@ -24,13 +23,14 @@ from affinefdr.cones import ConeBasis, StateBasis, cone_minus, edges, inner_v
 from affinefdr.curves import Grid, derivative
 from affinefdr.errors import DimensionExceeded
 from affinefdr.hjmm import (CirModel, TwoFactorModel, default_boundary_samples,
-                            hjm_drift, riccati_capital, riccati_rk4, riccati_small)
+                            hjm_drift, riccati_capital, riccati_small)
 from affinefdr.simulate import (SimConfig, direct_phi_values, evolve_psi,
                                 fdr_phi_values, reconstruct, simulate_direct,
                                 simulate_state, verify_invariance)
 
-from conftest import (admissible_drift_coeffs, cir_membership, parallel_sqvol_coeffs,
-                      random_state_basis, violate_drift_coeffs,
+from conftest import (admissible_drift_coeffs, brute_force_inward, brute_force_parallel,
+                      cir_membership, parallel_sqvol_coeffs, perturbed_cir_model_data,
+                      random_state_basis, riccati_rk4, violate_drift_coeffs,
                       violate_sqvol_coeffs)
 
 
@@ -198,8 +198,7 @@ def test_criterion_05_realizability_cir(grid, cir_model):
     samples = default_boundary_samples(cir_model, cir_model.split(), n=20)
     passing = rz.check_thm_main2(cir_model.model_data(boundary_samples=samples))
     pert = cir_model.lam + 0.01 * grid.x * np.exp(-grid.x)
-    flipped = rz.check_thm_main2(
-        cir_model.model_data(boundary_samples=samples, lam_override=pert))
+    flipped = rz.check_thm_main2(perturbed_cir_model_data(cir_model, pert, samples))
     failing = {c.name for c in flipped.failed()}
     elapsed = time.perf_counter() - start
     ok = passing.overall and bool(failing & {"cond-AR-2", "beta-inc-V"}) \

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from affinefdr.admissibility import (AffineDrift, AffineSquareVol, VolMatrix,
-                                     brute_force_inward, brute_force_parallel,
                                      embed_sigma_square, fit_affine_square,
                                      is_inward_pointing, is_parallel, sigma_square,
                                      symmetric_kernel_equivalences)
@@ -10,8 +9,8 @@ from affinefdr.cones import ConeBasis, StateBasis
 from affinefdr.errors import (BasisNotExtension, IllConditioned, InsufficientSamples,
                               NotAffine, NotSymmetric, NotSymmetricNonnegative)
 
-from conftest import (admissible_drift_coeffs, parallel_sqvol_coeffs,
-                      random_state_basis, violate_drift_coeffs)
+from conftest import (admissible_drift_coeffs, brute_force_inward, brute_force_parallel,
+                      parallel_sqvol_coeffs, random_state_basis, violate_drift_coeffs)
 
 
 def test_sigma_square_is_gram_matrix():

@@ -6,7 +6,9 @@ from affinefdr.curves import Grid, derivative, primitive
 from affinefdr.errors import ConstraintViolated, NotInV
 from affinefdr.hjmm import (CirModel, TwoFactorModel, build_s_operator,
                             build_two_factor_model_data, hjm_drift, riccati_capital,
-                            riccati_rk4, riccati_small, square_root_model_data)
+                            riccati_small, square_root_model_data)
+
+from conftest import riccati_rk4
 
 
 def test_riccati_boundary_values(grid):
