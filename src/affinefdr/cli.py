@@ -24,9 +24,8 @@ from .errors import (AffineFdrError, CflViolated, ConstraintViolated, GridMismat
                      NotInInitialSet)
 from .hjmm import hjm_drift, riccati_capital, riccati_small
 from .modelfile import ModelSpec, custom_model_data, parse_model_file
-from .simulate import (evolve_psi, direct_phi_values, fdr_phi_values,
-                       foliation_residual, reconstruct, simulate_direct,
-                       simulate_state, verify_invariance)
+from .simulate import (evolve_psi, fdr_phi_values, simulate_state, summarize_direct,
+                       verify_invariance)
 
 FLOAT_FMT = "%.17g"
 VERIFY_ARTIFACTS = ("fdr_phis.csv", "direct_phis.csv", "direct_stats.csv")
@@ -298,28 +297,24 @@ def cmd_simulate(args) -> int:
                        fdr_phi_values(foliation, paths, model, spec.weight))
         artifacts.append("fdr_phis.csv")
 
-        # the (n_paths, n_x) ensemble is needed only for its mean; it is
-        # freed here rather than held through the direct run
-        mean_curve = reconstruct(foliation, paths, model).mean(axis=0)
+        # the mean of r_T = psi(T) + X_T lam, without the (n_paths, n_x) ensemble
+        mean_curve = foliation.psi[-1] + paths.final.mean() * model.lam
         _write_csv(os.path.join(args.out_dir, "fdr_mean_curve.csv"), "x,value",
                    _row_templates(x_keys, 1), mean_curve[:, None])
         artifacts.append("fdr_mean_curve.csv")
 
     if args.mode in ("direct", "both"):
-        run = simulate_direct(model, h0, config)
-        _write_phi_csv(os.path.join(args.out_dir, "direct_phis.csv"),
-                       direct_phi_values(run.final_curves, model, spec.weight))
+        run = summarize_direct(model, h0, config, spec.weight,
+                               None if foliation is None else foliation.psi[-1])
+        _write_phi_csv(os.path.join(args.out_dir, "direct_phis.csv"), run.phis)
         artifacts.append("direct_phis.csv")
-        if foliation is None:
-            resid = float("nan")
-        else:
-            resid = foliation_residual(run.final_curves, foliation.psi[-1], model.lam)
         _write_csv(os.path.join(args.out_dir, "direct_stats.csv"), "key,value",
                    _row_templates(("min_ell", "negative_short_rate", "foliation_residual"), 1),
-                   np.array([[run.min_ell], [float(run.negative_short_rate)], [resid]]))
+                   np.array([[run.min_ell], [float(run.negative_short_rate)],
+                             [run.foliation_residual]]))
         artifacts.append("direct_stats.csv")
         _write_csv(os.path.join(args.out_dir, "direct_mean_curve.csv"), "x,value",
-                   _row_templates(x_keys, 1), run.final_curves.mean(axis=0)[:, None])
+                   _row_templates(x_keys, 1), run.mean_curve[:, None])
         artifacts.append("direct_mean_curve.csv")
 
     if args.mode == "both":

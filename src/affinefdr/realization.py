@@ -9,6 +9,7 @@ are verified on the supplied samples; the report says so explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,7 +39,9 @@ class ModelData:
     apply_a differentiates/transports ambient curves, s_op maps symmetric
     state-space matrices to ambient curves, sigma_sq_at evaluates the squared
     volatility (in state-basis coordinates) at an ambient curve, and
-    boundary_samples is a finite list of boundary representatives.
+    boundary_samples is a finite list of boundary representatives.  The
+    per-sample fits and the R basis are computed once, on first use, and
+    shared by every check; the fields must not be reassigned after that.
     """
 
     split: SplitSpace
@@ -55,6 +58,35 @@ class ModelData:
     @property
     def m(self) -> int:
         return self.split.v_basis.m
+
+    @functools.cached_property
+    def boundary_fits(self) -> list[AffineSquareVol | AffineFdrError]:
+        """fit_boundary_square_vol of each boundary sample, or the error it raised."""
+        fits = []
+        for g in self.boundary_samples:
+            try:
+                fits.append(fit_boundary_square_vol(self, g))
+            except AffineFdrError as exc:
+                fits.append(exc)
+        return fits
+
+    @functools.cached_property
+    def r_basis(self) -> list[np.ndarray]:
+        """Orthonormal basis of the span R of sigma^2 at each boundary sample g
+        and at g + b_i for each basis curve b_i."""
+        mats = []
+        B = self.split.v_basis.matrix
+        for g in self.boundary_samples:
+            mats.append(self.sigma_sq_at(g))
+            for i in range(self.dim_v):
+                mats.append(self.sigma_sq_at(g + B[i]))
+        if not mats:
+            return []
+        d = self.dim_v
+        flat = np.array([m.ravel() for m in mats])
+        u, s, vt = np.linalg.svd(flat, full_matrices=False)
+        rank = int(np.sum(s > self.tol.rank * max(s[0], 1e-30))) if s.size else 0
+        return [vt[i].reshape(d, d) for i in range(rank)]
 
 
 def _span_residual(curve: np.ndarray, basis_matrix: np.ndarray) -> float:
@@ -134,12 +166,10 @@ def check_thm_main2(model: ModelData) -> RealizabilityReport:
     B = basis.matrix
     tol = model.tol
     results: list[ConditionResult] = []
-    for idx, g in enumerate(model.boundary_samples):
+    for idx, (g, sqvol) in enumerate(zip(model.boundary_samples, model.boundary_fits)):
         tag = f"g[{idx}]"
-        try:
-            sqvol = fit_boundary_square_vol(model, g)
-        except AffineFdrError as exc:
-            results.append(ConditionResult("sigma-affine-parallel", False, f"{tag}: {exc}"))
+        if isinstance(sqvol, AffineFdrError):
+            results.append(ConditionResult("sigma-affine-parallel", False, f"{tag}: {sqvol}"))
             continue
         par = adm.is_parallel(sqvol, basis, tol=tol.membership)
         results.append(ConditionResult("sigma-affine-parallel", par.ok,
@@ -180,25 +210,9 @@ class KSpace:
         return len(self.basis)
 
 
-def _default_r_basis(model: ModelData) -> list[np.ndarray]:
-    mats = []
-    B = model.split.v_basis.matrix
-    for g in model.boundary_samples:
-        mats.append(model.sigma_sq_at(g))
-        for i in range(model.dim_v):
-            mats.append(model.sigma_sq_at(g + B[i]))
-    if not mats:
-        return []
-    d = model.dim_v
-    flat = np.array([m.ravel() for m in mats])
-    u, s, vt = np.linalg.svd(flat, full_matrices=False)
-    rank = int(np.sum(s > model.tol.rank * max(s[0], 1e-30))) if s.size else 0
-    return [vt[i].reshape(d, d) for i in range(rank)]
-
-
 def compute_k(model: ModelData) -> KSpace:
     """Nullspace construction of the matrices in span R mapped into V by S."""
-    r_basis = _default_r_basis(model)
+    r_basis = model.r_basis
     if not r_basis:
         return KSpace(())
     B = model.split.v_basis.matrix
@@ -226,7 +240,10 @@ def check_const_mod_k(model: ModelData, kspace: KSpace | None = None) -> bool:
     """
     if kspace is None:
         kspace = compute_k(model)
-    fits = [fit_boundary_square_vol(model, g) for g in model.boundary_samples]
+    fits = model.boundary_fits
+    for fit in fits:
+        if isinstance(fit, AffineFdrError):
+            raise fit
     if len(fits) < 2:
         return True
     kmat = np.array([k.ravel() for k in kspace.basis]) if kspace.dim else None
@@ -255,7 +272,7 @@ def _numerical_rank(mat: np.ndarray, rel_tol: float) -> int:
 def check_damir(model: ModelData) -> bool:
     """Both intersection conditions: V and S(R) meet only at 0, and S is
     injective on R."""
-    r_basis = _default_r_basis(model)
+    r_basis = model.r_basis
     if not r_basis:
         return True
     sr = np.array([model.s_op(r) for r in r_basis])

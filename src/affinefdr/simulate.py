@@ -5,7 +5,11 @@ ODE on ker ell and the scalar state X by a time-inhomogeneous square-root
 SDE; curves are reconstructed as r = psi + X lam.  The direct oracle
 discretizes the full SPDE by method of lines with exact index-shift
 transport, evaluated in factored form as shifted rank-one sums, so the
-statistics of the two runs can be compared.
+statistics of the two runs can be compared.  The oracle's recursion runs per
+block of PATH_BLOCK paths; summarize_direct reduces each block to its
+functionals, its coefficient sum (for the mean curve), its min ell and its
+foliation residual.  With the realization's mean curve taken as
+psi(T) + mean(X_T) lam, the simulate command holds no (paths, grid) array.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from .hjmm import CirModel
 
 SCHEMES = ("full_truncation", "drift_implicit")
 
-# Paths per block in the ensemble functionals, so their temporaries stay a
-# few MB instead of several copies of the whole (n_paths, n_x) ensemble.
+# Paths per block in the direct oracle and the ensemble functionals, so their
+# temporaries stay a few MB instead of copies of the whole (n_paths, n_x)
+# ensemble.
 PATH_BLOCK = 256
 
 
@@ -206,15 +211,16 @@ def simulate_state(model: CirModel, foliation: Foliation, x0: float,
     _validate_coefficient_reduction(model, foliation)
     a = model.state_drift_slope
     n, dt = config.n_steps, config.dt
-    noise = path_normals(config.seed, config.n_paths, n) * np.sqrt(dt) \
-        if model.rho > 0 else np.zeros((config.n_paths, n))
+    normals = path_normals(config.seed, config.n_paths, n) if model.rho > 0 \
+        else np.zeros((config.n_paths, n))
     x = np.full(config.n_paths, float(x0))
     values = np.empty((config.n_paths, n + 1))
     values[:, 0] = x
     for k in range(n):
         b = foliation.b_at_step(k * steps_per)
         xp = np.maximum(x, 0.0)
-        diffusion = model.rho * np.sqrt(xp) * noise[:, k]
+        # each step scales its own column: no scaled copy of all the normals
+        diffusion = model.rho * np.sqrt(xp) * (normals[:, k] * np.sqrt(dt))
         if config.scheme == "full_truncation":
             x = x + (b + a * xp) * dt + diffusion
         else:
@@ -253,6 +259,76 @@ class DirectRun:
         return self.final_curves.shape[0]
 
 
+@dataclass(frozen=True)
+class _FactoredOracle:
+    """Fixed data of the unrolled direct scheme: r_K = tail + coef @ basis.
+
+    A path's coefficient row is (a_0, b_0, ..., a_(K-1), b_(K-1)), and row
+    pair j of the basis is S^(K-1-j) D, S^(K-1-j) L.  So ell(r_k) is
+    ell_h0[k] plus the first 2k coefficients against ell_basis[2(K-k):].
+    """
+
+    ell_h0: np.ndarray      # (K+1,), ell(S^i h0)
+    ell_basis: np.ndarray   # (2K,), ell of each basis row
+    basis: np.ndarray       # (2K, n_x)
+    tail: np.ndarray        # (n_x,), S^K h0
+
+    def curves(self, coef: np.ndarray) -> np.ndarray:
+        r = coef @ self.basis
+        r += self.tail
+        return r
+
+
+def _factored_oracle(model: CirModel, h0: np.ndarray, config: SimConfig) -> _FactoredOracle:
+    """Validate a direct run's inputs and precompute its fixed data."""
+    grid = model.grid
+    h0 = np.asarray(h0, dtype=float)
+    if h0.shape != (grid.n,):
+        raise GridMismatch("h0 is not sampled on the model grid")
+    member, _ = rz.maximal_initial_membership(h0, model.model_data())
+    if not member:
+        raise NotInInitialSet("h0 fails the initial-set test")
+    if config.dt > grid.dx + 1e-12:
+        raise CflViolated(f"dt = {config.dt} exceeds dx = {grid.dx}")
+    shift = round(config.dt / grid.dx)
+    if abs(shift * grid.dx - config.dt) > 1e-12 or shift < 1:
+        raise CflViolated("dt must be a positive integer multiple of dx")
+
+    n = config.n_steps
+    # row i gathers S^i: node m reads node min(m + i shift, last)
+    idx = np.minimum(np.arange(grid.n) + shift * np.arange(n + 1)[:, None], grid.n - 1)
+    basis = np.empty((2 * n, grid.n))
+    basis[0::2] = (model.lam * model.lam_capital)[idx[n - 1::-1]]
+    basis[1::2] = model.lam[idx[n - 1::-1]]
+    # ell_of may return views; copies keep the gathered arrays from living on
+    return _FactoredOracle(ell_h0=np.array(model.ell_of(h0[idx])),
+                           ell_basis=np.array(model.ell_of(basis)),
+                           basis=basis, tail=h0[idx[n]])
+
+
+def _oracle_blocks(model: CirModel, oracle: _FactoredOracle, config: SimConfig):
+    """Run the recursion over blocks of PATH_BLOCK paths.
+
+    Yields (first path, coefficient rows (m, 2K), ell(r_K) (m,), min ell(r_k)
+    of the block).  Each block scales its own slice of the shared normals.
+    """
+    n, dt, rho = config.n_steps, config.dt, model.rho
+    normals = path_normals(config.seed, config.n_paths, n) if rho > 0 else None
+    for s in range(0, config.n_paths, PATH_BLOCK):
+        m = min(PATH_BLOCK, config.n_paths - s)
+        noise = normals[s:s + m] * np.sqrt(dt) if rho > 0 else np.zeros((m, n))
+        coef = np.zeros((m, n, 2))   # (a_j, b_j) per path and step
+        min_ell = np.inf
+        for k in range(n + 1):
+            ell_r = oracle.ell_h0[k] \
+                + coef[:, :k].reshape(m, 2 * k) @ oracle.ell_basis[2 * (n - k):]
+            min_ell = min(min_ell, float(ell_r.min()))
+            if k < n:
+                coef[:, k, 0] = rho ** 2 * np.abs(ell_r) * dt
+                coef[:, k, 1] = rho * np.sqrt(np.abs(ell_r)) * noise[:, k]
+        yield s, coef.reshape(m, 2 * n), ell_r, min_ell
+
+
 def simulate_direct(model: CirModel, h0: np.ndarray, config: SimConfig,
                     scheme_tol: float = 1e-3) -> DirectRun:
     """Method-of-lines simulation of dr = (d/dx r + alpha(r)) dt + sigma(r) dW.
@@ -268,60 +344,92 @@ def simulate_direct(model: CirModel, h0: np.ndarray, config: SimConfig,
         r_K = S^K h0 + sum_j (a_j S^(K-1-j) D + b_j S^(K-1-j) L).
 
     Hence ell(r_k), and with it a_k and b_k, is a causal convolution of the
-    earlier scalars against ell(S^i D) and ell(S^i L), and the final curves
-    are one matrix product.  Only h0, S, lam, Lam and ell enter; nothing of
-    the realization does.  Brownian increments use the same counter-based
+    earlier scalars against ell(S^i D) and ell(S^i L).  The recursion runs
+    per block of PATH_BLOCK paths, and each block's final curves are one
+    matrix product.  Only h0, S, lam, Lam and ell enter; nothing of the
+    realization does.  Brownian increments use the same counter-based
     per-path streams as the realization run, so equal seeds give coupled
-    noise.
+    noise.  summarize_direct runs the same blocks without keeping the curves.
     """
-    grid = model.grid
-    h0 = np.asarray(h0, dtype=float)
-    if h0.shape != (grid.n,):
-        raise GridMismatch("h0 is not sampled on the model grid")
-    member, _ = rz.maximal_initial_membership(h0, model.model_data())
-    if not member:
-        raise NotInInitialSet("h0 fails the initial-set test")
-    if config.dt > grid.dx + 1e-12:
-        raise CflViolated(f"dt = {config.dt} exceeds dx = {grid.dx}")
-    shift = round(config.dt / grid.dx)
-    if abs(shift * grid.dx - config.dt) > 1e-12 or shift < 1:
-        raise CflViolated("dt must be a positive integer multiple of dx")
-
-    n, n_paths, dt = config.n_steps, config.n_paths, config.dt
-    noise = path_normals(config.seed, n_paths, n) * np.sqrt(dt) \
-        if model.rho > 0 else np.zeros((n_paths, n))
-
-    # row i gathers S^i: node m reads node min(m + i shift, last)
-    idx = np.minimum(np.arange(grid.n) + shift * np.arange(n + 1)[:, None], grid.n - 1)
-    ell_h0 = model.ell_of(h0[idx])                       # ell(S^i h0)
-    shifted = np.stack([(model.lam * model.lam_capital)[idx], model.lam[idx]],
-                       axis=1)                           # (n+1, 2, n_x): S^i D, S^i L
-    kernel = model.ell_of(shifted)                       # ell(S^i D), ell(S^i L)
-
-    coef = np.zeros((n_paths, n, 2))   # (a_j, b_j) per path and step
+    oracle = _factored_oracle(model, h0, config)
+    curves = np.empty((config.n_paths, model.grid.n))
     min_ell = np.inf
-    for k in range(n + 1):
-        ell_r = ell_h0[k] + coef[:, :k].reshape(n_paths, 2 * k) @ kernel[:k][::-1].ravel()
-        min_ell = min(min_ell, float(ell_r.min()))
-        if k < n:
-            coef[:, k, 0] = model.rho ** 2 * np.abs(ell_r) * dt
-            coef[:, k, 1] = model.rho * np.sqrt(np.abs(ell_r)) * noise[:, k]
-    r = coef.reshape(n_paths, 2 * n) @ shifted[:n][::-1].reshape(2 * n, grid.n)
-    r += h0[idx[n]]
-    return DirectRun(grid, config.horizon, r, min_ell, config.seed,
+    for s, coef, _, block_min in _oracle_blocks(model, oracle, config):
+        curves[s:s + len(coef)] = oracle.curves(coef)
+        min_ell = min(min_ell, block_min)
+    return DirectRun(model.grid, config.horizon, curves, min_ell, config.seed,
                      negative_short_rate=bool(min_ell < -scheme_tol))
+
+
+@dataclass(frozen=True)
+class DirectSummary:
+    """What simulate keeps of a direct run; it holds no (n_paths, n_x) array."""
+
+    phis: dict[str, np.ndarray]   # ell, eval_at_1, hw_norm per path
+    mean_curve: np.ndarray        # (n_x,)
+    min_ell: float
+    negative_short_rate: bool
+    foliation_residual: float     # nan when no leaf psi was given
+
+
+def summarize_direct(model: CirModel, h0: np.ndarray, config: SimConfig,
+                     weight: Weight = Weight(), psi: np.ndarray | None = None,
+                     scheme_tol: float = 1e-3) -> DirectSummary:
+    """simulate_direct reduced per block to what the direct artifacts need.
+
+    Each block of coefficient rows gives its paths' three functionals
+    without curves: ell is the recursion's last ell(r_K), eval_at_1 and r(0)
+    come from two columns of the basis, and the hw_norm integral is a
+    quadratic form in the row, since the derivative is linear.  The mean
+    curve is the mean row times the basis, plus S^K h0.  Only the foliation
+    residual against psi (skipped when psi is None) builds curves, one block
+    at a time.
+    """
+    oracle = _factored_oracle(model, h0, config)
+    grid = model.grid
+    # trapezoid of r'^2 w with r' = coef @ basis' + tail'
+    q = weight.values(grid) * grid.dx
+    q[[0, -1]] /= 2.0
+    d_basis, d_tail = derivative(oracle.basis, grid), derivative(oracle.tail, grid)
+    gram, cross = (d_basis * q) @ d_basis.T, 2.0 * (d_basis @ (q * d_tail))
+    const = float(d_tail @ (q * d_tail))
+    del d_basis
+    nodes = [0, grid.index_of(1.0)]   # r(0) for hw_norm, and eval_at_1
+    cols = oracle.basis[:, nodes]
+    lam_unit = model.lam / np.linalg.norm(model.lam)
+
+    ell, at1, norms = (np.empty(config.n_paths) for _ in range(3))
+    coef_sum = np.zeros(len(oracle.basis))
+    min_ell, worst, peak = np.inf, 0.0, 0.0
+    for s, coef, ell_r, block_min in _oracle_blocks(model, oracle, config):
+        block = slice(s, s + len(coef))
+        ell[block] = ell_r
+        head, at1[block] = (coef @ cols + oracle.tail[nodes]).T   # r(0), r(1)
+        norms[block] = np.sqrt(head ** 2 + np.einsum("pi,pi->p", coef @ gram + cross, coef)
+                               + const)
+        coef_sum += coef.sum(axis=0)
+        min_ell = min(min_ell, block_min)
+        if psi is not None:
+            w, p = _residual_parts(oracle.curves(coef), psi, lam_unit)
+            worst, peak = max(worst, w), max(peak, p)
+    return DirectSummary(
+        phis={"ell": ell, "eval_at_1": at1, "hw_norm": norms},
+        mean_curve=oracle.curves(coef_sum / config.n_paths),
+        min_ell=min_ell, negative_short_rate=bool(min_ell < -scheme_tol),
+        foliation_residual=float("nan") if psi is None else worst / max(1.0, peak))
 
 
 def direct_phi_values(curves: np.ndarray, model: CirModel,
                       weight: Weight = Weight()) -> dict[str, np.ndarray]:
     """The three comparison functionals per path: ell, eval at x=1, hw_norm.
 
-    hw_norm is evaluated over blocks of PATH_BLOCK paths.
+    hw_norm is evaluated over blocks of PATH_BLOCK paths.  No returned array
+    is a view of curves.
     """
     grid = model.grid
     i1 = grid.index_of(1.0)
-    ell = np.asarray(model.ell_of(curves), dtype=float)
-    at1 = curves[:, i1]
+    ell = np.array(model.ell_of(curves), dtype=float)
+    at1 = curves[:, i1].copy()
     w = weight.values(grid)
     integ = np.empty(len(curves))
     for s in range(0, len(curves), PATH_BLOCK):
@@ -358,6 +466,15 @@ def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: CirModel,
     return {"ell": ell, "eval_at_1": at1, "hw_norm": norms}
 
 
+def _residual_parts(block: np.ndarray, psi: np.ndarray,
+                    lam_unit: np.ndarray) -> tuple[float, float]:
+    """(max distance of block - psi to span lam, max |block|); overwrites block."""
+    peak = float(np.abs(block).max())
+    block -= psi
+    block -= np.outer(block @ lam_unit, lam_unit)
+    return float(np.linalg.norm(block, axis=1).max()), peak
+
+
 def foliation_residual(curves: np.ndarray, psi: np.ndarray, lam: np.ndarray) -> float:
     """Max distance of r - psi to the span of lam, relative to curve scale.
 
@@ -366,11 +483,8 @@ def foliation_residual(curves: np.ndarray, psi: np.ndarray, lam: np.ndarray) -> 
     lam_unit = lam / np.linalg.norm(lam)
     worst = peak = 0.0
     for s in range(0, len(curves), PATH_BLOCK):
-        block = curves[s:s + PATH_BLOCK]
-        diff = block - psi[None, :]
-        proj = diff - np.outer(diff @ lam_unit, lam_unit)
-        worst = max(worst, float(np.linalg.norm(proj, axis=1).max()))
-        peak = max(peak, float(np.abs(block).max()))
+        w, p = _residual_parts(curves[s:s + PATH_BLOCK].copy(), psi, lam_unit)
+        worst, peak = max(worst, w), max(peak, p)
     return worst / max(1.0, peak)
 
 

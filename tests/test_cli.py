@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affinefdr import cli
 from affinefdr.curves import Grid, derivative
 from affinefdr.hjmm import riccati_capital, riccati_small
-from affinefdr.modelfile import parse_model_file
-from affinefdr.simulate import (direct_phi_values, evolve_psi, fdr_phi_values,
-                                foliation_residual, reconstruct, simulate_direct,
-                                simulate_state)
+from affinefdr.modelfile import ModelSpec, parse_model_file
+from affinefdr.simulate import (evolve_psi, fdr_phi_values, simulate_state,
+                                summarize_direct)
 
 MODELS = resources.files("affinefdr") / "models"
 DATA = Path(__file__).parent / "data"
@@ -102,6 +102,20 @@ def test_check_determinism():
 def test_check_json_matches_golden(name):
     res = run_cli("check", model_path(f"{name}.model"), "--json")
     assert res.stdout.encode() == (DATA / f"check_{name}.json").read_bytes()
+
+
+def test_check_fits_and_builds_r_basis_once_per_sample(monkeypatch):
+    spec = parse_model_file(model_path("cir.model"))
+    md = spec.model_data()
+    sigma_sq_at, calls = md.sigma_sq_at, []
+    md.sigma_sq_at = lambda h: calls.append(1) or sigma_sq_at(h)
+    monkeypatch.setattr(ModelSpec, "model_data", lambda self: md)
+    assert cli._run_checks(spec)["overall"] is True
+    # per sample g: the fit reads g and g + t b_i (t = 1/2, 1), the R basis
+    # reads g and g + b_i; the checks share both
+    n, d = len(md.boundary_samples), md.dim_v
+    assert n == 6
+    assert len(calls) == n * (1 + 2 * d) + n * (1 + d)
 
 
 def test_check_cir_honours_span_tol(tmp_path):
@@ -239,21 +253,17 @@ def reference_simulate_csvs(modelfile, out, mode):
         written["fdr_phis.csv"] = ("path,ell,eval_at_1,hw_norm",
                                    phi_rows(fdr_phi_values(foliation, paths, model,
                                                            spec.weight)))
-        mean = reconstruct(foliation, paths, model).mean(axis=0)
+        mean = foliation.psi[-1] + paths.final.mean() * model.lam
         written["fdr_mean_curve.csv"] = ("x,value", zip(x, mean.tolist()))
     if mode in ("direct", "both"):
-        run = simulate_direct(model, h0, config)
-        resid = float("nan") if foliation is None else \
-            foliation_residual(run.final_curves, foliation.psi[-1], model.lam)
-        written["direct_phis.csv"] = ("path,ell,eval_at_1,hw_norm",
-                                      phi_rows(direct_phi_values(run.final_curves, model,
-                                                                 spec.weight)))
+        run = summarize_direct(model, h0, config, spec.weight,
+                               None if foliation is None else foliation.psi[-1])
+        written["direct_phis.csv"] = ("path,ell,eval_at_1,hw_norm", phi_rows(run.phis))
         written["direct_stats.csv"] = ("key,value", [
             ("min_ell", run.min_ell),
             ("negative_short_rate", float(run.negative_short_rate)),
-            ("foliation_residual", resid)])
-        written["direct_mean_curve.csv"] = ("x,value",
-                                            zip(x, run.final_curves.mean(axis=0).tolist()))
+            ("foliation_residual", run.foliation_residual)])
+        written["direct_mean_curve.csv"] = ("x,value", zip(x, run.mean_curve.tolist()))
     for name, (header, rows) in written.items():
         reference_write_csv(os.path.join(out, name), header, rows)
     return sorted(written)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from affinefdr.simulate import (PATH_BLOCK, DirectRun, Foliation, SimConfig, Sta
                                 direct_phi_values,
                                 evolve_psi, fdr_phi_values, foliation_residual,
                                 path_normals, reconstruct, simulate_direct,
-                                simulate_state, verify_invariance)
+                                simulate_state, summarize_direct, verify_invariance)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,9 @@ def test_reconstruct_identities(grid, cir_model, foliation):
     first = reconstruct(foliation, paths, cir_model, at_step=0)
     h0 = foliation.psi[0] + 0.02 * cir_model.lam
     assert np.abs(first - h0[None, :]).max() <= 1e-12
+    # the mean curve needs only psi(T) and the mean state
+    mean = foliation.psi[-1] + paths.final.mean() * cir_model.lam
+    np.testing.assert_allclose(mean, curves.mean(axis=0), rtol=1e-12, atol=0.0)
 
 
 def test_simulate_direct_pure_transport(grid):
@@ -260,3 +265,49 @@ def test_blocked_functionals_bit_identical(grid, cir_model, n_paths):
     assert np.array_equal(phis["ell"], curves[:, 0])
     assert np.array_equal(phis["eval_at_1"], curves[:, grid.index_of(1.0)])
     assert foliation_residual(curves, psi, lam) == resid
+
+
+def test_direct_phi_values_hold_no_view_of_curves(grid, cir_model):
+    curves = 0.02 + 0.01 * grid.x * np.exp(-grid.x) + np.zeros((3, 1))
+    for name, values in direct_phi_values(curves, cir_model).items():
+        assert not np.shares_memory(values, curves), name
+
+
+def _sim_inputs(grid, model, n_paths):
+    h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
+    cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=12345)
+    x0 = float(model.ell_of(h0))
+    psi = evolve_psi(model, h0 - x0 * model.lam, cfg.horizon, cfg.dt).psi[-1]
+    return h0, cfg, psi
+
+
+@pytest.mark.parametrize("case,n_paths", [("short_end", 1), ("short_end", PATH_BLOCK + 1),
+                                          ("short_end", 2001), ("points", PATH_BLOCK + 1)])
+def test_summarize_direct_matches_materialized_ensemble(grid, cir_model, case, n_paths):
+    model = {"short_end": cir_model, "points": _points_model(grid)}[case]
+    h0, cfg, psi = _sim_inputs(grid, model, n_paths)
+    weight = Weight(3.0)
+    summary = summarize_direct(model, h0, cfg, weight, psi)
+    run = simulate_direct(model, h0, cfg)
+    phis = direct_phi_values(run.final_curves, model, weight)
+    for name in ("ell", "eval_at_1", "hw_norm"):
+        np.testing.assert_allclose(summary.phis[name], phis[name], rtol=1e-12, atol=0.0,
+                                   err_msg=name)
+    np.testing.assert_allclose(summary.mean_curve, run.final_curves.mean(axis=0),
+                               rtol=1e-12, atol=0.0)
+    assert summary.min_ell == run.min_ell
+    assert summary.negative_short_rate == run.negative_short_rate
+    assert summary.foliation_residual == foliation_residual(run.final_curves, psi, model.lam)
+    assert np.isnan(summarize_direct(model, h0, cfg, weight).foliation_residual)
+
+
+def test_summarize_direct_holds_no_ensemble(grid, cir_model):
+    n_paths = 2001
+    h0, cfg, psi = _sim_inputs(grid, cir_model, n_paths)
+    tracemalloc.start()
+    try:
+        summarize_direct(cir_model, h0, cfg, Weight(), psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n_paths * grid.n * 8
