@@ -16,8 +16,7 @@ from .cones import (ConeBasis, SplitSpace, StateBasis, cone_minus, coordinates,
                     orthogonal_split, project)
 from .curves import Grid, PointCombo, ShortEnd, Weight, derivative, hw_norm, primitive
 from .errors import AffineFdrError
-from .hjmm import (CirModel, TwoFactorModel, build_s_operator, hjm_drift,
-                   square_root_model_data)
+from .hjmm import SquareRootModel, build_s_operator, hjm_drift, ker_ell_split
 from .realization import (KSpace, ModelData, RealizabilityReport, Tolerances,
                           check_const_mod_k, check_damir, check_qe_affine,
                           check_thm_main2, compute_k, initial_set_coords,

@@ -19,11 +19,10 @@ import numpy as np
 from . import __version__
 from . import realization as rz
 from .curves import Grid, derivative
-from .errors import (AffineFdrError, CflViolated, ConstraintViolated, GridMismatch,
-                     HorizonMismatch, LeftBoundary, MissingArtifacts, ModelFileError,
-                     NotInInitialSet)
+from .errors import (AffineFdrError, GridMismatch, LeftBoundary, MissingArtifacts,
+                     ModelFileError, NotInInitialSet)
 from .hjmm import hjm_drift, riccati_capital, riccati_small
-from .modelfile import ModelSpec, custom_model_data, parse_model_file
+from .modelfile import ModelSpec, parse_model_file
 from .simulate import (evolve_psi, fdr_phi_values, simulate_state, summarize_direct,
                        verify_invariance)
 
@@ -131,7 +130,8 @@ def _run_checks(spec: ModelSpec) -> dict:
         checks["overall"] = bool(qe.ok)
         return checks
     # custom gets the split-independent structural checks only
-    md = custom_model_data(spec) if spec.kind == "custom" else spec.model_data()
+    model = spec.model()
+    md = model.model_data()
     ok = True
     if spec.kind != "custom":
         report = rz.check_thm_main2(md)
@@ -140,7 +140,6 @@ def _run_checks(spec: ModelSpec) -> dict:
     if spec.kind == "two_factor":
         # quasi-exponential span: seeds are the volatility direction and its
         # induced drift curve, iterated under d/dx
-        model = spec.two_factor_model()
         grid = spec.grid
         seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)
                  if model.rho > 0 else hjm_drift(model.lam, grid)]
@@ -206,7 +205,9 @@ def _read_curve_csv(path: str, grid: Grid) -> np.ndarray:
 def cmd_initial_set(args) -> int:
     spec = parse_model_file(args.modelfile)
     h = _read_curve_csv(args.curve, spec.grid)
-    md = spec.model_data()
+    if spec.kind not in ("cir", "two_factor"):
+        raise ModelFileError(f"model kind {spec.kind!r} has no split along ker ell")
+    md = spec.model().model_data()
     member, on_boundary = rz.maximal_initial_membership(h, md)
     coords, drift = rz.initial_set_coords(h, md)
     print("state coordinates of h = " + ", ".join(f"{c:.10g}" for c in coords))
@@ -262,10 +263,10 @@ def cmd_simulate(args) -> int:
         raise ModelFileError("simulate currently supports kind = cir only")
     if spec.sim is None or spec.h0 is None:
         raise ModelFileError("model file needs a [sim] section with an h0 curve")
-    model = spec.cir_model()
+    model = spec.model()
     config = spec.sim
     h0 = spec.h0
-    member, _ = rz.maximal_initial_membership(h0, spec.model_data())
+    member, _ = rz.maximal_initial_membership(h0, model.model_data())
     if not member:
         raise NotInInitialSet("h0 is not in the admissible initial set")
 
@@ -399,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INPUT_ERRORS = (ModelFileError, GridMismatch, CflViolated, MissingArtifacts,
-                 ConstraintViolated, HorizonMismatch)
 _REJECTIONS = (NotInInitialSet, LeftBoundary)
 
 
@@ -411,9 +410,6 @@ def main(argv=None) -> int:
     except _REJECTIONS as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AffineFdrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,15 @@
 """Forward-rate models with square-root volatility and their Riccati curves.
 
-The one-dimensional model has volatility sigma(h) = rho sqrt(|ell(h)|) lam,
-where lam solves the pre-Riccati equation lam' + rho^2 lam Lam + gamma lam = 0
-and Lam is its primitive, the solution of the scalar Riccati equation
+A model with an affine realization is fixed by a cone-plus-subspace state
+space V with its split V (+) G, a functional ell and a volatility
+sigma(h) = amp(h) lam with amp(h)^2 = rho^2 |ell(h)| or rho^2.
+SquareRootModel holds that description and derives the checker input from
+it; SquareRootModel.cir and SquareRootModel.two_factor build the bundled
+kinds.
+
+In the cir model lam solves the pre-Riccati equation
+lam' + rho^2 lam Lam + gamma lam = 0 and Lam is its primitive, the solution
+of the scalar Riccati equation
 
     Lam' + (rho^2 / 2) Lam^2 + gamma Lam = 1,   Lam(0) = 0.
 
@@ -12,8 +19,7 @@ evaluated in an overflow-free rational-in-expm1 arrangement.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -75,37 +81,6 @@ def build_s_operator(basis_curves: np.ndarray, grid: Grid) -> Callable[[np.ndarr
     return s_op
 
 
-def square_root_model_data(grid: Grid, split: SplitSpace, ell, rho: float,
-                           vol_curve: np.ndarray, amplitude: str, boundary_samples,
-                           tol: rz.Tolerances = rz.Tolerances()) -> rz.ModelData:
-    """Checker input for a volatility amp(h) vol_curve on the state space of split.
-
-    The generator is d/dx and the drift-image operator is built on the state
-    basis.  With c the least-squares coordinates of vol_curve in that basis,
-    the squared volatility is sigma^2(h) = amp(h)^2 c c^T, where amp(h)^2
-    is rho^2 |ell(h)| for amplitude "sqrt_ell" and rho^2 for "const".
-    Raises NotInV when vol_curve does not lie in the state space.
-    """
-    B = split.v_basis.matrix
-    coef, *_ = np.linalg.lstsq(B.T, vol_curve, rcond=None)
-    if np.linalg.norm(vol_curve - B.T @ coef) > 1e-6 * max(1.0, np.linalg.norm(vol_curve)):
-        raise NotInV("volatility curve does not lie in the state space")
-    outer = np.outer(coef, coef)
-
-    def sigma_sq_at(h: np.ndarray) -> np.ndarray:
-        amp = 1.0 if amplitude == "const" else abs(float(apply_functional(ell, h, grid)))
-        return rho * rho * amp * outer
-
-    return rz.ModelData(
-        split=split,
-        apply_a=lambda h: derivative(h, grid),
-        s_op=build_s_operator(B, grid),
-        sigma_sq_at=sigma_sq_at,
-        boundary_samples=list(boundary_samples),
-        tol=tol,
-    )
-
-
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.flags.writeable = False
     return values
@@ -118,33 +93,102 @@ def shape_boundary_samples(grid: Grid, split: SplitSpace, n: int) -> list[np.nda
     return [split.project_g(0.05 * s) for s in shapes[:n]]
 
 
-@dataclass(frozen=True)
-class CirModel:
-    """Square-root forward-rate model with a one-dimensional state space.
+def default_boundary_samples(grid: Grid, split: SplitSpace, n: int = 6,
+                             seed: int = 7) -> list[np.ndarray]:
+    """n smooth curves in G = ker ell whose short-end drift points inward.
 
-    rho = 0 is accepted and degenerates to a deterministic state process.
+    Every shape vanishes at x = 0 with strictly positive slope, so positive
+    combinations stay strictly inside the boundary-drift condition; beyond
+    the named shapes, random positive mixtures are drawn.
+    """
+    x = grid.x
+    shapes = np.array([x * np.exp(-a * x) for a in (0.5, 1.0, 1.5, 2.0, 3.0)]
+                      + [np.sin(b * x) * np.exp(-x) for b in (0.5, 1.0, 2.0)])
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        s = shapes[i] if i < len(shapes) else \
+            rng.uniform(0.2, 1.0, size=len(shapes)) @ shapes
+        out.append(split.project_g(0.05 * s / max(1.0, float(np.abs(s).max()))))
+    return out
+
+
+def ker_ell_split(grid: Grid, ell, lam: np.ndarray, subspace=()) -> SplitSpace:
+    """Split of V = <lam>+ (+) span(subspace) whose cone dual row is ell / ell(lam).
+
+    Without a subspace G = ker ell; subspace curves take their dual rows
+    from the orthogonal split.  Needs ell(lam) != 0.
+    """
+    lam_norm = float(np.linalg.norm(lam))
+    basis = StateBasis(ConeBasis(lam.reshape(1, -1) / lam_norm, normed=True),
+                       subspace=np.reshape(subspace, (len(subspace), grid.n)))
+    dual = ell.dual_vector(grid) * lam_norm / float(apply_functional(ell, lam, grid))
+    return SplitSpace(basis, np.vstack([dual, orthogonal_split(basis).dual[1:]]))
+
+
+@dataclass(frozen=True, eq=False)
+class SquareRootModel:
+    """Volatility sigma(h) = amp(h) lam on the state space of split.
+
+    amp(h)^2 is rho^2 |ell(h)| for amplitude "sqrt_ell" and rho^2 for
+    "const"; lam_capital is the primitive of lam.  rho = 0 is accepted and
+    degenerates to a deterministic state process.  Raises NotInV when lam
+    does not lie in the state space.
     """
 
     grid: Grid
+    ell: object
     rho: float
-    gamma: float
-    ell: object = field(default_factory=ShortEnd)
+    lam: np.ndarray
+    lam_capital: np.ndarray
+    split: SplitSpace
+    boundary_samples: tuple = ()
+    amplitude: str = "sqrt_ell"
+    tol: rz.Tolerances = rz.Tolerances()
 
     def __post_init__(self):
-        if self.rho < 0 or self.gamma < 0:
+        B = self.split.v_basis.matrix
+        coef, *_ = np.linalg.lstsq(B.T, self.lam, rcond=None)
+        if np.linalg.norm(self.lam - B.T @ coef) > 1e-6 * max(1.0, np.linalg.norm(self.lam)):
+            raise NotInV("volatility curve does not lie in the state space")
+        object.__setattr__(self, "_lam_coords", coef)
+
+    @classmethod
+    def cir(cls, grid: Grid, rho: float, gamma: float, ell=ShortEnd(), n_samples: int = 6,
+            tol: rz.Tolerances = rz.Tolerances()) -> SquareRootModel:
+        """The Riccati model on V = <lam>+ with G = ker ell and n default samples."""
+        if rho < 0 or gamma < 0:
             raise ConstraintViolated("rho and gamma must be nonnegative")
-        if self.rho == 0 and self.gamma == 0:
+        if rho == 0 and gamma == 0:
             raise ConstraintViolated("rho and gamma cannot both vanish")
-        if abs(self.ell_of(self.lam) - 1.0) > 1e-8:
+        lam = _read_only(riccati_small(grid.x, rho, gamma))
+        if abs(apply_functional(ell, lam, grid) - 1.0) > 1e-8:
             raise ConstraintViolated("functional must normalize lam to 1")
+        split = ker_ell_split(grid, ell, lam)
+        return cls(grid, ell, rho, lam, _read_only(riccati_capital(grid.x, rho, gamma)),
+                   split, tuple(default_boundary_samples(grid, split, n_samples)), tol=tol)
 
-    @functools.cached_property
-    def lam(self) -> np.ndarray:
-        return _read_only(riccati_small(self.grid.x, self.rho, self.gamma))
+    @classmethod
+    def two_factor(cls, grid: Grid, rho: float = 0.0, gamma: float = 1.0,
+                   tol: rz.Tolerances = rz.Tolerances()) -> SquareRootModel:
+        """The model on V = <lam>+ (+) <lam^2> with lam = exp(-gamma x).
 
-    @functools.cached_property
-    def lam_capital(self) -> np.ndarray:
-        return _read_only(riccati_capital(self.grid.x, self.rho, self.gamma))
+        The functional is a two-point combination at 0 and x1 = ln 2 / gamma,
+        snapped to the grid, with ell(lam) = 1 and ell(lam^2) = 0; with
+        gamma = 1 its coefficients are a = -1 at 0 and b = 4 at x1.  The
+        volatility loads the cone coordinate only and vanishes on the
+        boundary leaves.
+        """
+        if gamma <= 0:
+            raise ConstraintViolated("gamma must be positive")
+        x1 = round(np.log(2.0) / gamma / grid.dx) * grid.dx  # snap to the grid
+        l1 = np.exp(-gamma * x1)
+        a = np.linalg.solve(np.array([[1.0, l1], [1.0, l1 * l1]]), np.array([1.0, 0.0]))
+        ell = PointCombo((0.0, x1), (float(a[0]), float(a[1])))
+        lam = np.exp(-gamma * grid.x)
+        split = ker_ell_split(grid, ell, lam, subspace=(lam * lam,))
+        return cls(grid, ell, rho, lam, primitive(lam, grid), split,
+                   tuple(shape_boundary_samples(grid, split, 2)), tol=tol)
 
     def ell_of(self, values: np.ndarray) -> np.ndarray:
         return apply_functional(self.ell, values, self.grid)
@@ -161,102 +205,21 @@ class CirModel:
         return float(self.ell_of(lam_prime) + self.rho * self.rho
                      * self.ell_of(self.lam * self.lam_capital))
 
-    def split(self, lam: np.ndarray | None = None) -> SplitSpace:
-        """Split with V = <lam>+ and G = ker ell, for any lam with ell(lam) != 0."""
-        lam = self.lam if lam is None else lam
-        lam_norm = float(np.linalg.norm(lam))
-        basis = StateBasis(ConeBasis(lam.reshape(1, -1) / lam_norm, normed=True))
-        dual = (self.ell.dual_vector(self.grid)
-                * lam_norm / float(self.ell_of(lam))).reshape(1, -1)
-        return SplitSpace(basis, dual)
+    def model_data(self) -> rz.ModelData:
+        """Checker input: the generator d/dx, the drift-image operator on the
+        state basis and the squared volatility amp(h)^2 c c^T, with c the
+        coordinates of lam in that basis."""
+        outer = np.outer(self._lam_coords, self._lam_coords)
 
-    def model_data(self, boundary_samples=None,
-                   tol: rz.Tolerances = rz.Tolerances()) -> rz.ModelData:
-        """Assembled checker input on the Riccati state space V = <lam>+."""
-        split = self.split()
-        if boundary_samples is None:
-            boundary_samples = default_boundary_samples(self, split)
-        return square_root_model_data(self.grid, split, self.ell, self.rho, self.lam,
-                                      "sqrt_ell", boundary_samples, tol)
+        def sigma_sq_at(h: np.ndarray) -> np.ndarray:
+            amp = 1.0 if self.amplitude == "const" else abs(float(self.ell_of(h)))
+            return self.rho * self.rho * amp * outer
 
-
-def default_boundary_samples(model: CirModel, split: SplitSpace, n: int = 6,
-                             seed: int = 7) -> list[np.ndarray]:
-    """Smooth curves in G = ker ell whose short-end drift points inward.
-
-    Every shape vanishes at x = 0 with strictly positive slope, so positive
-    combinations stay strictly inside the boundary-drift condition; beyond
-    the named shapes, random positive mixtures are drawn.
-    """
-    x = model.grid.x
-    shapes = np.array([x * np.exp(-a * x) for a in (0.5, 1.0, 1.5, 2.0, 3.0)]
-                      + [np.sin(b * x) * np.exp(-x) for b in (0.5, 1.0, 2.0)])
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        s = shapes[i] if i < len(shapes) else \
-            rng.uniform(0.2, 1.0, size=len(shapes)) @ shapes
-        out.append(split.project_g(0.05 * s / max(1.0, float(np.abs(s).max()))))
-    return out
-
-
-@dataclass(frozen=True)
-class TwoFactorModel:
-    """Square-root model on V = <lam>+ (+) <lam^2> with lam = exp(-gamma x).
-
-    The functional is a two-point combination chosen so that ell(lam) = 1
-    and ell(lam^2) = 0; with gamma = 1 and x1 = ln 2 the coefficients are
-    a = -1 at 0 and b = 4 at x1.
-    """
-
-    grid: Grid
-    rho: float = 0.0
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConstraintViolated("gamma must be positive")
-
-    @property
-    def x1(self) -> float:
-        x1 = np.log(2.0) / self.gamma
-        i = round(x1 / self.grid.dx)  # snap to the grid
-        return i * self.grid.dx
-
-    @property
-    def ell(self) -> PointCombo:
-        # coefficients solve ell(lam) = 1, ell(lam^2) = 0 at the snapped x1
-        l1 = np.exp(-self.gamma * self.x1)
-        a = np.linalg.solve(np.array([[1.0, l1], [1.0, l1 * l1]]), np.array([1.0, 0.0]))
-        return PointCombo((0.0, self.x1), (float(a[0]), float(a[1])))
-
-    @property
-    def lam(self) -> np.ndarray:
-        return np.exp(-self.gamma * self.grid.x)
-
-    def ell_of(self, values: np.ndarray) -> np.ndarray:
-        return apply_functional(self.ell, values, self.grid)
-
-    def split(self) -> SplitSpace:
-        lam = self.lam
-        lam_norm = float(np.linalg.norm(lam))
-        basis = StateBasis(ConeBasis((lam / lam_norm).reshape(1, -1), normed=True),
-                           subspace=(lam * lam).reshape(1, -1))
-        d1 = self.ell.dual_vector(self.grid) * lam_norm
-        # second dual row: orthogonal dual of lam^2 already annihilates lam-hat
-        d2 = orthogonal_split(basis).dual[1]
-        return SplitSpace(basis, np.vstack([d1, d2]))
-
-
-def build_two_factor_model_data(model: TwoFactorModel,
-                                tol: rz.Tolerances = rz.Tolerances()) -> rz.ModelData:
-    """ModelData for the two-factor state space.
-
-    The volatility is rho sqrt(|ell(h)|) lam with lam the cone direction, so
-    its squared-volatility matrix loads the cone coordinate only and
-    vanishes on the boundary leaves.
-    """
-    split = model.split()
-    return square_root_model_data(model.grid, split, model.ell, model.rho, model.lam,
-                                  "sqrt_ell", shape_boundary_samples(model.grid, split, 2),
-                                  tol)
+        return rz.ModelData(
+            split=self.split,
+            apply_a=lambda h: derivative(h, self.grid),
+            s_op=build_s_operator(self.split.v_basis.matrix, self.grid),
+            sigma_sq_at=sigma_sq_at,
+            boundary_samples=list(self.boundary_samples),
+            tol=self.tol,
+        )

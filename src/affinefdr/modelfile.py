@@ -16,11 +16,9 @@ import numpy as np
 
 from . import realization as rz
 from .cones import ConeBasis, StateBasis, orthogonal_split
-from .curves import Grid, PointCombo, ShortEnd, Weight
+from .curves import Grid, PointCombo, ShortEnd, Weight, primitive
 from .errors import ModelFileError, NotInV
-from .hjmm import (CirModel, TwoFactorModel, build_two_factor_model_data,
-                   default_boundary_samples, shape_boundary_samples,
-                   square_root_model_data)
+from .hjmm import SquareRootModel, shape_boundary_samples
 from .simulate import SimConfig
 
 _EXPR_NAMES = {
@@ -97,34 +95,43 @@ class ModelSpec:
     h0: np.ndarray | None = None
     source_text: str = ""
 
-    def cir_model(self) -> CirModel:
-        if self.kind != "cir":
-            raise ModelFileError(f"model kind is {self.kind!r}, not cir")
-        return CirModel(self.grid, self.rho, self.gamma, self.ell)
-
-    def two_factor_model(self) -> TwoFactorModel:
-        if self.kind != "two_factor":
-            raise ModelFileError(f"model kind is {self.kind!r}, not two_factor")
-        return TwoFactorModel(self.grid, rho=self.rho, gamma=self.gamma)
-
     @property
     def tolerances(self) -> rz.Tolerances:
         return rz.Tolerances(span=self.check_options.get("span_tol", 1e-5))
 
-    def model_data(self) -> rz.ModelData:
-        """ModelData of kind cir or two_factor, whose split has G = ker ell.
+    def model(self) -> SquareRootModel:
+        """The square-root model of kind cir, two_factor or custom.
 
-        For cir it keeps the first [check] boundary_samples (default 6) of
-        the default boundary samples.
+        cir draws [check] boundary_samples (default 6) boundary samples and
+        two_factor always 2.  custom builds the orthogonal split of its
+        [cone] and [subspace] curves and draws min(max(1, n), 3) shape
+        samples, n defaulting to 3.
         """
-        if self.kind not in ("cir", "two_factor"):
-            raise ModelFileError(f"model kind {self.kind!r} has no split along ker ell")
+        grid, tol = self.grid, self.tolerances
+        if self.kind == "cir":
+            return SquareRootModel.cir(grid, self.rho, self.gamma, self.ell,
+                                       self.check_options.get("boundary_samples", 6), tol)
         if self.kind == "two_factor":
-            return build_two_factor_model_data(self.two_factor_model(), self.tolerances)
-        model = self.cir_model()
-        samples = default_boundary_samples(model, model.split())
-        return model.model_data(samples[:self.check_options.get("boundary_samples", 6)],
-                                self.tolerances)
+            return SquareRootModel.two_factor(grid, self.rho, self.gamma, tol)
+        if self.kind != "custom":
+            raise ModelFileError(f"model kind {self.kind!r} has no square-root model")
+        cone_rows = np.array([c / np.linalg.norm(c) for c in self.cone_curves]) \
+            if self.cone_curves else np.zeros((0, grid.n))
+        sub_rows = np.array(self.subspace_curves) if self.subspace_curves \
+            else np.zeros((0, grid.n))
+        try:
+            split = orthogonal_split(StateBasis(
+                ConeBasis(cone_rows, normed=bool(self.cone_curves)), subspace=sub_rows))
+        except Exception as exc:
+            raise ModelFileError(f"[cone]/[subspace]: {exc}") from exc
+        n_b = self.check_options.get("boundary_samples", 3)
+        lam = self.vol_curves[0]
+        try:
+            return SquareRootModel(grid, self.ell, self.rho, lam, primitive(lam, grid), split,
+                                   tuple(shape_boundary_samples(grid, split, max(1, n_b))),
+                                   self.vol_amplitude, tol)
+        except NotInV as exc:
+            raise ModelFileError(f"[model] vol_curve: {exc}") from exc
 
 
 def _get(cfg: configparser.ConfigParser, section: str, key: str, cast,
@@ -219,35 +226,6 @@ def parse_model_text(text: str) -> ModelSpec:
                      subspace_curves=subspace_curves, vol_amplitude=vol_amp,
                      vol_curves=vol_curves, check_options=check_options,
                      sim=sim, h0=h0, source_text=text)
-
-
-def custom_model_data(spec: ModelSpec) -> rz.ModelData:
-    """ModelData assembly for kind = custom.
-
-    The state space comes from the declared cone and subspace curves with
-    the orthogonal-complement split; the volatility is the declared curve
-    scaled by a constant or by rho sqrt(|ell(h)|).  Only split-independent
-    structural checks should be run on this assembly.
-    """
-    grid = spec.grid
-    cone_rows = np.array([c / np.linalg.norm(c) for c in spec.cone_curves]) \
-        if spec.cone_curves else np.zeros((0, grid.n))
-    sub_rows = np.array(spec.subspace_curves) if spec.subspace_curves \
-        else np.zeros((0, grid.n))
-    try:
-        basis = StateBasis(ConeBasis(cone_rows, normed=bool(spec.cone_curves)),
-                           subspace=sub_rows)
-        split = orthogonal_split(basis)
-    except Exception as exc:
-        raise ModelFileError(f"[cone]/[subspace]: {exc}") from exc
-    n_b = spec.check_options.get("boundary_samples", 3)
-    try:
-        return square_root_model_data(grid, split, spec.ell, spec.rho, spec.vol_curves[0],
-                                      spec.vol_amplitude,
-                                      shape_boundary_samples(grid, split, max(1, n_b)),
-                                      spec.tolerances)
-    except NotInV as exc:
-        raise ModelFileError(f"[model] vol_curve: {exc}") from exc
 
 
 def parse_model_file(path: str) -> ModelSpec:

@@ -23,7 +23,7 @@ from . import realization as rz
 from .curves import Grid, Weight, derivative
 from .errors import (CflViolated, ConstraintViolated, GridMismatch, HorizonMismatch,
                      LeftBoundary, NotInInitialSet)
-from .hjmm import CirModel
+from .hjmm import SquareRootModel
 
 SCHEMES = ("full_truncation", "drift_implicit")
 
@@ -76,7 +76,7 @@ def _steps_per(dt: float, foliation: Foliation) -> int:
     return round(dt / (foliation.times[1] - foliation.times[0]))
 
 
-def evolve_psi(model: CirModel, g0: np.ndarray, horizon: float,
+def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
                dt: float | None = None) -> Foliation:
     """Integrate d/dt psi = psi' - ell(psi') lam starting from g0 in ker ell.
 
@@ -168,7 +168,7 @@ def _cached_normals(seed: int, n_paths: int, n_steps: int, stream: int) -> np.nd
     return out
 
 
-def _validate_coefficient_reduction(model: CirModel, foliation: Foliation) -> float:
+def _validate_coefficient_reduction(model: SquareRootModel, foliation: Foliation) -> float:
     """Check the reduced state-SDE coefficients against the projected drift.
 
     The reduction asserts ell(drift(psi + x lam)) = b(t) + a x with
@@ -193,7 +193,7 @@ def _validate_coefficient_reduction(model: CirModel, foliation: Foliation) -> fl
     return worst
 
 
-def simulate_state(model: CirModel, foliation: Foliation, x0: float,
+def simulate_state(model: SquareRootModel, foliation: Foliation, x0: float,
                    config: SimConfig) -> StatePaths:
     """Paths of dX = (b(t) + a X) dt + rho sqrt(X) dW, X_0 = x0 >= 0.
 
@@ -232,7 +232,7 @@ def simulate_state(model: CirModel, foliation: Foliation, x0: float,
 
 
 def reconstruct(foliation: Foliation, paths: StatePaths,
-                model: CirModel, at_step: int | None = None) -> np.ndarray:
+                model: SquareRootModel, at_step: int | None = None) -> np.ndarray:
     """Curves r = psi(t) + X_t lam for every path, at one time step."""
     steps_per = _steps_per(paths.times[1] - paths.times[0], foliation) \
         if len(paths.times) > 1 else 1
@@ -279,7 +279,7 @@ class _FactoredOracle:
         return r
 
 
-def _factored_oracle(model: CirModel, h0: np.ndarray, config: SimConfig) -> _FactoredOracle:
+def _factored_oracle(model: SquareRootModel, h0: np.ndarray, config: SimConfig) -> _FactoredOracle:
     """Validate a direct run's inputs and precompute its fixed data."""
     grid = model.grid
     h0 = np.asarray(h0, dtype=float)
@@ -306,7 +306,7 @@ def _factored_oracle(model: CirModel, h0: np.ndarray, config: SimConfig) -> _Fac
                            basis=basis, tail=h0[idx[n]])
 
 
-def _oracle_blocks(model: CirModel, oracle: _FactoredOracle, config: SimConfig):
+def _oracle_blocks(model: SquareRootModel, oracle: _FactoredOracle, config: SimConfig):
     """Run the recursion over blocks of PATH_BLOCK paths.
 
     Yields (first path, coefficient rows (m, 2K), ell(r_K) (m,), min ell(r_k)
@@ -329,7 +329,7 @@ def _oracle_blocks(model: CirModel, oracle: _FactoredOracle, config: SimConfig):
         yield s, coef.reshape(m, 2 * n), ell_r, min_ell
 
 
-def simulate_direct(model: CirModel, h0: np.ndarray, config: SimConfig,
+def simulate_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
                     scheme_tol: float = 1e-3) -> DirectRun:
     """Method-of-lines simulation of dr = (d/dx r + alpha(r)) dt + sigma(r) dW.
 
@@ -372,7 +372,7 @@ class DirectSummary:
     foliation_residual: float     # nan when no leaf psi was given
 
 
-def summarize_direct(model: CirModel, h0: np.ndarray, config: SimConfig,
+def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
                      weight: Weight = Weight(), psi: np.ndarray | None = None,
                      scheme_tol: float = 1e-3) -> DirectSummary:
     """simulate_direct reduced per block to what the direct artifacts need.
@@ -419,7 +419,7 @@ def summarize_direct(model: CirModel, h0: np.ndarray, config: SimConfig,
         foliation_residual=float("nan") if psi is None else worst / max(1.0, peak))
 
 
-def direct_phi_values(curves: np.ndarray, model: CirModel,
+def direct_phi_values(curves: np.ndarray, model: SquareRootModel,
                       weight: Weight = Weight()) -> dict[str, np.ndarray]:
     """The three comparison functionals per path: ell, eval at x=1, hw_norm.
 
@@ -439,7 +439,7 @@ def direct_phi_values(curves: np.ndarray, model: CirModel,
     return {"ell": ell, "eval_at_1": at1, "hw_norm": norms}
 
 
-def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: CirModel,
+def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: SquareRootModel,
                   weight: Weight = Weight()) -> dict[str, np.ndarray]:
     """Per-path comparison functionals of r_T = psi(T) + X_T lam.
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from affinefdr.admissibility import AffineDrift, AffineSquareVol, Verdict
 from affinefdr.cones import ConeBasis, StateBasis
 from affinefdr.curves import Grid, derivative
 from affinefdr.errors import DimensionMismatch
-from affinefdr.hjmm import CirModel, default_boundary_samples, square_root_model_data
+from affinefdr.hjmm import SquareRootModel, default_boundary_samples, ker_ell_split
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +17,7 @@ def grid():
 
 @pytest.fixture(scope="session")
 def cir_model(grid):
-    return CirModel(grid, 0.1, 0.05)
+    return SquareRootModel.cir(grid, 0.1, 0.05)
 
 
 def perturbed_cir_model_data(model, vol_curve, boundary_samples=None):
@@ -25,11 +27,11 @@ def perturbed_cir_model_data(model, vol_curve, boundary_samples=None):
     rebuilt around vol_curve, which is how the realizability conditions are
     made to fail.
     """
-    split = model.split(vol_curve)
+    split = ker_ell_split(model.grid, model.ell, vol_curve)
     if boundary_samples is None:
-        boundary_samples = default_boundary_samples(model, split)
-    return square_root_model_data(model.grid, split, model.ell, model.rho, vol_curve,
-                                  "sqrt_ell", boundary_samples)
+        boundary_samples = default_boundary_samples(model.grid, split)
+    return dataclasses.replace(model, lam=vol_curve, split=split,
+                               boundary_samples=boundary_samples).model_data()
 
 
 def _closed_form_membership(h, model, strict):
@@ -40,18 +42,18 @@ def _closed_form_membership(h, model, strict):
     return member, member and abs(val) <= tol
 
 
-def cir_membership(h, model):
+def cir_membership(h, model, gamma):
     """Reference CIR initial-set test:
     ell(h) >= 0 and ell(h') + (rho^2 ell(lam Lam) + gamma) ell(h) > 0."""
-    coef = model.rho ** 2 * float(model.ell_of(model.lam * model.lam_capital)) + model.gamma
+    coef = model.rho ** 2 * float(model.ell_of(model.lam * model.lam_capital)) + gamma
     strict = float(model.ell_of(derivative(h, model.grid))) \
         + coef * max(float(model.ell_of(h)), 0.0)
     return _closed_form_membership(h, model, strict)
 
 
-def two_factor_membership(h, model):
+def two_factor_membership(h, model, gamma):
     """Reference two-factor initial-set test: ell(h) >= 0 and ell(h' + gamma h) > 0."""
-    strict = float(model.ell_of(derivative(h, model.grid) + model.gamma * h))
+    strict = float(model.ell_of(derivative(h, model.grid) + gamma * h))
     return _closed_form_membership(h, model, strict)
 
 

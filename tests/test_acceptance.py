@@ -5,6 +5,7 @@ inline; under plain `pytest` they appear in the captured output of failing
 criteria only.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -22,8 +23,8 @@ from affinefdr.admissibility import (AffineDrift, AffineSquareVol, VolMatrix,
 from affinefdr.cones import ConeBasis, StateBasis, cone_minus, edges, inner_v
 from affinefdr.curves import Grid, derivative
 from affinefdr.errors import DimensionExceeded
-from affinefdr.hjmm import (CirModel, TwoFactorModel, default_boundary_samples,
-                            hjm_drift, riccati_capital, riccati_small)
+from affinefdr.hjmm import (SquareRootModel, default_boundary_samples, hjm_drift,
+                            riccati_capital, riccati_small)
 from affinefdr.simulate import (SimConfig, direct_phi_values, evolve_psi,
                                 fdr_phi_values, reconstruct, simulate_direct,
                                 simulate_state, verify_invariance)
@@ -195,8 +196,9 @@ def test_criterion_04_matrix_lemmas():
 
 def test_criterion_05_realizability_cir(grid, cir_model):
     start = time.perf_counter()
-    samples = default_boundary_samples(cir_model, cir_model.split(), n=20)
-    passing = rz.check_thm_main2(cir_model.model_data(boundary_samples=samples))
+    samples = default_boundary_samples(grid, cir_model.split, n=20)
+    passing = rz.check_thm_main2(
+        dataclasses.replace(cir_model, boundary_samples=samples).model_data())
     pert = cir_model.lam + 0.01 * grid.x * np.exp(-grid.x)
     flipped = rz.check_thm_main2(perturbed_cir_model_data(cir_model, pert, samples))
     failing = {c.name for c in flipped.failed()}
@@ -216,7 +218,7 @@ def test_criterion_06_initial_set_consistency(grid, cir_model):
         c = rng.normal(0.0, 0.02, 4)
         h = c[0] + c[1] * x * np.exp(-x) + c[2] * np.exp(-0.5 * x) \
             + c[3] * np.sin(x) * np.exp(-x)
-        a, _ = cir_membership(h, cir_model)
+        a, _ = cir_membership(h, cir_model, 0.05)
         b, _ = rz.maximal_initial_membership(h, md)
         disagreements += a != b
     m1, b1 = rz.maximal_initial_membership(np.full(grid.n, 0.02), md)
@@ -264,7 +266,7 @@ def test_criterion_08_exact_identities(grid, cir_model, big_run):
     ell_gap = float(np.abs(np.asarray(cir_model.ell_of(curves))
                            - paths.final).max())
     psi_gap = max(abs(float(cir_model.ell_of(p))) for p in foliation.psi)
-    det = CirModel(grid, 0.0, cir_model.gamma)
+    det = SquareRootModel.cir(grid, 0.0, 0.05)
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     fol0 = evolve_psi(det, h0 - 0.02 * det.lam, horizon=0.5, dt=0.005)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=1, seed=1)
@@ -286,7 +288,7 @@ def test_criterion_09_quasi_exponential(grid):
         rz.quasi_exp_subspace(apply_a, [1.0 / (1.0 + grid.x)], max_dim=10)
     except DimensionExceeded:
         exceeded = True
-    model = TwoFactorModel(grid, rho=0.1, gamma=1.0)
+    model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
     seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)]
     a_sigma = rz.quasi_exp_subspace(apply_a, seeds)
     span = np.vstack([model.lam, model.lam ** 2])

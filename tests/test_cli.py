@@ -12,8 +12,8 @@ import pytest
 
 from affinefdr import cli
 from affinefdr.curves import Grid, derivative
-from affinefdr.hjmm import riccati_capital, riccati_small
-from affinefdr.modelfile import ModelSpec, parse_model_file
+from affinefdr.hjmm import SquareRootModel, riccati_capital, riccati_small
+from affinefdr.modelfile import parse_model_file
 from affinefdr.simulate import (evolve_psi, fdr_phi_values, simulate_state,
                                 summarize_direct)
 
@@ -106,10 +106,10 @@ def test_check_json_matches_golden(name):
 
 def test_check_fits_and_builds_r_basis_once_per_sample(monkeypatch):
     spec = parse_model_file(model_path("cir.model"))
-    md = spec.model_data()
+    md = spec.model().model_data()
     sigma_sq_at, calls = md.sigma_sq_at, []
     md.sigma_sq_at = lambda h: calls.append(1) or sigma_sq_at(h)
-    monkeypatch.setattr(ModelSpec, "model_data", lambda self: md)
+    monkeypatch.setattr(SquareRootModel, "model_data", lambda self: md)
     assert cli._run_checks(spec)["overall"] is True
     # per sample g: the fit reads g and g + t b_i (t = 1/2, 1), the R basis
     # reads g and g + b_i; the checks share both
@@ -127,6 +127,17 @@ def test_check_cir_honours_span_tol(tmp_path):
     realizability = json.loads(res.stdout)["checks"]["realizability"]
     failing = {name for name, summary in realizability.items() if not summary["ok"]}
     assert failing == {"cond-AR-2", "beta-inc-V"}
+
+
+def test_check_cir_draws_all_requested_boundary_samples(tmp_path):
+    text = (MODELS / "cir.model").read_text().replace("boundary_samples = 6",
+                                                      "boundary_samples = 10")
+    wide = tmp_path / "wide.model"
+    wide.write_text(text)
+    res = run_cli("check", str(wide), "--json")
+    assert res.returncode == 0, res.stderr
+    realizability = json.loads(res.stdout)["checks"]["realizability"]
+    assert {summary["n_samples"] for summary in realizability.values()} == {10}
 
 
 def test_check_bad_modelfile(tmp_path):
@@ -175,6 +186,44 @@ def test_initial_set_two_factor(tmp_path):
     assert res.returncode == 1 and "verdict: non-member\n" in res.stdout
 
 
+def initial_set_cases():
+    """(case, model, curve) for the initial-set golden file: a member, a
+    boundary (ker ell) and a non-member curve per square-root kind, and the
+    refusals of the kinds without a split along ker ell."""
+    n = 2001
+    x = np.arange(n) * 0.005
+    x1 = round(np.log(2.0) / 0.005) * 0.005  # second point of two_factor's ell
+    return [
+        ("cir-member", "cir.model", np.full(n, 0.02)),
+        ("cir-boundary", "cir.model", x * np.exp(-x)),
+        ("cir-non-member", "cir.model", np.zeros(n)),
+        ("two_factor-member", "two_factor.model", np.full(n, 0.5)),
+        ("two_factor-boundary", "two_factor.model", x * (x - x1) * np.exp(-x)),
+        ("two_factor-non-member", "two_factor.model", np.full(n, -0.5)),
+        ("example64-refusal", "example64.model", np.full(n, 0.02)),
+        ("linear_qe-refusal", "linear_qe.model", np.full(n, 0.02)),
+    ]
+
+
+def run_initial_set_cases(tmp_path):
+    out = {}
+    for case, name, values in initial_set_cases():
+        curve = tmp_path / f"{case}.csv"
+        write_curve(curve, len(values), values)
+        res = run_cli("initial-set", model_path(name), "--curve", str(curve))
+        out[case] = {"returncode": res.returncode, "stdout": res.stdout,
+                     "stderr": res.stderr}
+    return out
+
+
+def test_initial_set_matches_golden(tmp_path):
+    golden = json.loads((DATA / "initial_set.json").read_text())
+    assert run_initial_set_cases(tmp_path) == golden
+    assert {case: g["returncode"] for case, g in golden.items()
+            if g["returncode"] != 0} == {"cir-non-member": 1, "two_factor-non-member": 1,
+                                         "example64-refusal": 2, "linear_qe-refusal": 2}
+
+
 @pytest.mark.parametrize("name", ["linear_qe.model", "example64.model"])
 def test_initial_set_needs_split_along_ker_ell(tmp_path, name):
     curve = tmp_path / "curve.csv"
@@ -218,6 +267,12 @@ def test_simulate_artifacts_present(sim_run):
     assert all(p["within_3se"] for p in verify["phis"].values())
 
 
+def test_simulate_manifest_matches_golden(sim_run):
+    # the manifest hashes every artifact, so this pins all of their bytes
+    assert (Path(sim_run) / "manifest.json").read_bytes() == \
+        (DATA / "manifest_cir_both.json").read_bytes()
+
+
 def test_simulate_byte_identical(fast_model, sim_run, tmp_path):
     out2 = tmp_path / "again"
     res = run_cli("simulate", fast_model, "--out-dir", str(out2))
@@ -232,7 +287,7 @@ def reference_simulate_csvs(modelfile, out, mode):
     """simulate's CSV artifacts rebuilt from the library's arrays with the
     reference writer; returns their names."""
     spec = parse_model_file(modelfile)
-    model, config, h0, x = spec.cir_model(), spec.sim, spec.h0, spec.grid.x.tolist()
+    model, config, h0, x = spec.model(), spec.sim, spec.h0, spec.grid.x.tolist()
 
     def phi_rows(phis):
         return [(p, float(phis["ell"][p]), float(phis["eval_at_1"][p]),

@@ -4,9 +4,8 @@ import pytest
 from affinefdr import realization as rz
 from affinefdr.curves import Grid, derivative, primitive
 from affinefdr.errors import ConstraintViolated, NotInV
-from affinefdr.hjmm import (CirModel, TwoFactorModel, build_s_operator,
-                            build_two_factor_model_data, hjm_drift, riccati_capital,
-                            riccati_small, square_root_model_data)
+from affinefdr.hjmm import (SquareRootModel, build_s_operator, hjm_drift, riccati_capital,
+                            riccati_small)
 
 from conftest import riccati_rk4
 
@@ -83,13 +82,13 @@ def test_cir_model_invariants(grid, cir_model):
     assert float(cir_model.ell_of(cir_model.lam)) == pytest.approx(1.0, abs=1e-8)
     assert cir_model.lam_capital[0] == 0.0
     with pytest.raises(ConstraintViolated):
-        CirModel(grid, 0.0, 0.0)
+        SquareRootModel.cir(grid, 0.0, 0.0)
     # rho = 0 accepted: deterministic degeneration
-    CirModel(grid, 0.0, 0.05)
+    SquareRootModel.cir(grid, 0.0, 0.05)
 
 
 def test_cir_riccati_curves_cached_read_only(grid):
-    model = CirModel(grid, 0.1, 0.05)
+    model = SquareRootModel.cir(grid, 0.1, 0.05)
     assert model.lam is model.lam and model.lam_capital is model.lam_capital
     assert np.array_equal(model.lam, riccati_small(grid.x, 0.1, 0.05))
     assert np.array_equal(model.lam_capital, riccati_capital(grid.x, 0.1, 0.05))
@@ -109,11 +108,13 @@ def test_sigma_cir_values(grid, cir_model):
 
 
 def test_square_root_model_data_amplitudes(grid, cir_model):
-    split = cir_model.split()
+    split = cir_model.split
     vol = 2.0 * cir_model.lam
     unit = 0.1 ** 2 * (2.0 * float(np.linalg.norm(cir_model.lam))) ** 2
-    const = square_root_model_data(grid, split, cir_model.ell, 0.1, vol, "const", [])
-    sqrt_ell = square_root_model_data(grid, split, cir_model.ell, 0.1, vol, "sqrt_ell", [])
+    const = SquareRootModel(grid, cir_model.ell, 0.1, vol, primitive(vol, grid), split,
+                            [], "const").model_data()
+    sqrt_ell = SquareRootModel(grid, cir_model.ell, 0.1, vol, primitive(vol, grid), split,
+                               [], "sqrt_ell").model_data()
     for level in (0.0, 1.0, -1.0, -3.0):
         h = np.full(grid.n, level)
         assert const.sigma_sq_at(h) == pytest.approx(np.array([[unit]]), rel=1e-12)
@@ -121,7 +122,8 @@ def test_square_root_model_data_amplitudes(grid, cir_model):
         assert sqrt_ell.sigma_sq_at(h) == pytest.approx(np.array([[abs(level) * unit]]),
                                                         rel=1e-12)
     with pytest.raises(NotInV):
-        square_root_model_data(grid, split, cir_model.ell, 0.1, np.sin(grid.x), "const", [])
+        SquareRootModel(grid, cir_model.ell, 0.1, np.sin(grid.x), primitive(np.sin(grid.x), grid),
+                        split, [], "const")
 
 
 def test_cir_initial_set_examples(grid, cir_model):
@@ -135,15 +137,15 @@ def test_cir_initial_set_examples(grid, cir_model):
 
 
 def test_two_factor_functional_constraints(grid):
-    model = TwoFactorModel(grid, gamma=1.0)
+    model = SquareRootModel.two_factor(grid, gamma=1.0)
     lam = model.lam
     assert float(model.ell_of(lam)) == pytest.approx(1.0, abs=1e-12)
     assert float(model.ell_of(lam ** 2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_factor_initial_set(grid):
-    model = TwoFactorModel(grid, gamma=1.0)
-    md = build_two_factor_model_data(model)
+    model = SquareRootModel.two_factor(grid, gamma=1.0)
+    md = model.model_data()
     assert rz.maximal_initial_membership(np.full(grid.n, 0.5), md)[0]
     assert not rz.maximal_initial_membership(np.zeros(grid.n), md)[0]
     # verdict invariant under adding g with ell(g) = 0 and ell(g' + g) = 0

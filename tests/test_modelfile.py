@@ -4,8 +4,7 @@ import pytest
 from affinefdr.curves import PointCombo, ShortEnd
 from affinefdr.errors import ModelFileError
 from affinefdr.hjmm import riccati_small
-from affinefdr.modelfile import (custom_model_data, eval_curve, parse_model_file,
-                                 parse_model_text)
+from affinefdr.modelfile import eval_curve, parse_model_file, parse_model_text
 from importlib import resources
 
 BASE = """
@@ -40,11 +39,11 @@ def test_bundled_models_parse(name, kind):
 
 def test_cir_spec_builds_model():
     spec = parse_model_text(BASE)
-    model = spec.cir_model()
-    assert model.rho == 0.1 and model.gamma == 0.05
+    model = spec.model()
+    assert model.rho == 0.1 and np.array_equal(model.lam, riccati_small(spec.grid.x, 0.1, 0.05))
     assert isinstance(model.ell, ShortEnd)
     with pytest.raises(ModelFileError):
-        spec.two_factor_model()
+        parse_model_text(BASE.replace("kind = cir", "kind = linear\nvol_curve = 1")).model()
 
 
 def test_sim_section_parsed():
@@ -61,7 +60,7 @@ def test_point_combo_ell():
     c2 = -1.0 / float(riccati_small(np.array([1.0]), 0.1, 0.05)[0])
     text = BASE.replace("ell = short_end", f"ell = points: 0:2, 1:{c2!r}")
     spec = parse_model_text(text)
-    ell = spec.cir_model().ell
+    ell = spec.model().ell
     assert isinstance(ell, PointCombo)
     assert ell.points == (0.0, 1.0) and ell.coeffs == (2.0, c2)
 
@@ -105,7 +104,7 @@ def test_custom_requires_geometry():
 
 def test_custom_model_data_built():
     spec = parse_model_file(bundled("example64.model"))
-    md = custom_model_data(spec)
+    md = spec.model().model_data()
     assert md.dim_v == 2 and md.m == 1
     # volatility curve coordinates live in the cone block
     sq = md.sigma_sq_at(0.05 * np.ones(spec.grid.n))
@@ -117,4 +116,4 @@ def test_custom_vol_curve_must_lie_in_span():
     text = parse_model_file(bundled("example64.model")).source_text
     bad = text.replace("vol_curve = exp(-gamma * x)", "vol_curve = sin(x)")
     with pytest.raises(ModelFileError):
-        custom_model_data(parse_model_text(bad))
+        parse_model_text(bad).model()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from importlib import resources
@@ -8,12 +9,11 @@ import pytest
 
 from affinefdr import realization as rz
 from affinefdr.cones import ConeBasis, SplitSpace, StateBasis, orthogonal_split
-from affinefdr.curves import Grid, ShortEnd, derivative
+from affinefdr.curves import Grid, ShortEnd, derivative, primitive
 from affinefdr.errors import DimensionExceeded
-from affinefdr.hjmm import (TwoFactorModel, build_two_factor_model_data,
-                            default_boundary_samples, hjm_drift, shape_boundary_samples,
-                            square_root_model_data)
-from affinefdr.modelfile import custom_model_data, parse_model_file
+from affinefdr.hjmm import (SquareRootModel, default_boundary_samples, hjm_drift,
+                            ker_ell_split, shape_boundary_samples)
+from affinefdr.modelfile import parse_model_file
 
 from conftest import cir_membership, perturbed_cir_model_data, two_factor_membership
 
@@ -32,10 +32,11 @@ def test_perturbed_lambda_flips_conditions(grid, cir_model):
     assert failing & {"cond-AR-2", "beta-inc-V"}
 
 
-def test_negated_cir_samples_fail_only_cond_ar1(cir_model):
+def test_negated_cir_samples_fail_only_cond_ar1(grid, cir_model):
     # -g points the boundary drift out of the cone, so only nu-1 is violated
-    samples = [-g for g in default_boundary_samples(cir_model, cir_model.split())]
-    report = rz.check_thm_main2(cir_model.model_data(boundary_samples=samples))
+    samples = [-g for g in default_boundary_samples(grid, cir_model.split)]
+    report = rz.check_thm_main2(
+        dataclasses.replace(cir_model, boundary_samples=samples).model_data())
     assert {c.name for c in report.failed()} == {"cond-AR-1"}
     for i, c in enumerate(report.failed()):
         assert re.fullmatch(rf"g\[{i}\]: nu-1 0 \S+ > \S+", c.detail), c.detail
@@ -46,8 +47,9 @@ def _const_vol_on_exp_cone(grid, subspace):
     x = grid.x
     basis = StateBasis(ConeBasis(np.exp(-x).reshape(1, -1)), subspace=subspace.reshape(1, -1))
     split = orthogonal_split(basis)
-    return rz.check_thm_main2(square_root_model_data(
-        grid, split, ShortEnd(), 0.1, np.exp(-x), "const", shape_boundary_samples(grid, split, 2)))
+    return rz.check_thm_main2(SquareRootModel(
+        grid, ShortEnd(), 0.1, np.exp(-x), primitive(np.exp(-x), grid), split,
+        shape_boundary_samples(grid, split, 2), "const").model_data())
 
 
 def test_subspace_leaking_into_cone_fails_cond_ar3(grid):
@@ -74,15 +76,15 @@ def test_failed_condition_lists_every_violation(grid):
 
 
 def test_two_factor_fixture_passes(grid):
-    model = TwoFactorModel(grid, rho=0.1, gamma=1.0)
-    report = rz.check_thm_main2(build_two_factor_model_data(model))
+    model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
+    report = rz.check_thm_main2(model.model_data())
     assert report.overall, report.failed()
 
 
 def test_check_damir_verdicts(grid, cir_model):
     assert rz.check_damir(cir_model.model_data())
     example64 = resources.files("affinefdr") / "models" / "example64.model"
-    assert not rz.check_damir(custom_model_data(parse_model_file(str(example64))))
+    assert not rz.check_damir(parse_model_file(str(example64)).model().model_data())
 
 
 def test_const_mod_k_and_kspace(cir_model):
@@ -102,7 +104,7 @@ def test_quasi_exp_dimensions(grid):
 
 
 def test_quasi_exp_two_factor_span(grid):
-    model = TwoFactorModel(grid, rho=0.1, gamma=1.0)
+    model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
     seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)]
     a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid), seeds)
     assert len(a_sigma) == 2
@@ -130,12 +132,12 @@ def test_maximal_initial_membership_against_cir(grid, cir_model):
         h = c[0] + c[1] * x * np.exp(-x) + c[2] * np.exp(-0.5 * x) \
             + c[3] * np.sin(x) * np.exp(-x)
         member, _ = rz.maximal_initial_membership(h, md)
-        assert member == cir_membership(h, cir_model)[0]
+        assert member == cir_membership(h, cir_model, 0.05)[0]
 
 
 def test_maximal_initial_membership_against_two_factor(grid):
-    model = TwoFactorModel(grid, rho=0.1, gamma=1.0)
-    md = build_two_factor_model_data(model)
+    model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
+    md = model.model_data()
     rng = np.random.default_rng(22)
     x = grid.x
     verdicts = set()
@@ -146,7 +148,7 @@ def test_maximal_initial_membership_against_two_factor(grid):
         for h in (s, s - float(model.ell_of(s)) * model.lam):
             h = h + c[3] * model.lam ** 2
             verdict = rz.maximal_initial_membership(h, md)
-            assert verdict == two_factor_membership(h, model)
+            assert verdict == two_factor_membership(h, model, 1.0)
             verdicts.add(verdict)
     assert verdicts == {(True, False), (True, True), (False, False)}
 
@@ -182,7 +184,7 @@ def _sweep_verdicts(grid, cir_model):
     for shape, curve in shapes.items():
         for i, eps in enumerate((0.0, 1e-8, 1e-6, 1e-5, 3e-5, 1e-4, 1e-2, 1e-1)):
             pert = cir_model.lam + eps * curve
-            samples = default_boundary_samples(cir_model, cir_model.split(pert))
+            samples = default_boundary_samples(grid, ker_ell_split(grid, cir_model.ell, pert))
             rng = np.random.default_rng(10 * i + len(shape))
             factors = rng.choice([-1.0, 1.0], size=6) * 10.0 ** rng.uniform(-2, 2, 6)
             for variant, gs in (("plain", samples),
@@ -190,7 +192,7 @@ def _sweep_verdicts(grid, cir_model):
                 md = perturbed_cir_model_data(cir_model, pert, gs)
                 out[f"cir/{shape}/{eps:g}/{variant}"] = \
                     _failing_per_sample(rz.check_thm_main2(md), len(gs))
-    tf = TwoFactorModel(grid, rho=0.1, gamma=1.0)
+    tf = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
     cone = ConeBasis((tf.lam / np.linalg.norm(tf.lam)).reshape(1, -1), normed=True)
     for eps in (0.0, 1e-7, 1e-6, 3e-6, 1e-5, 1e-4, 1e-2, 1.0):
         basis = StateBasis(cone, subspace=(tf.lam ** 2 + eps * shapes["xexp"]).reshape(1, -1))
@@ -198,8 +200,8 @@ def _sweep_verdicts(grid, cir_model):
         split = SplitSpace(basis, np.linalg.solve(rows @ basis.matrix.T, rows))
         samples = shape_boundary_samples(grid, split, 2)
         for amplitude in ("sqrt_ell", "const"):
-            md = square_root_model_data(grid, split, tf.ell, tf.rho, tf.lam, amplitude,
-                                        samples)
+            md = dataclasses.replace(tf, split=split, boundary_samples=samples,
+                                     amplitude=amplitude).model_data()
             out[f"tf/{eps:g}/{amplitude}"] = \
                 _failing_per_sample(rz.check_thm_main2(md), len(samples))
     return out

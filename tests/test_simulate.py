@@ -6,7 +6,7 @@ import pytest
 from affinefdr.curves import Grid, PointCombo, Weight, derivative
 from affinefdr.errors import (CflViolated, ConstraintViolated, HorizonMismatch,
                               LeftBoundary, NotInInitialSet)
-from affinefdr.hjmm import CirModel, riccati_small
+from affinefdr.hjmm import SquareRootModel, riccati_small
 from affinefdr.simulate import (PATH_BLOCK, DirectRun, Foliation, SimConfig, StatePaths,
                                 direct_phi_values,
                                 evolve_psi, fdr_phi_values, foliation_residual,
@@ -70,7 +70,7 @@ def test_path_normals_shared_and_read_only():
 
 def test_simulate_state_deterministic_oracle(cir_model, g0):
     # rho = 0 freezes the diffusion; compare against RK4 on dx = b(t) + a x
-    det = CirModel(cir_model.grid, 0.0, cir_model.gamma)
+    det = SquareRootModel.cir(cir_model.grid, 0.0, 0.05)
     dt = 5e-5
     fol0 = evolve_psi(det, g0, horizon=0.2, dt=dt)
     cfg = SimConfig(horizon=0.2, dt=dt, n_paths=1, seed=1)
@@ -142,7 +142,7 @@ def test_reconstruct_identities(grid, cir_model, foliation):
 
 
 def test_simulate_direct_pure_transport(grid):
-    det = CirModel(grid, 0.0, 0.3)
+    det = SquareRootModel.cir(grid, 0.0, 0.3)
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.1, dt=0.005, n_paths=1, seed=0)
     run = simulate_direct(det, h0, cfg)
@@ -194,7 +194,7 @@ def test_verify_invariance_self_comparison(cir_model, foliation):
 def test_strong_convergence_rho_zero(grid):
     # deterministic dynamics: halving dt should shrink the state error by
     # about the scheme order (first order for Euler drift handling)
-    det = CirModel(grid, 0.0, 0.3)
+    det = SquareRootModel.cir(grid, 0.0, 0.3)
     g0 = 0.01 * grid.x * np.exp(-grid.x)
     fol = evolve_psi(det, g0, horizon=0.4, dt=0.0025)
     ref = simulate_state(det, fol, 0.02, SimConfig(0.4, 0.0025, 1)).final[0]
@@ -219,7 +219,7 @@ def dense_direct(model, h0, config):
 
 def _points_model(grid):
     c2 = -1.0 / float(riccati_small(np.array([1.0]), 0.1, 0.05)[0])
-    return CirModel(grid, 0.1, 0.05, PointCombo((0.0, 1.0), (2.0, c2)))
+    return SquareRootModel.cir(grid, 0.1, 0.05, PointCombo((0.0, 1.0), (2.0, c2)))
 
 
 @pytest.mark.parametrize("case", ["short_end", "points", "high_rho"])
@@ -227,7 +227,7 @@ def _points_model(grid):
 def test_simulate_direct_matches_dense_stepper(grid, cir_model, case, n_paths):
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     model = {"short_end": cir_model, "points": _points_model(grid),
-             "high_rho": CirModel(grid, 0.3, 0.05)}[case]
+             "high_rho": SquareRootModel.cir(grid, 0.3, 0.05)}[case]
     if case == "high_rho":
         h0 = 0.002 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=3)
