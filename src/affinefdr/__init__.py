@@ -21,8 +21,7 @@ from .realization import (KSpace, ModelData, RealizabilityReport, Tolerances,
                           check_const_mod_k, check_damir, check_qe_affine,
                           check_thm_main2, compute_k, initial_set_coords,
                           maximal_initial_membership, quasi_exp_subspace)
-from .simulate import (DirectRun, DirectSummary, Foliation, SimConfig, StatePaths,
-                       evolve_psi, reconstruct, simulate_direct, simulate_state,
-                       summarize_direct, verify_invariance)
+from .simulate import (DirectSummary, Foliation, SimConfig, StatePaths, evolve_psi,
+                       simulate_state, summarize_direct, verify_invariance)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -114,7 +114,7 @@ def _run_checks(spec: ModelSpec) -> dict:
         try:
             a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid),
                                             list(spec.vol_curves),
-                                            max_dim=spec.check_options.get("max_dim", 10))
+                                            max_dim=spec.check_options["max_dim"])
         except rz.DimensionExceeded as exc:
             checks["quasi_exponential"] = False
             checks["detail"] = str(exc)
@@ -123,7 +123,7 @@ def _run_checks(spec: ModelSpec) -> dict:
         qe = rz.check_qe_affine(lambda h: derivative(h, grid),
                                 lambda h: list(spec.vol_curves),
                                 a_sigma, [np.zeros(grid.n)],
-                                max_dim=spec.check_options.get("max_dim", 10),
+                                max_dim=spec.check_options["max_dim"],
                                 rank_one_vol=len(spec.vol_curves) == 1)
         checks["quasi_exponential"] = True
         checks["a_sigma_dim"] = int(qe.a_sigma_dim)
@@ -144,7 +144,7 @@ def _run_checks(spec: ModelSpec) -> dict:
         seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)
                  if model.rho > 0 else hjm_drift(model.lam, grid)]
         a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid), seeds,
-                                        max_dim=spec.check_options.get("max_dim", 20))
+                                        max_dim=spec.check_options["max_dim"])
         in_v = all(rz._span_residual(q, md.split.v_basis.matrix) <= md.tol.span
                    for q in a_sigma)
         checks["a_sigma_dim"] = int(len(a_sigma))

@@ -47,9 +47,11 @@ class Grid:
 
     def index_of(self, x0: float) -> int:
         """Grid index of a point that must lie on the grid."""
-        i = round(x0 / self.dx)
-        if i < 0 or i >= self.n or abs(i * self.dx - x0) > 1e-9 * max(1.0, x0):
-            raise GridMismatch(f"point {x0} is not a grid node")
+        i = min(max(round(x0 / self.dx), 0), self.n - 1)
+        if abs(i * self.dx - x0) > 1e-9 * max(1.0, x0):
+            fault = "is not a grid node" if 0.0 <= x0 <= self.x_max \
+                else f"lies outside [0, {self.x_max:g}]"
+            raise GridMismatch(f"point {x0} {fault}")
         return i
 
 

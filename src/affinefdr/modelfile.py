@@ -97,20 +97,20 @@ class ModelSpec:
 
     @property
     def tolerances(self) -> rz.Tolerances:
-        return rz.Tolerances(span=self.check_options.get("span_tol", 1e-5))
+        return rz.Tolerances(span=self.check_options["span_tol"])
 
     def model(self) -> SquareRootModel:
         """The square-root model of kind cir, two_factor or custom.
 
-        cir draws [check] boundary_samples (default 6) boundary samples and
-        two_factor always 2.  custom builds the orthogonal split of its
+        cir draws n = [check] boundary_samples (default 6) boundary samples
+        and two_factor always 2.  custom builds the orthogonal split of its
         [cone] and [subspace] curves and draws min(max(1, n), 3) shape
-        samples, n defaulting to 3.
+        samples.
         """
         grid, tol = self.grid, self.tolerances
         if self.kind == "cir":
             return SquareRootModel.cir(grid, self.rho, self.gamma, self.ell,
-                                       self.check_options.get("boundary_samples", 6), tol)
+                                       self.check_options["boundary_samples"], tol)
         if self.kind == "two_factor":
             return SquareRootModel.two_factor(grid, self.rho, self.gamma, tol)
         if self.kind != "custom":
@@ -124,7 +124,7 @@ class ModelSpec:
                 ConeBasis(cone_rows, normed=bool(self.cone_curves)), subspace=sub_rows))
         except Exception as exc:
             raise ModelFileError(f"[cone]/[subspace]: {exc}") from exc
-        n_b = self.check_options.get("boundary_samples", 3)
+        n_b = self.check_options["boundary_samples"]
         lam = self.vol_curves[0]
         try:
             return SquareRootModel(grid, self.ell, self.rho, lam, primitive(lam, grid), split,
@@ -200,11 +200,10 @@ def parse_model_text(text: str) -> ModelSpec:
     if kind == "cir" and rho < 0:
         raise ModelFileError("[model] rho must be nonnegative")
 
-    check_options = {}
-    if cfg.has_section("check"):
-        check_options["boundary_samples"] = _get(cfg, "check", "boundary_samples", int, 6)
-        check_options["max_dim"] = _get(cfg, "check", "max_dim", int, 20)
-        check_options["span_tol"] = _get(cfg, "check", "span_tol", float, 1e-5)
+    # every [check] default lives here, with or without the section
+    check_options = {"boundary_samples": _get(cfg, "check", "boundary_samples", int, 6),
+                     "max_dim": _get(cfg, "check", "max_dim", int, 20),
+                     "span_tol": _get(cfg, "check", "span_tol", float, 1e-5)}
 
     sim = None
     h0 = None

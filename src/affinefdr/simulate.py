@@ -27,10 +27,12 @@ from .hjmm import SquareRootModel
 
 SCHEMES = ("full_truncation", "drift_implicit")
 
-# Paths per block in the direct oracle and the ensemble functionals, so their
-# temporaries stay a few MB instead of copies of the whole (n_paths, n_x)
-# ensemble.
+# Paths per block in the direct oracle, so its temporaries stay a few MB
+# instead of copies of the whole (n_paths, n_x) ensemble.
 PATH_BLOCK = 256
+# A direct run reports negative_short_rate when some ell(r_k) falls below
+# -SCHEME_TOL.
+SCHEME_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,6 @@ class Foliation:
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
-
-    def b_at_step(self, k: int) -> float:
-        return float(self.psi_ell_deriv[k])
 
 
 def _steps_per(dt: float, foliation: Foliation) -> int:
@@ -131,7 +130,6 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
 class StatePaths:
     times: np.ndarray   # (n_t,)
     values: np.ndarray  # (n_paths, n_t), cone coordinate of X
-    seed: int
 
     @property
     def n_paths(self) -> int:
@@ -185,7 +183,7 @@ def _validate_coefficient_reduction(model: SquareRootModel, foliation: Foliation
             lhs = float(model.ell_of(derivative(h, model.grid))
                         + model.rho ** 2 * abs(float(model.ell_of(h)))
                         * float(model.ell_of(model.lam * model.lam_capital)))
-            rhs = foliation.b_at_step(k) + a * x
+            rhs = foliation.psi_ell_deriv[k] + a * x
             worst = max(worst, abs(lhs - rhs))
     if worst > 1e-8:
         raise ConstraintViolated(
@@ -217,7 +215,7 @@ def simulate_state(model: SquareRootModel, foliation: Foliation, x0: float,
     values = np.empty((config.n_paths, n + 1))
     values[:, 0] = x
     for k in range(n):
-        b = foliation.b_at_step(k * steps_per)
+        b = foliation.psi_ell_deriv[k * steps_per]
         xp = np.maximum(x, 0.0)
         # each step scales its own column: no scaled copy of all the normals
         diffusion = model.rho * np.sqrt(xp) * (normals[:, k] * np.sqrt(dt))
@@ -228,35 +226,7 @@ def simulate_state(model: SquareRootModel, foliation: Foliation, x0: float,
         x = np.maximum(x, 0.0)
         values[:, k + 1] = x
     times = np.linspace(0.0, config.horizon, n + 1)
-    return StatePaths(times, values, config.seed)
-
-
-def reconstruct(foliation: Foliation, paths: StatePaths,
-                model: SquareRootModel, at_step: int | None = None) -> np.ndarray:
-    """Curves r = psi(t) + X_t lam for every path, at one time step."""
-    steps_per = _steps_per(paths.times[1] - paths.times[0], foliation) \
-        if len(paths.times) > 1 else 1
-    k = (len(paths.times) - 1) if at_step is None else at_step
-    fk = k * steps_per
-    if fk >= len(foliation.times):
-        raise GridMismatch("foliation does not contain the requested time")
-    return foliation.psi[fk][None, :] + paths.values[:, k][:, None] * model.lam[None, :]
-
-
-@dataclass(frozen=True)
-class DirectRun:
-    """Outcome of the method-of-lines SPDE discretization."""
-
-    grid: Grid
-    horizon: float
-    final_curves: np.ndarray   # (n_paths, n_x)
-    min_ell: float             # min over paths and times of ell(r_t)
-    seed: int
-    negative_short_rate: bool  # ell(r_t) dipped below the scheme tolerance
-
-    @property
-    def n_paths(self) -> int:
-        return self.final_curves.shape[0]
+    return StatePaths(times, values)
 
 
 @dataclass(frozen=True)
@@ -329,38 +299,6 @@ def _oracle_blocks(model: SquareRootModel, oracle: _FactoredOracle, config: SimC
         yield s, coef.reshape(m, 2 * n), ell_r, min_ell
 
 
-def simulate_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
-                    scheme_tol: float = 1e-3) -> DirectRun:
-    """Method-of-lines simulation of dr = (d/dx r + alpha(r)) dt + sigma(r) dW.
-
-    One explicit step is r_{k+1} = S r_k + a_k D + b_k L.  S is the exact
-    transport: a shift by dt/dx nodes that holds the right boundary value
-    (curves treated as absorbed past x_max).  The CFL check (dt at most dx
-    and an integer multiple of it) leaves a shift of exactly one node.  The
-    forcing is rank one along the fixed curves D = lam Lam and L = lam, with
-    per-path scalars a_k = rho^2 |ell(r_k)| dt and
-    b_k = rho sqrt|ell(r_k)| dW_k.  S is linear, so the steps unroll to
-
-        r_K = S^K h0 + sum_j (a_j S^(K-1-j) D + b_j S^(K-1-j) L).
-
-    Hence ell(r_k), and with it a_k and b_k, is a causal convolution of the
-    earlier scalars against ell(S^i D) and ell(S^i L).  The recursion runs
-    per block of PATH_BLOCK paths, and each block's final curves are one
-    matrix product.  Only h0, S, lam, Lam and ell enter; nothing of the
-    realization does.  Brownian increments use the same counter-based
-    per-path streams as the realization run, so equal seeds give coupled
-    noise.  summarize_direct runs the same blocks without keeping the curves.
-    """
-    oracle = _factored_oracle(model, h0, config)
-    curves = np.empty((config.n_paths, model.grid.n))
-    min_ell = np.inf
-    for s, coef, _, block_min in _oracle_blocks(model, oracle, config):
-        curves[s:s + len(coef)] = oracle.curves(coef)
-        min_ell = min(min_ell, block_min)
-    return DirectRun(model.grid, config.horizon, curves, min_ell, config.seed,
-                     negative_short_rate=bool(min_ell < -scheme_tol))
-
-
 @dataclass(frozen=True)
 class DirectSummary:
     """What simulate keeps of a direct run; it holds no (n_paths, n_x) array."""
@@ -373,17 +311,32 @@ class DirectSummary:
 
 
 def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
-                     weight: Weight = Weight(), psi: np.ndarray | None = None,
-                     scheme_tol: float = 1e-3) -> DirectSummary:
-    """simulate_direct reduced per block to what the direct artifacts need.
+                     weight: Weight = Weight(), psi: np.ndarray | None = None) -> DirectSummary:
+    """Method-of-lines run of dr = (d/dx r + alpha(r)) dt + sigma(r) dW, summarized.
 
-    Each block of coefficient rows gives its paths' three functionals
-    without curves: ell is the recursion's last ell(r_K), eval_at_1 and r(0)
-    come from two columns of the basis, and the hw_norm integral is a
-    quadratic form in the row, since the derivative is linear.  The mean
-    curve is the mean row times the basis, plus S^K h0.  Only the foliation
-    residual against psi (skipped when psi is None) builds curves, one block
-    at a time.
+    One explicit step is r_{k+1} = S r_k + a_k D + b_k L.  S is the exact
+    transport: a shift by dt/dx nodes that holds the right boundary value
+    (curves treated as absorbed past x_max).  The CFL check (dt at most dx
+    and an integer multiple of it) leaves a shift of exactly one node.  The
+    forcing is rank one along the fixed curves D = lam Lam and L = lam, with
+    per-path scalars a_k = rho^2 |ell(r_k)| dt and
+    b_k = rho sqrt|ell(r_k)| dW_k.  S is linear, so the steps unroll to
+
+        r_K = S^K h0 + sum_j (a_j S^(K-1-j) D + b_j S^(K-1-j) L).
+
+    Hence ell(r_k), and with it a_k and b_k, is a causal convolution of the
+    earlier scalars against ell(S^i D) and ell(S^i L).  Only h0, S, lam, Lam
+    and ell enter; nothing of the realization does.  Brownian increments use
+    the same counter-based per-path streams as the realization run, so equal
+    seeds give coupled noise.
+
+    The recursion runs per block of PATH_BLOCK paths, and each block of
+    coefficient rows gives its paths' three functionals without curves: ell
+    is the recursion's last ell(r_K), eval_at_1 and r(0) come from two
+    columns of the basis, and the hw_norm integral is a quadratic form in the
+    row, since the derivative is linear.  The mean curve is the mean row
+    times the basis, plus S^K h0.  Only the foliation residual against psi
+    (skipped when psi is None) builds curves, one block at a time.
     """
     oracle = _factored_oracle(model, h0, config)
     grid = model.grid
@@ -410,33 +363,17 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
         coef_sum += coef.sum(axis=0)
         min_ell = min(min_ell, block_min)
         if psi is not None:
-            w, p = _residual_parts(oracle.curves(coef), psi, lam_unit)
-            worst, peak = max(worst, w), max(peak, p)
+            # distance of r - psi to span lam, worked in place on the block
+            r = oracle.curves(coef)
+            peak = max(peak, float(np.abs(r).max()))
+            r -= psi
+            r -= np.outer(r @ lam_unit, lam_unit)
+            worst = max(worst, float(np.linalg.norm(r, axis=1).max()))
     return DirectSummary(
         phis={"ell": ell, "eval_at_1": at1, "hw_norm": norms},
         mean_curve=oracle.curves(coef_sum / config.n_paths),
-        min_ell=min_ell, negative_short_rate=bool(min_ell < -scheme_tol),
+        min_ell=min_ell, negative_short_rate=bool(min_ell < -SCHEME_TOL),
         foliation_residual=float("nan") if psi is None else worst / max(1.0, peak))
-
-
-def direct_phi_values(curves: np.ndarray, model: SquareRootModel,
-                      weight: Weight = Weight()) -> dict[str, np.ndarray]:
-    """The three comparison functionals per path: ell, eval at x=1, hw_norm.
-
-    hw_norm is evaluated over blocks of PATH_BLOCK paths.  No returned array
-    is a view of curves.
-    """
-    grid = model.grid
-    i1 = grid.index_of(1.0)
-    ell = np.array(model.ell_of(curves), dtype=float)
-    at1 = curves[:, i1].copy()
-    w = weight.values(grid)
-    integ = np.empty(len(curves))
-    for s in range(0, len(curves), PATH_BLOCK):
-        d = derivative(curves[s:s + PATH_BLOCK], grid)
-        integ[s:s + PATH_BLOCK] = np.trapezoid(d * d * w, dx=grid.dx, axis=-1)
-    norms = np.sqrt(curves[:, 0] ** 2 + integ)
-    return {"ell": ell, "eval_at_1": at1, "hw_norm": norms}
 
 
 def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: SquareRootModel,
@@ -464,28 +401,6 @@ def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: SquareRootMod
     head = psi[0] + x_final * lam[0]
     norms = np.sqrt(head ** 2 + c0 + c1 * x_final + c2 * x_final ** 2)
     return {"ell": ell, "eval_at_1": at1, "hw_norm": norms}
-
-
-def _residual_parts(block: np.ndarray, psi: np.ndarray,
-                    lam_unit: np.ndarray) -> tuple[float, float]:
-    """(max distance of block - psi to span lam, max |block|); overwrites block."""
-    peak = float(np.abs(block).max())
-    block -= psi
-    block -= np.outer(block @ lam_unit, lam_unit)
-    return float(np.linalg.norm(block, axis=1).max()), peak
-
-
-def foliation_residual(curves: np.ndarray, psi: np.ndarray, lam: np.ndarray) -> float:
-    """Max distance of r - psi to the span of lam, relative to curve scale.
-
-    Evaluated over blocks of PATH_BLOCK paths.
-    """
-    lam_unit = lam / np.linalg.norm(lam)
-    worst = peak = 0.0
-    for s in range(0, len(curves), PATH_BLOCK):
-        w, p = _residual_parts(curves[s:s + PATH_BLOCK].copy(), psi, lam_unit)
-        worst, peak = max(worst, w), max(peak, p)
-    return worst / max(1.0, peak)
 
 
 def verify_invariance(fdr_phis: dict[str, np.ndarray],

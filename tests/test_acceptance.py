@@ -25,9 +25,8 @@ from affinefdr.curves import Grid, derivative
 from affinefdr.errors import DimensionExceeded
 from affinefdr.hjmm import (SquareRootModel, default_boundary_samples, hjm_drift,
                             riccati_capital, riccati_small)
-from affinefdr.simulate import (SimConfig, direct_phi_values, evolve_psi,
-                                fdr_phi_values, reconstruct, simulate_direct,
-                                simulate_state, verify_invariance)
+from affinefdr.simulate import (SimConfig, evolve_psi, fdr_phi_values, simulate_state,
+                                summarize_direct, verify_invariance)
 
 from conftest import (admissible_drift_coeffs, brute_force_inward, brute_force_parallel,
                       cir_membership, parallel_sqvol_coeffs, perturbed_cir_model_data,
@@ -238,7 +237,7 @@ def big_run(grid, cir_model):
     foliation = evolve_psi(cir_model, h0 - 0.02 * cir_model.lam,
                            horizon=0.5, dt=0.005)
     paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
-    direct = simulate_direct(cir_model, h0, cfg)
+    direct = summarize_direct(cir_model, h0, cfg)
     elapsed = time.perf_counter() - start
     return foliation, paths, direct, elapsed
 
@@ -246,8 +245,7 @@ def big_run(grid, cir_model):
 def test_criterion_07_weak_agreement(cir_model, big_run):
     foliation, paths, direct, elapsed = big_run
     fdr = fdr_phi_values(foliation, paths, cir_model)
-    dir_phis = direct_phi_values(direct.final_curves, cir_model)
-    report = verify_invariance(fdr, dir_phis, direct.min_ell, 0.0)
+    report = verify_invariance(fdr, direct.phis, direct.min_ell, 0.0)
     ell_ok = report["phis"]["ell"]["within_3se"]
     at1_ok = report["phis"]["eval_at_1"]["within_3se"]
     pos_ok = bool(np.all(paths.values >= 0.0))
@@ -262,7 +260,7 @@ def test_criterion_07_weak_agreement(cir_model, big_run):
 
 def test_criterion_08_exact_identities(grid, cir_model, big_run):
     foliation, paths, _, _ = big_run
-    curves = reconstruct(foliation, paths, cir_model)
+    curves = foliation.psi[-1] + paths.final[:, None] * cir_model.lam
     ell_gap = float(np.abs(np.asarray(cir_model.ell_of(curves))
                            - paths.final).max())
     psi_gap = max(abs(float(cir_model.ell_of(p))) for p in foliation.psi)
@@ -271,8 +269,9 @@ def test_criterion_08_exact_identities(grid, cir_model, big_run):
     fol0 = evolve_psi(det, h0 - 0.02 * det.lam, horizon=0.5, dt=0.005)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=1, seed=1)
     p0 = simulate_state(det, fol0, x0=0.02, config=cfg)
-    r_fdr = reconstruct(fol0, p0, det)[0]
-    r_dir = simulate_direct(det, h0, cfg).final_curves[0]
+    r_fdr = fol0.psi[-1] + p0.final[0] * det.lam
+    # at one path the mean curve is that path's final curve
+    r_dir = summarize_direct(det, h0, cfg).mean_curve
     det_gap = float(np.abs(r_fdr - r_dir).max())
     ok = ell_gap <= 1e-14 and psi_gap <= 1e-10 and det_gap <= 1e-4
     verdict(8, ok, f"ell(r)-X={ell_gap:.1e}, max ell(psi)={psi_gap:.1e}, "

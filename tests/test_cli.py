@@ -140,6 +140,27 @@ def test_check_cir_draws_all_requested_boundary_samples(tmp_path):
     assert {summary["n_samples"] for summary in realizability.values()} == {10}
 
 
+def test_check_two_factor_point_past_grid_end(tmp_path):
+    # ln 2 / gamma = 13.86 puts the second point of ell beyond x_max = 10
+    text = (MODELS / "two_factor.model").read_text().replace("gamma = 1.0", "gamma = 0.05")
+    far = tmp_path / "far.model"
+    far.write_text(text)
+    res = run_cli("check", str(far))
+    assert res.returncode == 2
+    assert res.stderr == "error: point 13.865 lies outside [0, 10]\n"
+
+
+@pytest.mark.parametrize("check_section", ["", "\n[check]\nspan_tol = 1e-5\n"],
+                         ids=["no-section", "section"])
+def test_check_linear_max_dim_defaults_to_20(tmp_path, check_section):
+    lin = tmp_path / "lin.model"
+    lin.write_text("[model]\nkind = linear\nvol_curve = 0.05 / (1 + x)\n" + check_section)
+    res = run_cli("check", str(lin), "--json")
+    assert res.returncode == 1, res.stderr
+    checks = json.loads(res.stdout)["checks"]
+    assert checks["detail"] == "iterated subspace exceeds 20 dimensions"
+
+
 def test_check_bad_modelfile(tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text("[model]\nkind = cir\n")

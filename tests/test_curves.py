@@ -71,5 +71,9 @@ def test_grid_mismatch_raised():
     grid = Grid(10.0, 0.005)
     with pytest.raises(GridMismatch):
         derivative(np.zeros(100), grid)
-    with pytest.raises(GridMismatch):
+    assert grid.index_of(10.0) == grid.n - 1
+    with pytest.raises(GridMismatch, match="is not a grid node"):
         grid.index_of(0.0033)
+    for outside in (-0.005, 10.001, 13.865):
+        with pytest.raises(GridMismatch, match=r"lies outside \[0, 10\]"):
+            grid.index_of(outside)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from affinefdr.curves import PointCombo, ShortEnd
-from affinefdr.errors import ModelFileError
+from affinefdr.errors import GridMismatch, ModelFileError
 from affinefdr.hjmm import riccati_small
 from affinefdr.modelfile import eval_curve, parse_model_file, parse_model_text
 from importlib import resources
@@ -63,6 +63,19 @@ def test_point_combo_ell():
     ell = spec.model().ell
     assert isinstance(ell, PointCombo)
     assert ell.points == (0.0, 1.0) and ell.coeffs == (2.0, c2)
+
+
+def test_point_ell_beyond_grid_end():
+    text = BASE.replace("ell = short_end", "ell = points: 0:1, 12:-0.5")
+    with pytest.raises(GridMismatch, match=r"^point 12.0 lies outside \[0, 10\]$"):
+        parse_model_text(text).model()
+
+
+@pytest.mark.parametrize("check_section", ["", "\n[check]\nspan_tol = 1e-5\n"],
+                         ids=["no-section", "section"])
+def test_check_defaults_with_and_without_section(check_section):
+    spec = parse_model_text(BASE + check_section)
+    assert spec.check_options == {"boundary_samples": 6, "max_dim": 20, "span_tol": 1e-5}
 
 
 def test_eval_curve_restricted_namespace():

@@ -7,11 +7,10 @@ from affinefdr.curves import Grid, PointCombo, Weight, derivative
 from affinefdr.errors import (CflViolated, ConstraintViolated, HorizonMismatch,
                               LeftBoundary, NotInInitialSet)
 from affinefdr.hjmm import SquareRootModel, riccati_small
-from affinefdr.simulate import (PATH_BLOCK, DirectRun, Foliation, SimConfig, StatePaths,
-                                direct_phi_values,
-                                evolve_psi, fdr_phi_values, foliation_residual,
-                                path_normals, reconstruct, simulate_direct,
-                                simulate_state, summarize_direct, verify_invariance)
+from affinefdr.simulate import (PATH_BLOCK, Foliation, SimConfig, StatePaths,
+                                _factored_oracle, _oracle_blocks, evolve_psi,
+                                fdr_phi_values, path_normals, simulate_state,
+                                summarize_direct, verify_invariance)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +21,38 @@ def g0(grid):
 @pytest.fixture(scope="module")
 def foliation(cir_model, g0):
     return evolve_psi(cir_model, g0, horizon=0.5, dt=0.005)
+
+
+def realized_curves(foliation, paths, model, step=-1):
+    """r = psi + X lam for every path, at a step the leaf and the paths share."""
+    assert len(foliation.times) == len(paths.times)
+    return foliation.psi[step] + paths.values[:, step][:, None] * model.lam
+
+
+def direct_curves(model, h0, config):
+    """The direct run's final curves, assembled block by block, and its min ell."""
+    oracle = _factored_oracle(model, h0, config)
+    blocks = list(_oracle_blocks(model, oracle, config))
+    return (np.vstack([oracle.curves(coef) for _, coef, _, _ in blocks]),
+            min(block_min for *_, block_min in blocks))
+
+
+def ensemble_phis(curves, model, weight=Weight()):
+    """The three comparison functionals of every curve, by whole-array quadrature."""
+    d = derivative(curves, model.grid)
+    integ = np.trapezoid(d * d * weight.values(model.grid)[None, :], dx=model.grid.dx, axis=-1)
+    return {"ell": np.asarray(model.ell_of(curves), dtype=float),
+            "eval_at_1": curves[:, model.grid.index_of(1.0)],
+            "hw_norm": np.sqrt(curves[:, 0] ** 2 + integ)}
+
+
+def ensemble_residual(curves, psi, lam):
+    """Max distance of r - psi to the span of lam, relative to the curve scale."""
+    diff = curves - psi[None, :]
+    lam_unit = lam / np.linalg.norm(lam)
+    proj = diff - np.outer(diff @ lam_unit, lam_unit)
+    scale = max(1.0, float(np.abs(curves).max()))
+    return float(np.linalg.norm(proj, axis=1).max() / scale)
 
 
 def test_evolve_psi_stays_in_kernel(cir_model, foliation, g0):
@@ -123,17 +154,17 @@ def test_simulate_state_schemes_and_errors(cir_model, foliation):
 def test_reconstruct_identities(grid, cir_model, foliation):
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=32, seed=9)
     paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
-    curves = reconstruct(foliation, paths, cir_model)
+    curves = realized_curves(foliation, paths, cir_model)
     # ell(r) recovers the state coordinate exactly: ell is linear and
     # ell(psi) vanishes to rounding
     ell_r = np.array([float(cir_model.ell_of(c)) for c in curves])
     assert np.abs(ell_r - paths.final).max() <= 1e-12
     # identically zero state reproduces the leaf itself
-    zero = StatePaths(paths.times, np.zeros((1, len(paths.times))), seed=0)
-    flat = reconstruct(foliation, zero, cir_model)
+    zero = StatePaths(paths.times, np.zeros((1, len(paths.times))))
+    flat = realized_curves(foliation, zero, cir_model)
     assert np.abs(flat[0] - foliation.psi[-1]).max() <= 1e-12
     # time zero reproduces the initial curve
-    first = reconstruct(foliation, paths, cir_model, at_step=0)
+    first = realized_curves(foliation, paths, cir_model, step=0)
     h0 = foliation.psi[0] + 0.02 * cir_model.lam
     assert np.abs(first - h0[None, :]).max() <= 1e-12
     # the mean curve needs only psi(T) and the mean state
@@ -145,40 +176,41 @@ def test_simulate_direct_pure_transport(grid):
     det = SquareRootModel.cir(grid, 0.0, 0.3)
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.1, dt=0.005, n_paths=1, seed=0)
-    run = simulate_direct(det, h0, cfg)
+    run = summarize_direct(det, h0, cfg)
     shift = round(0.1 / grid.dx)
     expect = np.concatenate([h0[shift:], np.full(shift, h0[-1])])
-    assert np.abs(run.final_curves[0] - expect).max() <= 1e-14
+    # at one path the mean curve is that path's final curve
+    assert np.abs(run.mean_curve - expect).max() <= 1e-14
     assert not run.negative_short_rate
 
 
 def test_simulate_direct_rejections(grid, cir_model):
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     with pytest.raises(CflViolated):
-        simulate_direct(cir_model, h0, SimConfig(0.1, 0.01, 1))
+        summarize_direct(cir_model, h0, SimConfig(0.1, 0.01, 1))
     with pytest.raises(NotInInitialSet):
-        simulate_direct(cir_model, -h0, SimConfig(0.1, 0.005, 1))
+        summarize_direct(cir_model, -h0, SimConfig(0.1, 0.005, 1))
 
 
 def test_seed_determinism(grid, cir_model):
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.05, dt=0.005, n_paths=8, seed=42)
-    r1 = simulate_direct(cir_model, h0, cfg)
-    r2 = simulate_direct(cir_model, h0, cfg)
-    assert np.array_equal(r1.final_curves, r2.final_curves)
+    r1, _ = direct_curves(cir_model, h0, cfg)
+    r2, _ = direct_curves(cir_model, h0, cfg)
+    assert np.array_equal(r1, r2)
 
 
 def test_phi_values_consistency(grid, cir_model, foliation):
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=16, seed=2)
     paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
-    curves = reconstruct(foliation, paths, cir_model)
+    curves = realized_curves(foliation, paths, cir_model)
     # the closed-form fdr functionals agree with direct evaluation of the
     # reconstructed curves
-    via_curves = direct_phi_values(curves, cir_model)
+    via_curves = ensemble_phis(curves, cir_model)
     via_coeffs = fdr_phi_values(foliation, paths, cir_model)
     for name in ("ell", "eval_at_1", "hw_norm"):
         assert np.abs(via_curves[name] - via_coeffs[name]).max() <= 1e-10
-    assert foliation_residual(curves, foliation.psi[-1], cir_model.lam) <= 1e-12
+    assert ensemble_residual(curves, foliation.psi[-1], cir_model.lam) <= 1e-12
 
 
 def test_verify_invariance_self_comparison(cir_model, foliation):
@@ -231,46 +263,19 @@ def test_simulate_direct_matches_dense_stepper(grid, cir_model, case, n_paths):
     if case == "high_rho":
         h0 = 0.002 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=3)
-    run = simulate_direct(model, h0, cfg)
+    run = summarize_direct(model, h0, cfg)
+    curves, _ = direct_curves(model, h0, cfg)
     ref_curves, ref_min_ell = dense_direct(model, h0, cfg)
-    assert np.abs(run.final_curves - ref_curves).max() <= 1e-14
+    assert np.abs(curves - ref_curves).max() <= 1e-14
     assert abs(run.min_ell - ref_min_ell) <= 1e-14
     assert run.negative_short_rate == bool(ref_min_ell < -1e-3)
+    for name, values in ensemble_phis(ref_curves, model).items():
+        np.testing.assert_allclose(run.phis[name], values, rtol=1e-12, atol=0.0, err_msg=name)
     if case == "high_rho":
         # ell turns negative, so the |ell| amplitudes are exercised
         assert ref_min_ell < 0.0
         if n_paths == 16:
             assert run.negative_short_rate
-
-
-@pytest.mark.parametrize("n_paths", [1, PATH_BLOCK + 1, 2001])
-def test_blocked_functionals_bit_identical(grid, cir_model, n_paths):
-    rng = np.random.default_rng(n_paths)
-    lam = cir_model.lam
-    psi = 0.01 * grid.x * np.exp(-grid.x)
-    curves = (psi + 0.02 * lam + rng.standard_normal((n_paths, 1)) * 1e-3 * lam
-              + 1e-5 * rng.standard_normal((n_paths, grid.n)))
-    # the whole-ensemble formulas the blocked helpers replace
-    d = derivative(curves, grid)
-    integ = np.trapezoid(d * d * Weight().values(grid)[None, :], dx=grid.dx, axis=-1)
-    norms = np.sqrt(curves[:, 0] ** 2 + integ)
-    diff = curves - psi[None, :]
-    lam_unit = lam / np.linalg.norm(lam)
-    proj = diff - np.outer(diff @ lam_unit, lam_unit)
-    scale = max(1.0, float(np.abs(curves).max()))
-    resid = float(np.linalg.norm(proj, axis=1).max() / scale)
-
-    phis = direct_phi_values(curves, cir_model)
-    assert np.array_equal(phis["hw_norm"], norms)
-    assert np.array_equal(phis["ell"], curves[:, 0])
-    assert np.array_equal(phis["eval_at_1"], curves[:, grid.index_of(1.0)])
-    assert foliation_residual(curves, psi, lam) == resid
-
-
-def test_direct_phi_values_hold_no_view_of_curves(grid, cir_model):
-    curves = 0.02 + 0.01 * grid.x * np.exp(-grid.x) + np.zeros((3, 1))
-    for name, values in direct_phi_values(curves, cir_model).items():
-        assert not np.shares_memory(values, curves), name
 
 
 def _sim_inputs(grid, model, n_paths):
@@ -288,16 +293,18 @@ def test_summarize_direct_matches_materialized_ensemble(grid, cir_model, case, n
     h0, cfg, psi = _sim_inputs(grid, model, n_paths)
     weight = Weight(3.0)
     summary = summarize_direct(model, h0, cfg, weight, psi)
-    run = simulate_direct(model, h0, cfg)
-    phis = direct_phi_values(run.final_curves, model, weight)
+    curves, min_ell = direct_curves(model, h0, cfg)
+    phis = ensemble_phis(curves, model, weight)
     for name in ("ell", "eval_at_1", "hw_norm"):
         np.testing.assert_allclose(summary.phis[name], phis[name], rtol=1e-12, atol=0.0,
                                    err_msg=name)
-    np.testing.assert_allclose(summary.mean_curve, run.final_curves.mean(axis=0),
+        # a phi that viewed a block would keep that block alive
+        assert summary.phis[name].flags.owndata, name
+    np.testing.assert_allclose(summary.mean_curve, curves.mean(axis=0),
                                rtol=1e-12, atol=0.0)
-    assert summary.min_ell == run.min_ell
-    assert summary.negative_short_rate == run.negative_short_rate
-    assert summary.foliation_residual == foliation_residual(run.final_curves, psi, model.lam)
+    assert summary.min_ell == min_ell
+    assert summary.negative_short_rate == bool(min_ell < -1e-3)
+    assert summary.foliation_residual == ensemble_residual(curves, psi, model.lam)
     assert np.isnan(summarize_direct(model, h0, cfg, weight).foliation_residual)
 
 
