@@ -9,10 +9,14 @@ and seed, and every report embeds a content hash of its inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
+import struct
 import sys
+import tempfile
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -27,6 +31,11 @@ from .simulate import (evolve_psi, fdr_phi_values, simulate_state, summarize_dir
                        verify_invariance)
 
 FLOAT_FMT = "%.17g"
+# Fewest values a writer process formats: about 40 ms of formatting, several
+# times the cost of its fork.
+MIN_SHARE_VALUES = 50_000
+# Bytes per read when appending a writer child's share.
+COPY_CHUNK = 1 << 16
 VERIFY_ARTIFACTS = ("fdr_phis.csv", "direct_phis.csv", "direct_stats.csv")
 
 
@@ -53,22 +62,126 @@ def _formatted(values: np.ndarray) -> list[str]:
     return [FLOAT_FMT % v for v in values.tolist()]
 
 
-def _row_templates(keys, n_values: int) -> list[str]:
-    """One row template per key: the key, then n_values FLOAT_FMT fields."""
-    tail = ",".join([FLOAT_FMT] * n_values) + "\n"
-    return [f"{key},{tail}" for key in keys]
+def _keyed_rows(keys, n_values: int) -> Callable[[int], bytes]:
+    """Row i's template: keys[i], then n_values FLOAT_FMT fields.
+
+    The template is built when its row is written, so no CSV holds one per
+    row (at 10^5 paths those would be megabytes).
+    """
+    tail = (",".join([FLOAT_FMT] * n_values) + "\n").encode()
+    return lambda i: f"{keys[i]},".encode() + tail
 
 
-def _write_csv(path: str, header: str, templates, values: np.ndarray) -> None:
-    """Write the header line, then templates[i] % values[i] for each row i.
+class _Csv(NamedTuple):
+    """A CSV artifact: the header line, then template(i) % values[i] for each row i.
 
     A template holds its row's repeated columns already formatted, so each
-    row costs one C-level format call.  Rows are streamed, not joined.
+    row costs one C-level format call.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for template, row in zip(templates, values):
-            fh.write(template % tuple(row.tolist()))
+
+    path: str
+    header: str
+    template: Callable[[int], bytes]
+    values: np.ndarray   # (rows, fields filled in per row)
+
+    def share(self, i: int, n_writers: int) -> range:
+        """Writer i's contiguous rows."""
+        n = len(self.values)
+        return range(n * i // n_writers, n * (i + 1) // n_writers)
+
+
+def _write_rows(fh, csv: _Csv, rows: range) -> None:
+    """Stream the given rows of csv to fh; rows are never joined."""
+    template, values = csv.template, csv.values
+    for i in rows:
+        fh.write(template(i) % tuple(values[i].tolist()))
+
+
+def _writer_count(n_values: int) -> int:
+    """Writer processes for n_values formatted values.
+
+    The usable CPUs, capped so that each writer formats at least
+    MIN_SHARE_VALUES; 1 where the platform cannot fork or name the CPUs
+    this process may run on.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_values // MIN_SHARE_VALUES))
+
+
+def _write_child_share(csvs: list[_Csv], i: int, n_writers: int, spool) -> NoReturn:
+    """Writer i > 0, in a forked child: its share of every CSV, then _exit.
+
+    The shares go to spool back to back, followed by their byte lengths.
+    The child never returns into its parent's frames, so no cleanup or
+    output of the parent runs twice; a failure becomes exit status 1.
+    """
+    code = 1
+    try:
+        with open(spool.fileno(), "wb", closefd=False) as fh:
+            lengths = []
+            for csv in csvs:
+                start = fh.tell()
+                _write_rows(fh, csv, csv.share(i, n_writers))
+                lengths.append(fh.tell() - start)
+            fh.write(struct.pack(f"<{len(csvs)}Q", *lengths))
+        code = 0
+    except Exception as exc:
+        os.write(2, f"error: CSV writer {i} of {n_writers}: {exc!r}\n".encode())
+    finally:
+        os._exit(code)
+
+
+def _append_child_shares(outs, spool) -> None:
+    """Append each share a writer child left in spool to its final file."""
+    n = len(outs)
+    spool.seek(-8 * n, os.SEEK_END)
+    lengths = struct.unpack(f"<{n}Q", spool.read(8 * n))
+    spool.seek(0)
+    for out, length in zip(outs, lengths):
+        while length > 0:
+            chunk = spool.read(min(length, COPY_CHUNK))
+            if not chunk:
+                raise AffineFdrError("a CSV writer's share ends early")
+            out.write(chunk)
+            length -= len(chunk)
+
+
+def _write_csvs(csvs: list[_Csv]) -> None:
+    """Write every CSV, its rows split into one contiguous share per writer.
+
+    Writer 0 is this process and writes its shares straight into the final
+    files.  Writers 1.. are children forked on entry, one unnamed temporary
+    file each beside the first CSV; their shares are appended in writer
+    order, so the bytes equal one serial write.  With one writer this is
+    the serial loop.  A failed child raises AffineFdrError, and no child is
+    left unwaited for.
+    """
+    n_writers = _writer_count(sum(csv.values.size for csv in csvs))
+    spool_dir = os.path.dirname(os.path.abspath(csvs[0].path))
+    pending = []   # children not yet waited for, in writer order
+    try:
+        with contextlib.ExitStack() as stack:
+            spools = [stack.enter_context(tempfile.TemporaryFile(dir=spool_dir))
+                      for _ in range(1, n_writers)]
+            for i, spool in enumerate(spools, 1):
+                pid = os.fork()
+                if pid == 0:
+                    _write_child_share(csvs, i, n_writers, spool)
+                pending.append(pid)
+            outs = [stack.enter_context(open(csv.path, "wb")) for csv in csvs]
+            for out, csv in zip(outs, csvs):
+                out.write(f"{csv.header}\n".encode())
+                _write_rows(out, csv, csv.share(0, n_writers))
+            for i, spool in enumerate(spools, 1):
+                code = os.waitstatus_to_exitcode(os.waitpid(pending.pop(0), 0)[1])
+                if code != 0:
+                    raise AffineFdrError(f"CSV writer {i} of {n_writers} exited with "
+                                         f"status {code}")
+                _append_child_shares(outs, spool)
+    finally:
+        for pid in pending:
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------- riccati
@@ -85,8 +198,8 @@ def cmd_riccati(args) -> int:
     lam_cap = riccati_capital(grid.x, args.rho, args.gamma)
     lam = riccati_small(grid.x, args.rho, args.gamma)
     residual = derivative(lam, grid) + args.rho ** 2 * lam * lam_cap + args.gamma * lam
-    _write_csv(args.out, "x,Lambda,lambda,residual", _row_templates(_formatted(grid.x), 3),
-               np.column_stack([lam_cap, lam, residual]))
+    _write_csvs([_Csv(args.out, "x,Lambda,lambda,residual", _keyed_rows(_formatted(grid.x), 3),
+                      np.column_stack([lam_cap, lam, residual]))])
     print(f"max residual = {np.abs(residual).max():.6e}")
     return 0
 
@@ -251,10 +364,10 @@ def build_verify_report(run_dir: str) -> dict:
                              stats["foliation_residual"])
 
 
-def _write_phi_csv(path: str, phis: dict[str, np.ndarray]) -> None:
+def _phi_table(phis: dict[str, np.ndarray]) -> tuple:
+    """Header, row templates and values of a per-path functionals CSV."""
     values = np.column_stack([phis["ell"], phis["eval_at_1"], phis["hw_norm"]])
-    _write_csv(path, "path,ell,eval_at_1,hw_norm", _row_templates(range(len(values)), 3),
-               values)
+    return "path,ell,eval_at_1,hw_norm", _keyed_rows(range(len(values)), 3), values
 
 
 def cmd_simulate(args) -> int:
@@ -271,53 +384,48 @@ def cmd_simulate(args) -> int:
         raise NotInInitialSet("h0 is not in the admissible initial set")
 
     os.makedirs(args.out_dir, exist_ok=True)
-    artifacts = []
     x_keys = _formatted(model.grid.x)
+    csvs = []
 
+    def add(name, header, template, values):
+        csvs.append(_Csv(os.path.join(args.out_dir, name), header, template, values))
+
+    # every numeric stage runs before the first write, so no forked writer
+    # competes with the numerics for CPUs
     foliation = None
     if args.mode in ("fdr", "both"):
         x0 = float(model.ell_of(h0))
         g0 = h0 - x0 * model.lam
         foliation = evolve_psi(model, g0, config.horizon, config.dt)
         paths = simulate_state(model, foliation, x0, config)
+        add("psi.csv", "t," + ",".join(x_keys),
+            _keyed_rows(_formatted(foliation.times), model.grid.n), foliation.psi)
 
-        _write_csv(os.path.join(args.out_dir, "psi.csv"), "t," + ",".join(x_keys),
-                   _row_templates(_formatted(foliation.times), model.grid.n),
-                   foliation.psi)
-        artifacts.append("psi.csv")
+        # one row per path: its lines "p,t_k,X_pk", built when the row is written
+        t_fields = [f"{t},{FLOAT_FMT}".encode() for t in _formatted(paths.times)]
 
-        # one row per path: its lines "p,t_k,X_pk" share one template
-        t_fields = [f"{t},{FLOAT_FMT}" for t in _formatted(paths.times)]
-        path_templates = (f"{p}," + f"\n{p},".join(t_fields) + "\n"
-                          for p in range(paths.n_paths))
-        _write_csv(os.path.join(args.out_dir, "paths.csv"), "path,t,X", path_templates,
-                   paths.values)
-        artifacts.append("paths.csv")
+        def path_template(p: int) -> bytes:
+            return b"%d," % p + (b"\n%d," % p).join(t_fields) + b"\n"
 
-        _write_phi_csv(os.path.join(args.out_dir, "fdr_phis.csv"),
-                       fdr_phi_values(foliation, paths, model, spec.weight))
-        artifacts.append("fdr_phis.csv")
-
+        add("paths.csv", "path,t,X", path_template, paths.values)
+        add("fdr_phis.csv", *_phi_table(fdr_phi_values(foliation, paths, model, spec.weight)))
         # the mean of r_T = psi(T) + X_T lam, without the (n_paths, n_x) ensemble
         mean_curve = foliation.psi[-1] + paths.final.mean() * model.lam
-        _write_csv(os.path.join(args.out_dir, "fdr_mean_curve.csv"), "x,value",
-                   _row_templates(x_keys, 1), mean_curve[:, None])
-        artifacts.append("fdr_mean_curve.csv")
+        add("fdr_mean_curve.csv", "x,value", _keyed_rows(x_keys, 1), mean_curve[:, None])
 
     if args.mode in ("direct", "both"):
         run = summarize_direct(model, h0, config, spec.weight,
                                None if foliation is None else foliation.psi[-1])
-        _write_phi_csv(os.path.join(args.out_dir, "direct_phis.csv"), run.phis)
-        artifacts.append("direct_phis.csv")
-        _write_csv(os.path.join(args.out_dir, "direct_stats.csv"), "key,value",
-                   _row_templates(("min_ell", "negative_short_rate", "foliation_residual"), 1),
-                   np.array([[run.min_ell], [float(run.negative_short_rate)],
-                             [run.foliation_residual]]))
-        artifacts.append("direct_stats.csv")
-        _write_csv(os.path.join(args.out_dir, "direct_mean_curve.csv"), "x,value",
-                   _row_templates(x_keys, 1), run.mean_curve[:, None])
-        artifacts.append("direct_mean_curve.csv")
+        add("direct_phis.csv", *_phi_table(run.phis))
+        add("direct_stats.csv", "key,value",
+            _keyed_rows(("min_ell", "negative_short_rate", "foliation_residual"), 1),
+            np.array([[run.min_ell], [float(run.negative_short_rate)],
+                      [run.foliation_residual]]))
+        add("direct_mean_curve.csv", "x,value", _keyed_rows(x_keys, 1),
+            run.mean_curve[:, None])
 
+    _write_csvs(csvs)
+    artifacts = [os.path.basename(csv.path) for csv in csvs]
     if args.mode == "both":
         _write_json(os.path.join(args.out_dir, "verify.json"),
                     build_verify_report(args.out_dir))

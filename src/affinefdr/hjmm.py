@@ -19,6 +19,7 @@ evaluated in an overflow-free rational-in-expm1 arrangement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -208,17 +209,28 @@ class SquareRootModel:
     def model_data(self) -> rz.ModelData:
         """Checker input: the generator d/dx, the drift-image operator on the
         state basis and the squared volatility amp(h)^2 c c^T, with c the
-        coordinates of lam in that basis."""
+        coordinates of lam in that basis.
+
+        Built once per model and shared by every caller, so the drift-image
+        operator is assembled once per run.
+        """
+        return self._model_data
+
+    @functools.cached_property
+    def _model_data(self) -> rz.ModelData:
+        # the closures take fields, not self: the model holds its ModelData,
+        # and a reference back would leave both to the cycle collector
+        grid, ell, rho, amplitude = self.grid, self.ell, self.rho, self.amplitude
         outer = np.outer(self._lam_coords, self._lam_coords)
 
         def sigma_sq_at(h: np.ndarray) -> np.ndarray:
-            amp = 1.0 if self.amplitude == "const" else abs(float(self.ell_of(h)))
-            return self.rho * self.rho * amp * outer
+            amp = 1.0 if amplitude == "const" else abs(float(apply_functional(ell, h, grid)))
+            return rho * rho * amp * outer
 
         return rz.ModelData(
             split=self.split,
-            apply_a=lambda h: derivative(h, self.grid),
-            s_op=build_s_operator(self.split.v_basis.matrix, self.grid),
+            apply_a=lambda h: derivative(h, grid),
+            s_op=build_s_operator(self.split.v_basis.matrix, grid),
             sigma_sq_at=sigma_sq_at,
             boundary_samples=list(self.boundary_samples),
             tol=self.tol,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinefdr import cli
+from affinefdr import cli, hjmm
 from affinefdr.curves import Grid, derivative
 from affinefdr.hjmm import SquareRootModel, riccati_capital, riccati_small
 from affinefdr.modelfile import parse_model_file
@@ -357,6 +357,92 @@ def test_simulate_csvs_match_reference_writer(fast_model, tmp_path, mode):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     if mode == "direct":
         assert (out / "direct_stats.csv").read_text().endswith("foliation_residual,nan\n")
+
+
+# pinned after the import, so the numerics keep the BLAS threads of an
+# unpinned run and only the number of CSV writers changes
+PINNED_CLI = ("import os, sys; from affinefdr.cli import main; "
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+              "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("mode", ["fdr", "direct", "both"])
+def test_simulate_pinned_to_one_cpu_writes_the_same_bytes(fast_model, tmp_path, mode):
+    out, pinned = tmp_path / "run", tmp_path / "pinned"
+    res = run_cli("simulate", fast_model, "--mode", mode, "--out-dir", str(out))
+    assert res.returncode == 0, res.stderr
+    res = subprocess.run([sys.executable, "-c", PINNED_CLI, "simulate", fast_model,
+                          "--mode", mode, "--out-dir", str(pinned)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    names = sorted(os.listdir(out))
+    assert names == sorted(os.listdir(pinned))
+    for name in names:
+        assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                                reason="writes serially without fork and CPU affinity")
+
+
+def simulate_in_process(fast_model, out, mode="fdr"):
+    return cli.main(["simulate", fast_model, "--mode", mode, "--out-dir", str(out)])
+
+
+@needs_fork
+def test_simulate_three_writers_write_the_same_bytes(fast_model, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert simulate_in_process(fast_model, tmp_path / "serial") == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert simulate_in_process(fast_model, tmp_path / "three") == 0
+    names = sorted(os.listdir(tmp_path / "serial"))
+    # the manifest hashes every artifact; nothing else, temporary files
+    # included, is left behind
+    assert names == sorted(os.listdir(tmp_path / "three")) == [
+        "fdr_mean_curve.csv", "fdr_phis.csv", "manifest.json", "paths.csv", "psi.csv"]
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == \
+            (tmp_path / "three" / name).read_bytes(), name
+
+
+@needs_fork
+def test_simulate_failed_writer_exits_2_without_manifest(fast_model, tmp_path, monkeypatch,
+                                                         capfd):
+    write_rows = cli._write_rows
+
+    def failing(fh, csv, rows):
+        if rows.start > 0:   # every share but the first
+            raise OSError("no space left on device")
+        write_rows(fh, csv, rows)
+
+    monkeypatch.setattr(cli, "_write_rows", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "run"
+    assert simulate_in_process(fast_model, out) == 2
+    err = capfd.readouterr().err
+    assert "error: CSV writer 1 of 2 exited with status 1" in err
+    assert "no space left on device" in err
+    # the CSVs hold only their first shares, and no temporary file is left
+    assert set(os.listdir(out)) <= {"psi.csv", "paths.csv", "fdr_phis.csv",
+                                    "fdr_mean_curve.csv"}
+
+
+@needs_fork
+def test_writer_count_keeps_a_minimum_share(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert cli._writer_count(10 * cli.MIN_SHARE_VALUES) == 8
+    assert cli._writer_count(3 * cli.MIN_SHARE_VALUES + 1) == 3
+    assert cli._writer_count(cli.MIN_SHARE_VALUES - 1) == 1
+
+
+def test_simulate_assembles_the_drift_image_operator_once(fast_model, tmp_path,
+                                                          monkeypatch):
+    build, calls = hjmm.build_s_operator, []
+    monkeypatch.setattr(hjmm, "build_s_operator",
+                        lambda *a: calls.append(1) or build(*a))
+    assert simulate_in_process(fast_model, tmp_path / "run", "both") == 0
+    assert len(calls) == 1
 
 
 def test_simulate_rejects_outside_initial_set(fast_model, tmp_path):
