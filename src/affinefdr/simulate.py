@@ -6,10 +6,11 @@ SDE; curves are reconstructed as r = psi + X lam.  The direct oracle
 discretizes the full SPDE by method of lines with exact index-shift
 transport, evaluated in factored form as shifted rank-one sums, so the
 statistics of the two runs can be compared.  The oracle's recursion runs per
-block of PATH_BLOCK paths; summarize_direct reduces each block to its
-functionals, its coefficient sum (for the mean curve), its min ell and its
-foliation residual.  With the realization's mean curve taken as
-psi(T) + mean(X_T) lam, the simulate command holds no (paths, grid) array.
+block of PATH_BLOCK paths; summarize_direct reduces each block's coefficient
+rows to its functionals, its coefficient sum (for the mean curve), its min
+ell and its foliation residual, without building the block's curves.  With
+the realization's mean curve taken as psi(T) + mean(X_T) lam, the simulate
+command holds no (paths, grid) array.
 """
 
 from __future__ import annotations
@@ -113,12 +114,13 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
     psi = g0.copy()
     for k in range(n_steps + 1):
         out[k] = psi
-        b[k] = float(model.ell_of(derivative(psi, grid)))
+        d = derivative(psi, grid)
+        b[k] = float(model.ell_of(d))
         if b[k] <= 0.0:
             raise LeftBoundary(float(times[k]))
         if k == n_steps:
             break
-        k1 = rhs(psi)
+        k1 = d - b[k] * lam   # rhs(psi), from the derivative b[k] already took
         k2 = rhs(psi + dt / 2 * k1)
         k3 = rhs(psi + dt / 2 * k2)
         k4 = rhs(psi + dt * k3)
@@ -158,10 +160,15 @@ def path_normals(seed: int, n_paths: int, n_steps: int, stream: int = 0) -> np.n
 @functools.lru_cache(maxsize=1)
 def _cached_normals(seed: int, n_paths: int, n_steps: int, stream: int) -> np.ndarray:
     out = np.empty((n_paths, n_steps))
+    # one generator, reset per path to the fresh state of Philox(key=[.., p]):
+    # the same stream as a new generator per path, without building one
+    bits = np.random.Philox(key=[seed + (stream << 32), 0])
+    gen = np.random.Generator(bits)
+    fresh = bits.state   # counter 0, empty buffer
     for p in range(n_paths):
-        gen = np.random.Generator(np.random.Philox(
-            key=[seed + (stream << 32), p]))
-        out[p] = gen.standard_normal(n_steps)
+        fresh["state"]["key"][1] = p
+        bits.state = fresh
+        gen.standard_normal(out=out[p])
     out.flags.writeable = False
     return out
 
@@ -335,8 +342,13 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     is the recursion's last ell(r_K), eval_at_1 and r(0) come from two
     columns of the basis, and the hw_norm integral is a quadratic form in the
     row, since the derivative is linear.  The mean curve is the mean row
-    times the basis, plus S^K h0.  Only the foliation residual against psi
-    (skipped when psi is None) builds curves, one block at a time.
+    times the basis, plus S^K h0.  The foliation residual against psi
+    (skipped when psi is None) is the largest distance of r - psi to span
+    lam, divided by max(1, max|r|).  With P the projection orthogonal to
+    lam, the squared distance is the quadratic form in the row of the Gram
+    matrix of P basis, a cross vector against P(S^K h0 - psi), and that
+    vector's squared norm.  A block's curves are built only when its bound
+    on max|r| exceeds 1, so the normalizer stays exact.
     """
     oracle = _factored_oracle(model, h0, config)
     grid = model.grid
@@ -349,11 +361,21 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     del d_basis
     nodes = [0, grid.index_of(1.0)]   # r(0) for hw_norm, and eval_at_1
     cols = oracle.basis[:, nodes]
-    lam_unit = model.lam / np.linalg.norm(model.lam)
+    if psi is not None:
+        # |P(coef @ basis + tail - psi)|^2 with P the projection orthogonal
+        # to lam, as a quadratic form in coef like the hw_norm integral
+        u = model.lam / np.linalg.norm(model.lam)
+        perp = oracle.basis - np.outer(oracle.basis @ u, u)
+        e = oracle.tail - psi
+        e -= (e @ u) * u
+        res_gram, res_cross, res_const = perp @ perp.T, 2.0 * (perp @ e), float(e @ e)
+        del perp
+        # max|r| of a block is at most tail_sup + max_p |coef_p| @ row_sup
+        row_sup, tail_sup = np.abs(oracle.basis).max(axis=1), float(np.abs(oracle.tail).max())
 
     ell, at1, norms = (np.empty(config.n_paths) for _ in range(3))
     coef_sum = np.zeros(len(oracle.basis))
-    min_ell, worst, peak = np.inf, 0.0, 0.0
+    min_ell, worst_sq, peak = np.inf, 0.0, 0.0
     for s, coef, ell_r, block_min in _oracle_blocks(model, oracle, config):
         block = slice(s, s + len(coef))
         ell[block] = ell_r
@@ -363,17 +385,18 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
         coef_sum += coef.sum(axis=0)
         min_ell = min(min_ell, block_min)
         if psi is not None:
-            # distance of r - psi to span lam, worked in place on the block
-            r = oracle.curves(coef)
-            peak = max(peak, float(np.abs(r).max()))
-            r -= psi
-            r -= np.outer(r @ lam_unit, lam_unit)
-            worst = max(worst, float(np.linalg.norm(r, axis=1).max()))
+            dist_sq = np.einsum("pi,pi->p", coef @ res_gram + res_cross, coef) + res_const
+            # starting from 0, this also clamps a square that rounding made negative
+            worst_sq = max(worst_sq, float(dist_sq.max()))
+            # the normalizer max(1, peak) needs max|r| only where it may exceed 1
+            if tail_sup + float((np.abs(coef) @ row_sup).max()) > 1.0:
+                peak = max(peak, float(np.abs(oracle.curves(coef)).max()))
     return DirectSummary(
         phis={"ell": ell, "eval_at_1": at1, "hw_norm": norms},
         mean_curve=oracle.curves(coef_sum / config.n_paths),
         min_ell=min_ell, negative_short_rate=bool(min_ell < -SCHEME_TOL),
-        foliation_residual=float("nan") if psi is None else worst / max(1.0, peak))
+        foliation_residual=float("nan") if psi is None
+        else float(np.sqrt(worst_sq)) / max(1.0, peak))
 
 
 def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: SquareRootModel,

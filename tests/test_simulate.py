@@ -1,14 +1,17 @@
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from affinefdr import simulate
 from affinefdr.curves import Grid, PointCombo, Weight, derivative
 from affinefdr.errors import (CflViolated, ConstraintViolated, HorizonMismatch,
                               LeftBoundary, NotInInitialSet)
 from affinefdr.hjmm import SquareRootModel, riccati_small
+from affinefdr.modelfile import parse_model_file
 from affinefdr.simulate import (PATH_BLOCK, Foliation, SimConfig, StatePaths,
-                                _factored_oracle, _oracle_blocks, evolve_psi,
+                                _FactoredOracle, _factored_oracle, _oracle_blocks, evolve_psi,
                                 fdr_phi_values, path_normals, simulate_state,
                                 summarize_direct, verify_invariance)
 
@@ -69,6 +72,16 @@ def test_evolve_psi_step_halving(cir_model, g0):
     assert np.abs(coarse.psi[-1] - fine.psi[-1]).max() <= 1e-6
 
 
+def test_evolve_psi_differentiates_once_per_stage(cir_model, g0, monkeypatch):
+    # b(t) = ell(psi') and the first RK4 stage share one derivative
+    calls = []
+    monkeypatch.setattr(simulate, "derivative",
+                        lambda values, grid: calls.append(1) or derivative(values, grid))
+    fol = evolve_psi(cir_model, g0, horizon=0.05, dt=0.005)
+    n_steps = len(fol.times) - 1
+    assert n_steps == 10 and len(calls) == 4 * n_steps + 1
+
+
 def test_evolve_psi_rejections(grid, cir_model):
     with pytest.raises(ConstraintViolated):
         evolve_psi(cir_model, np.full(grid.n, 0.01), horizon=0.1)
@@ -87,6 +100,16 @@ def test_path_normals_counter_based():
     assert np.array_equal(a, b[:4])
     assert not np.array_equal(path_normals(8, 4, 50), a)
     assert not np.array_equal(path_normals(7, 4, 50, stream=1), a)
+
+
+@pytest.mark.parametrize("seed,stream", [(7, 0), (7, 1), (2 ** 32 - 3, 1)])
+def test_path_normals_match_a_generator_per_path(seed, stream):
+    # an odd step count leaves a part-used buffer for the next path to ignore
+    n_paths, n_steps = 5, 37
+    got = path_normals(seed, n_paths, n_steps, stream)
+    for p in range(n_paths):
+        gen = np.random.Generator(np.random.Philox(key=[seed + (stream << 32), p]))
+        assert np.array_equal(got[p], gen.standard_normal(n_steps)), p
 
 
 def test_path_normals_shared_and_read_only():
@@ -284,8 +307,8 @@ def test_simulate_direct_matches_dense_stepper(grid, cir_model, case, n_paths):
         assert -1e-2 < ref_min_ell < -1e-3 and run.negative_short_rate
 
 
-def _sim_inputs(grid, model, n_paths):
-    h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
+def _sim_inputs(grid, model, n_paths, scale=1.0):
+    h0 = scale * (0.02 + 0.01 * grid.x * np.exp(-grid.x))
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=12345)
     x0 = float(model.ell_of(h0))
     psi = evolve_psi(model, h0 - x0 * model.lam, cfg.horizon, cfg.dt).psi[-1]
@@ -293,10 +316,12 @@ def _sim_inputs(grid, model, n_paths):
 
 
 @pytest.mark.parametrize("case,n_paths", [("short_end", 1), ("short_end", PATH_BLOCK + 1),
-                                          ("short_end", 2001), ("points", PATH_BLOCK + 1)])
+                                          ("short_end", 2001), ("points", PATH_BLOCK + 1),
+                                          ("large_h0", PATH_BLOCK + 1)])
 def test_summarize_direct_matches_materialized_ensemble(grid, cir_model, case, n_paths):
-    model = {"short_end": cir_model, "points": _points_model(grid)}[case]
-    h0, cfg, psi = _sim_inputs(grid, model, n_paths)
+    model = {"short_end": cir_model, "points": _points_model(grid),
+             "large_h0": cir_model}[case]
+    h0, cfg, psi = _sim_inputs(grid, model, n_paths, scale=60.0 if case == "large_h0" else 1.0)
     weight = Weight(3.0)
     summary = summarize_direct(model, h0, cfg, weight, psi)
     curves, min_ell = direct_curves(model, h0, cfg)
@@ -310,8 +335,27 @@ def test_summarize_direct_matches_materialized_ensemble(grid, cir_model, case, n
                                rtol=1e-12, atol=0.0)
     assert summary.min_ell == min_ell
     assert summary.negative_short_rate == bool(min_ell < -1e-3)
-    assert summary.foliation_residual == ensemble_residual(curves, psi, model.lam)
+    # the residual is a quadratic form in the coefficient rows, summed in
+    # another order than the curves' distances
+    np.testing.assert_allclose(summary.foliation_residual,
+                               ensemble_residual(curves, psi, model.lam), rtol=1e-10, atol=0.0)
+    # large_h0's curves exceed 1, so its residual is normalized by max|r|
+    assert (np.abs(curves).max() > 1.0) == (case == "large_h0")
     assert np.isnan(summarize_direct(model, h0, cfg, weight).foliation_residual)
+
+
+def test_summarize_direct_builds_only_the_mean_curve(monkeypatch):
+    # cir.model's curves stay below 1, so the residual's normalizer needs none
+    spec = parse_model_file(resources.files("affinefdr") / "models" / "cir.model")
+    model, cfg, h0 = spec.model(), spec.sim, spec.h0
+    x0 = float(model.ell_of(h0))
+    psi = evolve_psi(model, h0 - x0 * model.lam, cfg.horizon, cfg.dt).psi[-1]
+    shapes = []
+    curves = _FactoredOracle.curves
+    monkeypatch.setattr(_FactoredOracle, "curves",
+                        lambda self, coef: shapes.append(coef.shape) or curves(self, coef))
+    summary = summarize_direct(model, h0, cfg, spec.weight, psi)
+    assert shapes == [(2 * cfg.n_steps,)] and summary.foliation_residual > 0.0
 
 
 def test_summarize_direct_holds_no_ensemble(grid, cir_model):
