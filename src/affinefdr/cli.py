@@ -1,4 +1,4 @@
-"""Command-line front end: model files in, reports and CSV ensembles out.
+"""Command-line front end: model files in; reports, CSV tables and .npy arrays out.
 
 Exit codes form a stable contract: 0 on success, 1 on mathematical
 rejection (a check fails or the initial curve is not admissible), 2 on
@@ -385,6 +385,7 @@ def cmd_simulate(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     x_keys = _formatted(model.grid.x)
+    arrays = {}   # .npy artifacts, written by this process
     csvs = []
 
     def add(name, header, template, values):
@@ -398,16 +399,8 @@ def cmd_simulate(args) -> int:
         g0 = h0 - x0 * model.lam
         foliation = evolve_psi(model, g0, config.horizon, config.dt)
         paths = simulate_state(model, foliation, x0, config)
-        add("psi.csv", "t," + ",".join(x_keys),
-            _keyed_rows(_formatted(foliation.times), model.grid.n), foliation.psi)
-
-        # one row per path: its lines "p,t_k,X_pk", built when the row is written
-        t_fields = [f"{t},{FLOAT_FMT}".encode() for t in _formatted(paths.times)]
-
-        def path_template(p: int) -> bytes:
-            return b"%d," % p + (b"\n%d," % p).join(t_fields) + b"\n"
-
-        add("paths.csv", "path,t,X", path_template, paths.values)
+        arrays["psi.npy"] = foliation.psi
+        arrays["paths.npy"] = paths.values
         add("fdr_phis.csv", *_phi_table(fdr_phi_values(foliation, paths, model, spec.weight)))
         # the mean of r_T = psi(T) + X_T lam, without the (n_paths, n_x) ensemble
         mean_curve = foliation.psi[-1] + paths.final.mean() * model.lam
@@ -424,8 +417,11 @@ def cmd_simulate(args) -> int:
         add("direct_mean_curve.csv", "x,value", _keyed_rows(x_keys, 1),
             run.mean_curve[:, None])
 
+    for name, values in arrays.items():
+        np.save(os.path.join(args.out_dir, name), np.ascontiguousarray(values, dtype="<f8"),
+                allow_pickle=False)
     _write_csvs(csvs)
-    artifacts = [os.path.basename(csv.path) for csv in csvs]
+    artifacts = [*arrays, *(os.path.basename(csv.path) for csv in csvs)]
     if args.mode == "both":
         _write_json(os.path.join(args.out_dir, "verify.json"),
                     build_verify_report(args.out_dir))

@@ -319,7 +319,7 @@ def test_criterion_10_cli_contract(tmp_path):
     s2 = run("simulate", str(fast), "--out-dir", str(out2))
     identical = s1.returncode == 0 and s2.returncode == 0 and all(
         (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        for name in ("paths.csv", "direct_phis.csv", "verify.json",
+        for name in ("paths.npy", "direct_phis.csv", "verify.json",
                      "manifest.json"))
     ok = (cir.returncode == 0 and ex64.returncode == 1 and damir_false
           and cir.stdout == run("check", str(models / "cir.model"),

@@ -278,7 +278,7 @@ def sim_run(fast_model, tmp_path_factory):
 
 
 def test_simulate_artifacts_present(sim_run):
-    names = {"psi.csv", "paths.csv", "fdr_phis.csv", "fdr_mean_curve.csv",
+    names = {"psi.npy", "paths.npy", "fdr_phis.csv", "fdr_mean_curve.csv",
              "direct_phis.csv", "direct_stats.csv", "direct_mean_curve.csv",
              "verify.json", "manifest.json"}
     assert names <= set(os.listdir(sim_run))
@@ -304,9 +304,26 @@ def test_simulate_byte_identical(fast_model, sim_run, tmp_path):
             assert f1.read() == f2.read(), name
 
 
+def test_simulate_npy_arrays(fast_model, sim_run):
+    spec = parse_model_file(fast_model)
+    model, config, h0 = spec.model(), spec.sim, spec.h0
+    paths = np.load(os.path.join(sim_run, "paths.npy"), allow_pickle=False)
+    assert paths.dtype == np.dtype("<f8")
+    assert paths.shape == (config.n_paths, config.n_steps + 1)
+    assert (paths >= 0).all()
+    ell = np.loadtxt(os.path.join(sim_run, "fdr_phis.csv"), delimiter=",", skiprows=1,
+                     ndmin=2)[:, 1]
+    assert np.array_equal(paths[:, -1], ell)
+    psi = np.load(os.path.join(sim_run, "psi.npy"), allow_pickle=False)
+    assert psi.dtype == np.dtype("<f8")
+    assert psi.shape == (config.n_steps + 1, spec.grid.n)
+    assert np.array_equal(psi[0], h0 - float(model.ell_of(h0)) * model.lam)
+
+
 def reference_simulate_csvs(modelfile, out, mode):
     """simulate's CSV artifacts rebuilt from the library's arrays with the
-    reference writer; returns their names."""
+    reference writer, and its .npy artifacts saved from those arrays;
+    returns their names."""
     spec = parse_model_file(modelfile)
     model, config, h0, x = spec.model(), spec.sim, spec.h0, spec.grid.x.tolist()
 
@@ -314,18 +331,13 @@ def reference_simulate_csvs(modelfile, out, mode):
         return [(p, float(phis["ell"][p]), float(phis["eval_at_1"][p]),
                  float(phis["hw_norm"][p])) for p in range(len(phis["ell"]))]
 
-    written = {}
+    written, arrays = {}, {}
     foliation = None
     if mode in ("fdr", "both"):
         x0 = float(model.ell_of(h0))
         foliation = evolve_psi(model, h0 - x0 * model.lam, config.horizon, config.dt)
         paths = simulate_state(model, foliation, x0, config)
-        written["psi.csv"] = ("t," + ",".join("%.17g" % v for v in x),
-                              [(t, *row) for t, row in zip(foliation.times.tolist(),
-                                                           foliation.psi.tolist())])
-        written["paths.csv"] = ("path,t,X", [(p, t, v) for p in range(paths.n_paths)
-                                             for t, v in zip(paths.times.tolist(),
-                                                             paths.values[p].tolist())])
+        arrays = {"psi.npy": foliation.psi, "paths.npy": paths.values}
         written["fdr_phis.csv"] = ("path,ell,eval_at_1,hw_norm",
                                    phi_rows(fdr_phi_values(foliation, paths, model,
                                                            spec.weight)))
@@ -342,7 +354,9 @@ def reference_simulate_csvs(modelfile, out, mode):
         written["direct_mean_curve.csv"] = ("x,value", zip(x, run.mean_curve.tolist()))
     for name, (header, rows) in written.items():
         reference_write_csv(os.path.join(out, name), header, rows)
-    return sorted(written)
+    for name, values in arrays.items():
+        np.save(os.path.join(out, name), values, allow_pickle=False)
+    return sorted([*written, *arrays])
 
 
 @pytest.mark.parametrize("mode", ["fdr", "direct", "both"])
@@ -352,7 +366,7 @@ def test_simulate_csvs_match_reference_writer(fast_model, tmp_path, mode):
     assert res.returncode == 0, res.stderr
     ref.mkdir()
     names = reference_simulate_csvs(fast_model, str(ref), mode)
-    assert names == sorted(n for n in os.listdir(out) if n.endswith(".csv"))
+    assert names == sorted(n for n in os.listdir(out) if n.endswith((".csv", ".npy")))
     for name in names:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     if mode == "direct":
@@ -386,21 +400,34 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sche
                                 reason="writes serially without fork and CPU affinity")
 
 
+def record_writer_counts(monkeypatch):
+    """The list that collects each _writer_count result from here on."""
+    counts, writer_count = [], cli._writer_count
+    monkeypatch.setattr(cli, "_writer_count",
+                        lambda n_values: counts.append(writer_count(n_values)) or counts[-1])
+    return counts
+
+
 def simulate_in_process(fast_model, out, mode="fdr"):
     return cli.main(["simulate", fast_model, "--mode", mode, "--out-dir", str(out)])
 
 
 @needs_fork
 def test_simulate_three_writers_write_the_same_bytes(fast_model, tmp_path, monkeypatch):
+    # the fdr CSVs of 200 paths hold about 2.6k values, so a smaller minimum
+    # share lets them split three ways
+    monkeypatch.setattr(cli, "MIN_SHARE_VALUES", 100)
+    writer_counts = record_writer_counts(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert simulate_in_process(fast_model, tmp_path / "serial") == 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert simulate_in_process(fast_model, tmp_path / "three") == 0
+    assert writer_counts == [1, 3]
     names = sorted(os.listdir(tmp_path / "serial"))
     # the manifest hashes every artifact; nothing else, temporary files
     # included, is left behind
     assert names == sorted(os.listdir(tmp_path / "three")) == [
-        "fdr_mean_curve.csv", "fdr_phis.csv", "manifest.json", "paths.csv", "psi.csv"]
+        "fdr_mean_curve.csv", "fdr_phis.csv", "manifest.json", "paths.npy", "psi.npy"]
     for name in names:
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "three" / name).read_bytes(), name
@@ -417,14 +444,17 @@ def test_simulate_failed_writer_exits_2_without_manifest(fast_model, tmp_path, m
         write_rows(fh, csv, rows)
 
     monkeypatch.setattr(cli, "_write_rows", failing)
+    monkeypatch.setattr(cli, "MIN_SHARE_VALUES", 100)
+    writer_counts = record_writer_counts(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "run"
     assert simulate_in_process(fast_model, out) == 2
+    assert writer_counts == [2]
     err = capfd.readouterr().err
     assert "error: CSV writer 1 of 2 exited with status 1" in err
     assert "no space left on device" in err
     # the CSVs hold only their first shares, and no temporary file is left
-    assert set(os.listdir(out)) <= {"psi.csv", "paths.csv", "fdr_phis.csv",
+    assert set(os.listdir(out)) <= {"psi.npy", "paths.npy", "fdr_phis.csv",
                                     "fdr_mean_curve.csv"}
 
 
@@ -474,11 +504,15 @@ def test_verify_round_trip(sim_run, tmp_path):
 def test_verify_detects_tampering(sim_run, tmp_path):
     copy = tmp_path / "tampered"
     shutil.copytree(sim_run, copy)
-    with open(copy / "paths.csv", "a") as fh:
-        fh.write("1,1\n")
+    # a same-length edit inside the array data, past the header
+    with open(copy / "paths.npy", "r+b") as fh:
+        fh.seek(-8, os.SEEK_END)
+        byte = fh.read(1)
+        fh.seek(-8, os.SEEK_END)
+        fh.write(bytes([byte[0] ^ 1]))
     res = run_cli("verify", str(copy))
     assert res.returncode == 2
-    assert "paths.csv" in res.stdout + res.stderr
+    assert "paths.npy" in res.stdout + res.stderr
 
 
 def test_verify_missing_artifacts(tmp_path):
