@@ -373,23 +373,47 @@ def test_simulate_csvs_match_reference_writer(fast_model, tmp_path, mode):
         assert (out / "direct_stats.csv").read_text().endswith("foliation_residual,nan\n")
 
 
+# The CSVs of 200 paths hold about 2.6k to 5.2k values, so a minimum share
+# of 100 values lets them split across the usable CPUs.  Each run reports
+# its writer counts on stderr.
+SMALL_SHARE_CLI = """\
+import os, sys
+from affinefdr import cli
+cli.MIN_SHARE_VALUES = 100
+writer_count = cli._writer_count
+def reported_writer_count(n_values):
+    n = writer_count(n_values)
+    print("writers", n, file=sys.stderr)
+    return n
+cli._writer_count = reported_writer_count
+"""
 # pinned after the import, so the numerics keep the BLAS threads of an
 # unpinned run and only the number of CSV writers changes
-PINNED_CLI = ("import os, sys; from affinefdr.cli import main; "
-              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-              "sys.exit(main(sys.argv[1:]))")
+PIN = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def simulate_with_small_shares(fast_model, out, mode, pin=""):
+    """Run simulate in a fresh interpreter; return its writer counts."""
+    res = subprocess.run([sys.executable, "-c",
+                          SMALL_SHARE_CLI + pin + "sys.exit(cli.main(sys.argv[1:]))",
+                          "simulate", fast_model, "--mode", mode, "--out-dir", str(out)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return [int(line.split()[1]) for line in res.stderr.splitlines()
+            if line.startswith("writers ")]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not hasattr(os, "fork"),
+                    reason="needs fork and CPU affinity")
+@pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+                    reason="an unpinned run needs two usable CPUs to fork a writer")
 @pytest.mark.parametrize("mode", ["fdr", "direct", "both"])
 def test_simulate_pinned_to_one_cpu_writes_the_same_bytes(fast_model, tmp_path, mode):
     out, pinned = tmp_path / "run", tmp_path / "pinned"
-    res = run_cli("simulate", fast_model, "--mode", mode, "--out-dir", str(out))
-    assert res.returncode == 0, res.stderr
-    res = subprocess.run([sys.executable, "-c", PINNED_CLI, "simulate", fast_model,
-                          "--mode", mode, "--out-dir", str(pinned)],
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
+    unpinned_counts = simulate_with_small_shares(fast_model, out, mode)
+    pinned_counts = simulate_with_small_shares(fast_model, pinned, mode, PIN)
+    assert len(unpinned_counts) == 1 and unpinned_counts[0] > 1
+    assert pinned_counts == [1]
     names = sorted(os.listdir(out))
     assert names == sorted(os.listdir(pinned))
     for name in names:
