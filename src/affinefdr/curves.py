@@ -70,15 +70,23 @@ def derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
     at the first and last two nodes.
     """
     f = check_same_grid(grid, values)
-    dx = grid.dx
     d = np.empty_like(f)
-    d[..., 2:-2] = (f[..., :-4] - 8 * f[..., 1:-3]
-                    + 8 * f[..., 3:-1] - f[..., 4:]) / (12 * dx)
+    d[..., 2:-2] = central_stencil(f, grid.dx)
+    one_sided_ends(f, grid.dx, d)
+    return d
+
+
+def central_stencil(f: np.ndarray, dx: float) -> np.ndarray:
+    """The derivative's fourth-order central differences at nodes 2 .. -3 of f."""
+    return (f[..., :-4] - 8 * f[..., 1:-3] + 8 * f[..., 3:-1] - f[..., 4:]) / (12 * dx)
+
+
+def one_sided_ends(f: np.ndarray, dx: float, d: np.ndarray) -> None:
+    """Write the derivative's first and last two nodes of f into d."""
     d[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2 * dx)
     d[..., 1] = (f[..., 2] - f[..., 0]) / (2 * dx)
     d[..., -2] = (f[..., -1] - f[..., -3]) / (2 * dx)
     d[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2 * dx)
-    return d
 
 
 def primitive(values: np.ndarray, grid: Grid) -> np.ndarray:

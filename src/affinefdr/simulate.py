@@ -5,12 +5,12 @@ ODE on ker ell and the scalar state X by a time-inhomogeneous square-root
 SDE; curves are reconstructed as r = psi + X lam.  The direct oracle
 discretizes the full SPDE by method of lines with exact index-shift
 transport, evaluated in factored form as shifted rank-one sums, so the
-statistics of the two runs can be compared.  The oracle's recursion runs per
-block of PATH_BLOCK paths; summarize_direct reduces each block's coefficient
-rows to its functionals, its coefficient sum (for the mean curve), its min
-ell and its foliation residual, without building the block's curves.  With
-the realization's mean curve taken as psi(T) + mean(X_T) lam, the simulate
-command holds no (paths, grid) array.
+statistics of the two runs can be compared.  Its shifted curves are windows
+of three curves held past x_max.  summarize_direct runs the recursion per
+block of RECURSION_BLOCK paths and reduces each slice of PATH_BLOCK rows to
+its functionals, coefficient sum (for the mean curve), min ell and foliation
+residual, without the slice's curves.  With the realization's mean curve
+taken as psi(T) + mean(X_T) lam, simulate holds no (paths, grid) array.
 """
 
 from __future__ import annotations
@@ -19,18 +19,22 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import realization as rz
-from .curves import Grid, Weight, derivative
+from .curves import Grid, Weight, central_stencil, derivative, one_sided_ends
 from .errors import (CflViolated, ConstraintViolated, GridMismatch, HorizonMismatch,
                      LeftBoundary, NotInInitialSet)
 from .hjmm import SquareRootModel
 
 SCHEMES = ("full_truncation", "drift_implicit")
 
-# Paths per block in the direct oracle, so its temporaries stay a few MB
-# instead of copies of the whole (n_paths, n_x) ensemble.
+# The direct oracle's recursion runs per block of RECURSION_BLOCK paths, wide
+# to share out its per-step overhead (its rows do not depend on the width).
+# Its products run per slice of PATH_BLOCK rows, so temporaries stay a few MB
+# and each BLAS call keeps one shape, and so each artifact byte is kept.
 PATH_BLOCK = 256
+RECURSION_BLOCK = 1024   # a multiple of PATH_BLOCK
 # A direct run reports negative_short_rate when some ell(r_k) falls below
 # -SCHEME_TOL.
 SCHEME_TOL = 1e-3
@@ -249,6 +253,7 @@ class _FactoredOracle:
     ell_basis: np.ndarray   # (2K,), ell of each basis row
     basis: np.ndarray       # (2K, n_x)
     tail: np.ndarray        # (n_x,), S^K h0
+    shift: int              # nodes per step of S
 
     def curves(self, coef: np.ndarray) -> np.ndarray:
         r = coef @ self.basis
@@ -272,27 +277,45 @@ def _factored_oracle(model: SquareRootModel, h0: np.ndarray, config: SimConfig) 
         raise CflViolated("dt must be a positive integer multiple of dx")
 
     n = config.n_steps
-    # row i gathers S^i: node m reads node min(m + i shift, last)
-    idx = np.minimum(np.arange(grid.n) + shift * np.arange(n + 1)[:, None], grid.n - 1)
-    basis = np.empty((2 * n, grid.n))
-    basis[0::2] = (model.lam * model.lam_capital)[idx[n - 1::-1]]
-    basis[1::2] = model.lam[idx[n - 1::-1]]
-    # ell_of may return views; copies keep the gathered arrays from living on
-    return _FactoredOracle(ell_h0=np.array(model.ell_of(h0[idx])),
+    basis = _shifted_basis(model, shift, n)
+    _, h0_rows = _held_windows(h0, shift, n)
+    # ell_of may return views; copies keep the held curve from living on
+    return _FactoredOracle(ell_h0=np.array(model.ell_of(h0_rows)),
                            ell_basis=np.array(model.ell_of(basis)),
-                           basis=basis, tail=h0[idx[n]])
+                           basis=basis, tail=h0_rows[n].copy(), shift=shift)
+
+
+def _held_windows(f: np.ndarray, shift: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """f held at its last value for n shifts, and its windows S^0 f, ..., S^n f."""
+    held = np.concatenate([f, np.full(n * shift, f[-1])])
+    return held, sliding_window_view(held, len(f))[::shift]
+
+
+def _shifted_basis(model: SquareRootModel, shift: int, n: int, dx: float | None = None):
+    """Rows S^(n-1) D, S^(n-1) L, ..., D, L with D = lam Lam and L = lam, or,
+    given dx, derivative(row) entry for entry from one stencil pass per curve."""
+    out = np.empty((2 * n, model.grid.n))
+    # from the end back, each curve's rows take S^0, S^1, ...
+    for rows, f in ((out[-2::-2], model.lam * model.lam_capital), (out[::-2], model.lam)):
+        held, windows = _held_windows(f, shift, n - 1)
+        if dx is None:
+            rows[...] = windows
+        else:
+            rows[:, 2:-2] = sliding_window_view(central_stencil(held, dx), len(f) - 4)[::shift]
+            one_sided_ends(windows, dx, rows)
+    return out
 
 
 def _oracle_blocks(model: SquareRootModel, oracle: _FactoredOracle, config: SimConfig):
-    """Run the recursion over blocks of PATH_BLOCK paths.
+    """Run the recursion over blocks of RECURSION_BLOCK paths.
 
     Yields (first path, coefficient rows (m, 2K), ell(r_K) (m,), min ell(r_k)
-    of the block).  Each block scales its own slice of the shared normals.
+    of the block) per PATH_BLOCK slice; a block scales its slice of the normals.
     """
     n, dt, rho = config.n_steps, config.dt, model.rho
     normals = path_normals(config.seed, config.n_paths, n) if rho > 0 else None
-    for s in range(0, config.n_paths, PATH_BLOCK):
-        m = min(PATH_BLOCK, config.n_paths - s)
+    for s in range(0, config.n_paths, RECURSION_BLOCK):
+        m = min(RECURSION_BLOCK, config.n_paths - s)
         noise = normals[s:s + m] * np.sqrt(dt) if rho > 0 else np.zeros((m, n))
         coef = np.zeros((m, n, 2))   # (a_j, b_j) per path and step
         min_ell = np.inf
@@ -303,7 +326,8 @@ def _oracle_blocks(model: SquareRootModel, oracle: _FactoredOracle, config: SimC
             if k < n:
                 coef[:, k, 0] = rho ** 2 * np.abs(ell_r) * dt
                 coef[:, k, 1] = rho * np.sqrt(np.abs(ell_r)) * noise[:, k]
-        yield s, coef.reshape(m, 2 * n), ell_r, min_ell
+        for t in range(0, m, PATH_BLOCK):
+            yield s + t, coef.reshape(m, 2 * n)[t:t + PATH_BLOCK], ell_r[t:t + PATH_BLOCK], min_ell
 
 
 @dataclass(frozen=True)
@@ -323,11 +347,11 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
 
     One explicit step is r_{k+1} = S r_k + a_k D + b_k L.  S is the exact
     transport: a shift by dt/dx nodes that holds the right boundary value
-    (curves treated as absorbed past x_max).  The CFL check (dt at most dx
-    and an integer multiple of it) leaves a shift of exactly one node.  The
-    forcing is rank one along the fixed curves D = lam Lam and L = lam, with
-    per-path scalars a_k = rho^2 |ell(r_k)| dt and
-    b_k = rho sqrt|ell(r_k)| dW_k.  S is linear, so the steps unroll to
+    (curves absorbed past x_max), so S^i f is a window of f held there.  The
+    CFL check (dt at most dx and an integer multiple of it) leaves a shift of
+    exactly one node.  The forcing is rank one along the fixed curves
+    D = lam Lam and L = lam, with per-path scalars a_k = rho^2 |ell(r_k)| dt
+    and b_k = rho sqrt|ell(r_k)| dW_k.  S is linear, so the steps unroll to
 
         r_K = S^K h0 + sum_j (a_j S^(K-1-j) D + b_j S^(K-1-j) L).
 
@@ -337,25 +361,27 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     the same counter-based per-path streams as the realization run, so equal
     seeds give coupled noise.
 
-    The recursion runs per block of PATH_BLOCK paths, and each block of
-    coefficient rows gives its paths' three functionals without curves: ell
-    is the recursion's last ell(r_K), eval_at_1 and r(0) come from two
-    columns of the basis, and the hw_norm integral is a quadratic form in the
-    row, since the derivative is linear.  The mean curve is the mean row
-    times the basis, plus S^K h0.  The foliation residual against psi
-    (skipped when psi is None) is the largest distance of r - psi to span
-    lam, divided by max(1, max|r|).  With P the projection orthogonal to
-    lam, the squared distance is the quadratic form in the row of the Gram
-    matrix of P basis, a cross vector against P(S^K h0 - psi), and that
-    vector's squared norm.  A block's curves are built only when its bound
-    on max|r| exceeds 1, so the normalizer stays exact.
+    The recursion runs per block of RECURSION_BLOCK paths, wide to share out
+    its per-step overhead, and each slice of PATH_BLOCK coefficient rows, a
+    fixed shape for every product, gives its paths' three functionals
+    without curves: ell is the recursion's last ell(r_K), eval_at_1 and r(0)
+    come from two columns of the basis, and the hw_norm integral is a
+    quadratic form in the row, since the derivative is linear.  The mean
+    curve is the mean row times the basis, plus S^K h0.  The foliation
+    residual against psi (skipped when psi is None) is the largest distance
+    of r - psi to span lam, divided by max(1, max|r|).  With P the
+    projection orthogonal to lam, the squared distance is the quadratic
+    form in the row of the Gram matrix of P basis, a cross vector against
+    P(S^K h0 - psi), and that vector's squared norm.  A slice's curves are
+    built only when its max|r| bound exceeds 1; the normalizer stays exact.
     """
     oracle = _factored_oracle(model, h0, config)
     grid = model.grid
     # trapezoid of r'^2 w with r' = coef @ basis' + tail'
     q = weight.values(grid) * grid.dx
     q[[0, -1]] /= 2.0
-    d_basis, d_tail = derivative(oracle.basis, grid), derivative(oracle.tail, grid)
+    d_basis = _shifted_basis(model, oracle.shift, config.n_steps, grid.dx)
+    d_tail = derivative(oracle.tail, grid)
     gram, cross = (d_basis * q) @ d_basis.T, 2.0 * (d_basis @ (q * d_tail))
     const = float(d_tail @ (q * d_tail))
     del d_basis
@@ -365,7 +391,8 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
         # |P(coef @ basis + tail - psi)|^2 with P the projection orthogonal
         # to lam, as a quadratic form in coef like the hw_norm integral
         u = model.lam / np.linalg.norm(model.lam)
-        perp = oracle.basis - np.outer(oracle.basis @ u, u)
+        perp = np.outer(oracle.basis @ u, u)
+        np.subtract(oracle.basis, perp, out=perp)
         e = oracle.tail - psi
         e -= (e @ u) * u
         res_gram, res_cross, res_const = perp @ perp.T, 2.0 * (perp @ e), float(e @ e)

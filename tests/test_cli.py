@@ -294,6 +294,18 @@ def test_simulate_manifest_matches_golden(sim_run):
         (DATA / "manifest_cir_both.json").read_bytes()
 
 
+def test_simulate_manifest_across_blocks_matches_golden(tmp_path):
+    # 1100 paths: five reduction slices of PATH_BLOCK = 256 rows and two
+    # recursion blocks of RECURSION_BLOCK = 1024, each with a partial last one
+    model = tmp_path / "cir1100.model"
+    model.write_text((MODELS / "cir.model").read_text().replace("paths = 2000", "paths = 1100"))
+    out = tmp_path / "run"
+    res = run_cli("simulate", str(model), "--out-dir", str(out))
+    assert res.returncode == 0, res.stderr
+    assert (out / "manifest.json").read_bytes() == \
+        (DATA / "manifest_cir_1100_both.json").read_bytes()
+
+
 def test_simulate_byte_identical(fast_model, sim_run, tmp_path):
     out2 = tmp_path / "again"
     res = run_cli("simulate", fast_model, "--out-dir", str(out2))
@@ -514,6 +526,19 @@ def test_simulate_rejects_cfl_violation(fast_model, tmp_path):
     bad.write_text(text)
     res = run_cli("simulate", str(bad), "--out-dir", str(tmp_path / "o"))
     assert res.returncode == 2
+
+
+def test_simulate_builds_verify_json_without_reading_csvs(fast_model, tmp_path, monkeypatch):
+    def unread(path):
+        raise AssertionError(f"simulate read {path} back")
+
+    monkeypatch.setattr(cli, "_load_phi_csv", unread)
+    out = tmp_path / "run"
+    assert simulate_in_process(fast_model, out, "both") == 0
+    before = (out / "verify.json").read_bytes()
+    res = run_cli("verify", str(out))
+    assert res.returncode == 0, res.stderr
+    assert (out / "verify.json").read_bytes() == before
 
 
 def test_verify_round_trip(sim_run, tmp_path):

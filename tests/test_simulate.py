@@ -10,10 +10,13 @@ from affinefdr.errors import (CflViolated, ConstraintViolated, HorizonMismatch,
                               LeftBoundary, NotInInitialSet)
 from affinefdr.hjmm import SquareRootModel, riccati_small
 from affinefdr.modelfile import parse_model_file
-from affinefdr.simulate import (PATH_BLOCK, Foliation, SimConfig, StatePaths,
-                                _FactoredOracle, _factored_oracle, _oracle_blocks, evolve_psi,
-                                fdr_phi_values, path_normals, simulate_state,
-                                summarize_direct, verify_invariance)
+from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, Foliation, SimConfig,
+                                StatePaths, _FactoredOracle, _factored_oracle, _held_windows,
+                                _oracle_blocks, _shifted_basis, evolve_psi, fdr_phi_values,
+                                path_normals, simulate_state, summarize_direct,
+                                verify_invariance)
+
+from conftest import gathered_oracle
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +310,45 @@ def test_simulate_direct_matches_dense_stepper(grid, cir_model, case, n_paths):
         assert -1e-2 < ref_min_ell < -1e-3 and run.negative_short_rate
 
 
+def _held_point_model(grid):
+    # ell reads x = 9.9, which S^i moves into the held region once i > 20
+    c2 = 0.5 / float(riccati_small(np.array([9.9]), 0.1, 0.05)[0])
+    return SquareRootModel.cir(grid, 0.1, 0.05, PointCombo((0.0, 9.9), (0.5, c2)))
+
+
+@pytest.mark.parametrize("case", ["short_end", "held_point"])
+def test_factored_oracle_matches_gathered_reference(grid, cir_model, case):
+    model = cir_model if case == "short_end" else _held_point_model(grid)
+    h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
+    cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=1)
+    oracle = _factored_oracle(model, h0, cfg)
+    basis, ell_basis, ell_h0, tail = gathered_oracle(model, h0, oracle.shift, cfg.n_steps)
+    assert np.array_equal(oracle.basis, basis)
+    assert np.array_equal(oracle.ell_basis, ell_basis)
+    assert np.array_equal(oracle.ell_h0, ell_h0)
+    assert np.array_equal(oracle.tail, tail)
+    assert np.array_equal(_shifted_basis(model, oracle.shift, cfg.n_steps, grid.dx),
+                          derivative(basis, grid))
+    if case == "held_point":
+        # the highest shifts read the point from the held region
+        assert grid.index_of(9.9) + oracle.shift * (cfg.n_steps - 1) > grid.n - 1
+
+
+@pytest.mark.parametrize("shift,n", [(2, 40), (7, 300)])
+def test_shifted_basis_matches_gathered_reference_at_wider_shifts(grid, cir_model, shift, n):
+    # the CFL check admits a shift of one node only; the windows take any
+    # shift, and at (7, 300) the last rows lie wholly in the held region
+    h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
+    basis, _, ell_h0, tail = gathered_oracle(cir_model, h0, shift, n)
+    assert np.array_equal(_shifted_basis(cir_model, shift, n), basis)
+    assert np.array_equal(_shifted_basis(cir_model, shift, n, grid.dx), derivative(basis, grid))
+    _, h0_rows = _held_windows(h0, shift, n)
+    assert np.array_equal(cir_model.ell_of(h0_rows), ell_h0)
+    assert np.array_equal(h0_rows[n], tail)
+    if shift == 7:
+        assert np.ptp(basis[0]) == 0.0 and np.ptp(h0_rows[n]) == 0.0
+
+
 def _sim_inputs(grid, model, n_paths, scale=1.0):
     h0 = scale * (0.02 + 0.01 * grid.x * np.exp(-grid.x))
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=12345)
@@ -316,6 +358,7 @@ def _sim_inputs(grid, model, n_paths, scale=1.0):
 
 
 @pytest.mark.parametrize("case,n_paths", [("short_end", 1), ("short_end", PATH_BLOCK + 1),
+                                          ("short_end", RECURSION_BLOCK + 1),
                                           ("short_end", 2001), ("points", PATH_BLOCK + 1),
                                           ("large_h0", PATH_BLOCK + 1)])
 def test_summarize_direct_matches_materialized_ensemble(grid, cir_model, case, n_paths):
