@@ -2,21 +2,18 @@
 
 Exit codes form a stable contract: 0 on success, 1 on mathematical
 rejection (a check fails or the initial curve is not admissible), 2 on
-input errors.  All outputs are deterministic given the input files, flags
-and seed, and every report embeds a content hash of its inputs.
+input errors and on output paths that cannot be written.  All outputs are
+deterministic given the input files, flags and seed, and every report embeds
+a content hash of its inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
-import struct
 import sys
-import tempfile
-from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -31,12 +28,7 @@ from .simulate import (evolve_psi, fdr_phi_values, simulate_state, summarize_dir
                        verify_invariance)
 
 FLOAT_FMT = "%.17g"
-# Fewest values a writer process formats: about 45 ms of formatting on a
-# 2-core x86-64 host, several times the cost of its fork.
-MIN_SHARE_VALUES = 50_000
 ROW_CHUNK = 512
-# Bytes per read when appending a writer child's share.
-COPY_CHUNK = 1 << 16
 VERIFY_ARTIFACTS = ("fdr_phis.csv", "direct_phis.csv", "direct_stats.csv")
 
 
@@ -58,133 +50,19 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _formatted(values: np.ndarray) -> list[str]:
-    """FLOAT_FMT strings of values, for the columns baked into row templates."""
-    return [FLOAT_FMT % v for v in values.tolist()]
+def _write_csv(path: str, header: str, values: np.ndarray) -> None:
+    """Write the header line, then each row of the float matrix values as
+    FLOAT_FMT fields; one format call fills ROW_CHUNK rows.
 
-
-def _keyed_rows(keys, n_values: int) -> Callable[[int], bytes]:
-    """Row i's template: keys[i], then n_values FLOAT_FMT fields.
-
-    The template is built when its row is written, so no CSV holds one per
-    row (at 10^5 paths those would be megabytes).
+    A float holding an integer prints as that integer ("%.17g" % 7.0 == "7"),
+    so index columns go in as floats.
     """
-    tail = (",".join([FLOAT_FMT] * n_values) + "\n").encode()
-    return lambda i: f"{keys[i]},".encode() + tail
-
-
-class _Csv(NamedTuple):
-    """A CSV artifact: the header line, then template(i) % values[i] for each row i.
-
-    A template holds its row's repeated columns already formatted, so each
-    row costs one C-level format call.
-    """
-
-    path: str
-    header: str
-    template: Callable[[int], bytes]
-    values: np.ndarray   # (rows, fields filled in per row)
-
-    def share(self, i: int, n_writers: int) -> range:
-        """Writer i's contiguous rows."""
-        n = len(self.values)
-        return range(n * i // n_writers, n * (i + 1) // n_writers)
-
-
-def _write_rows(fh, csv: _Csv, rows: range) -> None:
-    """Stream rows of csv to fh; one format call fills ROW_CHUNK rows' joined templates."""
-    template, values = csv.template, csv.values
-    for start in range(rows.start, rows.stop, ROW_CHUNK):
-        stop = min(start + ROW_CHUNK, rows.stop)
-        fh.write(b"".join([template(i) for i in range(start, stop)])
-                 % tuple(values[start:stop].ravel().tolist()))
-
-
-def _writer_count(n_values: int) -> int:
-    """Writer processes for n_values formatted values.
-
-    The usable CPUs, capped so that each writer formats at least
-    MIN_SHARE_VALUES; 1 where the platform cannot fork or name the CPUs
-    this process may run on.
-    """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_values // MIN_SHARE_VALUES))
-
-
-def _write_child_share(csvs: list[_Csv], i: int, n_writers: int, spool) -> NoReturn:
-    """Writer i > 0, in a forked child: its share of every CSV, then _exit.
-
-    The shares go to spool back to back, followed by their byte lengths.
-    The child never returns into its parent's frames, so no cleanup or
-    output of the parent runs twice; a failure becomes exit status 1.
-    """
-    code = 1
-    try:
-        with open(spool.fileno(), "wb", closefd=False) as fh:
-            lengths = []
-            for csv in csvs:
-                start = fh.tell()
-                _write_rows(fh, csv, csv.share(i, n_writers))
-                lengths.append(fh.tell() - start)
-            fh.write(struct.pack(f"<{len(csvs)}Q", *lengths))
-        code = 0
-    except Exception as exc:
-        os.write(2, f"error: CSV writer {i} of {n_writers}: {exc!r}\n".encode())
-    finally:
-        os._exit(code)
-
-
-def _append_child_shares(outs, spool) -> None:
-    """Append each share a writer child left in spool to its final file."""
-    n = len(outs)
-    spool.seek(-8 * n, os.SEEK_END)
-    lengths = struct.unpack(f"<{n}Q", spool.read(8 * n))
-    spool.seek(0)
-    for out, length in zip(outs, lengths):
-        while length > 0:
-            chunk = spool.read(min(length, COPY_CHUNK))
-            if not chunk:
-                raise AffineFdrError("a CSV writer's share ends early")
-            out.write(chunk)
-            length -= len(chunk)
-
-
-def _write_csvs(csvs: list[_Csv]) -> None:
-    """Write every CSV, its rows split into one contiguous share per writer.
-
-    Writer 0 is this process and writes its shares straight into the final
-    files.  Writers 1.. are children forked on entry, one unnamed temporary
-    file each beside the first CSV; their shares are appended in writer
-    order, so the bytes equal one serial write.  With one writer this is
-    the serial loop.  A failed child raises AffineFdrError, and no child is
-    left unwaited for.
-    """
-    n_writers = _writer_count(sum(csv.values.size for csv in csvs))
-    spool_dir = os.path.dirname(os.path.abspath(csvs[0].path))
-    pending = []   # children not yet waited for, in writer order
-    try:
-        with contextlib.ExitStack() as stack:
-            spools = [stack.enter_context(tempfile.TemporaryFile(dir=spool_dir))
-                      for _ in range(1, n_writers)]
-            for i, spool in enumerate(spools, 1):
-                pid = os.fork()
-                if pid == 0:
-                    _write_child_share(csvs, i, n_writers, spool)
-                pending.append(pid)
-            outs = [stack.enter_context(open(csv.path, "wb")) for csv in csvs]
-            for out, csv in zip(outs, csvs):
-                out.write(f"{csv.header}\n".encode())
-                _write_rows(out, csv, csv.share(0, n_writers))
-            for i, spool in enumerate(spools, 1):
-                code = os.waitstatus_to_exitcode(os.waitpid(pending.pop(0), 0)[1])
-                if code != 0:
-                    raise AffineFdrError(f"CSV writer {i} of {n_writers} exited with "
-                                         f"status {code}")
-                _append_child_shares(outs, spool)
-    finally:
-        for pid in pending:
-            os.waitpid(pid, 0)
+    row = (",".join([FLOAT_FMT] * values.shape[1]) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for start in range(0, len(values), ROW_CHUNK):
+            chunk = values[start:start + ROW_CHUNK]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 # ---------------------------------------------------------------- riccati
@@ -201,8 +79,8 @@ def cmd_riccati(args) -> int:
     lam_cap = riccati_capital(grid.x, args.rho, args.gamma)
     lam = riccati_small(grid.x, args.rho, args.gamma)
     residual = derivative(lam, grid) + args.rho ** 2 * lam * lam_cap + args.gamma * lam
-    _write_csvs([_Csv(args.out, "x,Lambda,lambda,residual", _keyed_rows(_formatted(grid.x), 3),
-                      np.column_stack([lam_cap, lam, residual]))])
+    _write_csv(args.out, "x,Lambda,lambda,residual",
+               np.column_stack([grid.x, lam_cap, lam, residual]))
     print(f"max residual = {np.abs(residual).max():.6e}")
     return 0
 
@@ -367,10 +245,11 @@ def build_verify_report(run_dir: str) -> dict:
                              stats["foliation_residual"])
 
 
-def _phi_table(phis: dict[str, np.ndarray]) -> tuple:
-    """Header, row templates and values of a per-path functionals CSV."""
-    values = np.column_stack([phis["ell"], phis["eval_at_1"], phis["hw_norm"]])
-    return "path,ell,eval_at_1,hw_norm", _keyed_rows(range(len(values)), 3), values
+def _phi_table(phis: dict[str, np.ndarray]) -> tuple[str, np.ndarray]:
+    """Header and rows of a per-path functionals CSV."""
+    return "path,ell,eval_at_1,hw_norm", np.column_stack([
+        np.arange(len(phis["ell"]), dtype=float), phis["ell"], phis["eval_at_1"],
+        phis["hw_norm"]])
 
 
 def cmd_simulate(args) -> int:
@@ -387,15 +266,12 @@ def cmd_simulate(args) -> int:
         raise NotInInitialSet("h0 is not in the admissible initial set")
 
     os.makedirs(args.out_dir, exist_ok=True)
-    x_keys = _formatted(model.grid.x)
-    arrays = {}   # .npy artifacts, written by this process
-    csvs = []
+    x = model.grid.x
+    arrays = {}   # .npy artifacts
+    tables = {}   # CSV artifacts: name -> (header, rows)
+    stats = {}    # direct_stats.csv: key -> value
 
-    def add(name, header, template, values):
-        csvs.append(_Csv(os.path.join(args.out_dir, name), header, template, values))
-
-    # every numeric stage runs before the first write, so no forked writer
-    # competes with the numerics for CPUs
+    # every numeric stage runs before the first write
     foliation = None
     if args.mode in ("fdr", "both"):
         x0 = float(model.ell_of(h0))
@@ -405,27 +281,32 @@ def cmd_simulate(args) -> int:
         arrays["psi.npy"] = foliation.psi
         arrays["paths.npy"] = paths.values
         fdr_phis = fdr_phi_values(foliation, paths, model, spec.weight)
-        add("fdr_phis.csv", *_phi_table(fdr_phis))
+        tables["fdr_phis.csv"] = _phi_table(fdr_phis)
         # the mean of r_T = psi(T) + X_T lam, without the (n_paths, n_x) ensemble
         mean_curve = foliation.psi[-1] + paths.final.mean() * model.lam
-        add("fdr_mean_curve.csv", "x,value", _keyed_rows(x_keys, 1), mean_curve[:, None])
+        tables["fdr_mean_curve.csv"] = "x,value", np.column_stack([x, mean_curve])
 
     if args.mode in ("direct", "both"):
         run = summarize_direct(model, h0, config, spec.weight,
                                None if foliation is None else foliation.psi[-1])
-        add("direct_phis.csv", *_phi_table(run.phis))
-        add("direct_stats.csv", "key,value",
-            _keyed_rows(("min_ell", "negative_short_rate", "foliation_residual"), 1),
-            np.array([[run.min_ell], [float(run.negative_short_rate)],
-                      [run.foliation_residual]]))
-        add("direct_mean_curve.csv", "x,value", _keyed_rows(x_keys, 1),
-            run.mean_curve[:, None])
+        tables["direct_phis.csv"] = _phi_table(run.phis)
+        tables["direct_mean_curve.csv"] = "x,value", np.column_stack([x, run.mean_curve])
+        stats = {"min_ell": run.min_ell,
+                 "negative_short_rate": float(run.negative_short_rate),
+                 "foliation_residual": run.foliation_residual}
 
     for name, values in arrays.items():
         np.save(os.path.join(args.out_dir, name), np.ascontiguousarray(values, dtype="<f8"),
                 allow_pickle=False)
-    _write_csvs(csvs)
-    artifacts = [*arrays, *(os.path.basename(csv.path) for csv in csvs)]
+    for name, (header, values) in tables.items():
+        _write_csv(os.path.join(args.out_dir, name), header, values)
+    artifacts = [*arrays, *tables]
+    if stats:
+        with open(os.path.join(args.out_dir, "direct_stats.csv"), "wb") as fh:
+            fh.write(b"key,value\n")
+            for key, value in stats.items():
+                fh.write(f"{key},{FLOAT_FMT % value}\n".encode())
+        artifacts.append("direct_stats.csv")
     if args.mode == "both":
         _write_json(os.path.join(args.out_dir, "verify.json"),
                     verify_invariance(fdr_phis, run.phis, run.min_ell, run.foliation_residual))
@@ -518,7 +399,7 @@ def main(argv=None) -> int:
     except _REJECTIONS as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
-    except AffineFdrError as exc:
+    except (AffineFdrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

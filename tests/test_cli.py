@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -43,7 +44,7 @@ def test_riccati_writes_csv(tmp_path):
 
 
 def reference_write_csv(path, header, rows):
-    """The generic writer the CLI's row templates replace: one value at a
+    """The generic writer that cli._write_csv replaces: one value at a
     time, floats as %.17g and anything else through str()."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -65,6 +66,31 @@ def test_riccati_csv_matches_reference_writer(tmp_path):
                         zip(grid.x.tolist(), lam_cap.tolist(), lam.tolist(),
                             residual.tolist()))
     assert out.read_bytes() == ref.read_bytes()
+
+
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+
+
+@pytest.mark.parametrize("n_rows", [1, cli.ROW_CHUNK, cli.ROW_CHUNK + 1, 2 * cli.ROW_CHUNK + 3])
+def test_write_csv_matches_reference_writer(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    # integer keys from 10^5 down to 0, printed by the reference through str()
+    keys = np.linspace(1e5, 0, n_rows).round().astype(int).tolist()
+    fields = rng.standard_normal((n_rows, 6)) * 10.0 ** rng.integers(-300, 300, (n_rows, 6))
+    # every other row holds each special value once, rotated per row
+    rows = np.arange(0, n_rows, 2)
+    fields[rows] = np.array(SPECIALS)[(rows[:, None] + np.arange(6)) % 6]
+    header = "key,a,b,c,d,e,f"
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    cli._write_csv(str(out), header, np.column_stack([np.array(keys, dtype=float), fields]))
+    reference_write_csv(ref, header, [(k, *row) for k, row in zip(keys, fields.tolist())])
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_riccati_unwritable_out_exits_2(tmp_path):
+    res = run_cli("riccati", "--rho", "0.1", "--out", str(tmp_path / "no_such_dir" / "x.csv"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
 def test_riccati_rejects_nonpositive_rho(tmp_path):
@@ -378,128 +404,43 @@ def test_simulate_csvs_match_reference_writer(fast_model, tmp_path, mode):
     assert res.returncode == 0, res.stderr
     ref.mkdir()
     names = reference_simulate_csvs(fast_model, str(ref), mode)
-    assert names == sorted(n for n in os.listdir(out) if n.endswith((".csv", ".npy")))
+    # the manifest hashes every artifact, and nothing else is left behind
+    assert sorted(os.listdir(out)) == sorted(
+        [*names, "manifest.json", *(["verify.json"] if mode == "both" else [])])
     for name in names:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     if mode == "direct":
         assert (out / "direct_stats.csv").read_text().endswith("foliation_residual,nan\n")
 
 
-# The CSVs of 200 paths hold about 2.6k to 5.2k values, so a minimum share
-# of 100 values lets them split across the usable CPUs.  Each run reports
-# its writer counts on stderr.
-SMALL_SHARE_CLI = """\
-import os, sys
-from affinefdr import cli
-cli.MIN_SHARE_VALUES = 100
-writer_count = cli._writer_count
-def reported_writer_count(n_values):
-    n = writer_count(n_values)
-    print("writers", n, file=sys.stderr)
-    return n
-cli._writer_count = reported_writer_count
-"""
-# pinned after the import, so the numerics keep the BLAS threads of an
-# unpinned run and only the number of CSV writers changes
-PIN = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-
-
-def simulate_with_small_shares(fast_model, out, mode, pin=""):
-    """Run simulate in a fresh interpreter; return its writer counts."""
-    res = subprocess.run([sys.executable, "-c",
-                          SMALL_SHARE_CLI + pin + "sys.exit(cli.main(sys.argv[1:]))",
-                          "simulate", fast_model, "--mode", mode, "--out-dir", str(out)],
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    return [int(line.split()[1]) for line in res.stderr.splitlines()
-            if line.startswith("writers ")]
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not hasattr(os, "fork"),
-                    reason="needs fork and CPU affinity")
-@pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
-                    reason="an unpinned run needs two usable CPUs to fork a writer")
-@pytest.mark.parametrize("mode", ["fdr", "direct", "both"])
-def test_simulate_pinned_to_one_cpu_writes_the_same_bytes(fast_model, tmp_path, mode):
-    out, pinned = tmp_path / "run", tmp_path / "pinned"
-    unpinned_counts = simulate_with_small_shares(fast_model, out, mode)
-    pinned_counts = simulate_with_small_shares(fast_model, pinned, mode, PIN)
-    assert len(unpinned_counts) == 1 and unpinned_counts[0] > 1
-    assert pinned_counts == [1]
-    names = sorted(os.listdir(out))
-    assert names == sorted(os.listdir(pinned))
-    for name in names:
-        assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
-                                reason="writes serially without fork and CPU affinity")
-
-
-def record_writer_counts(monkeypatch):
-    """The list that collects each _writer_count result from here on."""
-    counts, writer_count = [], cli._writer_count
-    monkeypatch.setattr(cli, "_writer_count",
-                        lambda n_values: counts.append(writer_count(n_values)) or counts[-1])
-    return counts
-
-
 def simulate_in_process(fast_model, out, mode="fdr"):
     return cli.main(["simulate", fast_model, "--mode", mode, "--out-dir", str(out)])
 
 
-@needs_fork
-def test_simulate_three_writers_write_the_same_bytes(fast_model, tmp_path, monkeypatch):
-    # the fdr CSVs of 200 paths hold about 2.6k values, so a smaller minimum
-    # share lets them split three ways
-    monkeypatch.setattr(cli, "MIN_SHARE_VALUES", 100)
-    writer_counts = record_writer_counts(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert simulate_in_process(fast_model, tmp_path / "serial") == 0
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert simulate_in_process(fast_model, tmp_path / "three") == 0
-    assert writer_counts == [1, 3]
-    names = sorted(os.listdir(tmp_path / "serial"))
-    # the manifest hashes every artifact; nothing else, temporary files
-    # included, is left behind
-    assert names == sorted(os.listdir(tmp_path / "three")) == [
-        "fdr_mean_curve.csv", "fdr_phis.csv", "manifest.json", "paths.npy", "psi.npy"]
-    for name in names:
-        assert (tmp_path / "serial" / name).read_bytes() == \
-            (tmp_path / "three" / name).read_bytes(), name
-
-
-@needs_fork
 def test_simulate_failed_writer_exits_2_without_manifest(fast_model, tmp_path, monkeypatch,
-                                                         capfd):
-    write_rows = cli._write_rows
+                                                         capsys):
+    write_csv, calls = cli._write_csv, []
 
-    def failing(fh, csv, rows):
-        if rows.start > 0:   # every share but the first
+    def failing(path, header, values):
+        calls.append(path)
+        if len(calls) == 2:
             raise OSError("no space left on device")
-        write_rows(fh, csv, rows)
+        write_csv(path, header, values)
 
-    monkeypatch.setattr(cli, "_write_rows", failing)
-    monkeypatch.setattr(cli, "MIN_SHARE_VALUES", 100)
-    writer_counts = record_writer_counts(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_write_csv", failing)
     out = tmp_path / "run"
     assert simulate_in_process(fast_model, out) == 2
-    assert writer_counts == [2]
-    err = capfd.readouterr().err
-    assert "error: CSV writer 1 of 2 exited with status 1" in err
-    assert "no space left on device" in err
-    # the CSVs hold only their first shares, and no temporary file is left
-    assert set(os.listdir(out)) <= {"psi.npy", "paths.npy", "fdr_phis.csv",
-                                    "fdr_mean_curve.csv"}
+    assert len(calls) == 2
+    assert "error: no space left on device" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
-@needs_fork
-def test_writer_count_keeps_a_minimum_share(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert cli._writer_count(10 * cli.MIN_SHARE_VALUES) == 8
-    assert cli._writer_count(3 * cli.MIN_SHARE_VALUES + 1) == 3
-    assert cli._writer_count(cli.MIN_SHARE_VALUES - 1) == 1
+def test_simulate_out_dir_that_is_a_file_exits_2(fast_model, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    res = run_cli("simulate", fast_model, "--out-dir", str(blocker))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
 def test_simulate_assembles_the_drift_image_operator_once(fast_model, tmp_path,
