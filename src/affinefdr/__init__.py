@@ -17,8 +17,7 @@ from .cones import (ConeBasis, SplitSpace, StateBasis, cone_minus, coordinates,
 from .curves import Grid, PointCombo, ShortEnd, Weight, derivative, hw_norm, primitive
 from .errors import AffineFdrError
 from .hjmm import SquareRootModel, build_s_operator, hjm_drift, ker_ell_split
-from .realization import (KSpace, ModelData, RealizabilityReport, Tolerances,
-                          check_const_mod_k, check_damir, check_qe_affine,
+from .realization import (RealizabilityReport, check_const_mod_k, check_damir,
                           check_thm_main2, compute_k, initial_set_coords,
                           maximal_initial_membership, quasi_exp_subspace)
 from .simulate import (DirectSummary, Foliation, SimConfig, StatePaths, evolve_psi,

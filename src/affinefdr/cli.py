@@ -102,7 +102,6 @@ def _condition_summary(report: rz.RealizabilityReport) -> dict:
 
 def _run_checks(spec: ModelSpec) -> dict:
     """All applicable structural checks for the parsed model."""
-    checks: dict = {}
     if spec.kind == "linear":
         grid = spec.grid
         try:
@@ -110,25 +109,16 @@ def _run_checks(spec: ModelSpec) -> dict:
                                             list(spec.vol_curves),
                                             max_dim=spec.check_options["max_dim"])
         except rz.DimensionExceeded as exc:
-            checks["quasi_exponential"] = False
-            checks["detail"] = str(exc)
-            checks["overall"] = False
-            return checks
-        qe = rz.check_qe_affine(lambda h: derivative(h, grid),
-                                lambda h: list(spec.vol_curves),
-                                a_sigma, [np.zeros(grid.n)],
-                                max_dim=spec.check_options["max_dim"],
-                                rank_one_vol=len(spec.vol_curves) == 1)
-        checks["quasi_exponential"] = True
-        checks["a_sigma_dim"] = int(qe.a_sigma_dim)
-        checks["overall"] = bool(qe.ok)
-        return checks
+            return {"quasi_exponential": False, "detail": str(exc), "overall": False}
+        # the state space is the iterated subspace itself and sigma is
+        # constant, so it holds A sigma and sigma^2 does not vary along it
+        return {"quasi_exponential": True, "a_sigma_dim": len(a_sigma), "overall": True}
+    checks: dict = {}
     # custom gets the split-independent structural checks only
     model = spec.model()
-    md = model.model_data()
     ok = True
     if spec.kind != "custom":
-        report = rz.check_thm_main2(md)
+        report = rz.check_thm_main2(model)
         checks["realizability"] = _condition_summary(report)
         ok = report.overall
     if spec.kind == "two_factor":
@@ -137,17 +127,17 @@ def _run_checks(spec: ModelSpec) -> dict:
         grid = spec.grid
         seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)
                  if model.rho > 0 else hjm_drift(model.lam, grid)]
-        a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid), seeds,
+        a_sigma = rz.quasi_exp_subspace(model.apply_a, seeds,
                                         max_dim=spec.check_options["max_dim"])
-        in_v = all(rz._span_residual(q, md.split.v_basis.matrix) <= md.tol.span
+        in_v = all(rz._span_residual(q, model.split.v_basis.matrix) <= model.span_tol
                    for q in a_sigma)
         checks["a_sigma_dim"] = int(len(a_sigma))
         checks["a_sigma_in_v"] = bool(in_v)
-        ok = ok and in_v and len(a_sigma) == md.dim_v
+        ok = ok and in_v and len(a_sigma) == model.split.v_basis.dim_v
     else:
-        checks["check_damir"] = rz.check_damir(md)
+        checks["check_damir"] = rz.check_damir(model)
         try:
-            checks["check_const_mod_k"] = rz.check_const_mod_k(md)
+            checks["check_const_mod_k"] = rz.check_const_mod_k(model)
         except AffineFdrError as exc:
             # the squared volatility need not fit affinely over this split
             checks["check_const_mod_k"] = False
@@ -201,9 +191,9 @@ def cmd_initial_set(args) -> int:
     h = _read_curve_csv(args.curve, spec.grid)
     if spec.kind not in ("cir", "two_factor"):
         raise ModelFileError(f"model kind {spec.kind!r} has no split along ker ell")
-    md = spec.model().model_data()
-    member, on_boundary = rz.maximal_initial_membership(h, md)
-    coords, drift = rz.initial_set_coords(h, md)
+    model = spec.model()
+    member, on_boundary = rz.maximal_initial_membership(h, model)
+    coords, drift = rz.initial_set_coords(h, model)
     print("state coordinates of h = " + ", ".join(f"{c:.10g}" for c in coords))
     print("state coordinates of the boundary drift = "
           + ", ".join(f"{c:.10g}" for c in drift))
@@ -261,7 +251,7 @@ def cmd_simulate(args) -> int:
     model = spec.model()
     config = spec.sim
     h0 = spec.h0
-    member, _ = rz.maximal_initial_membership(h0, model.model_data())
+    member, _ = rz.maximal_initial_membership(h0, model)
     if not member:
         raise NotInInitialSet("h0 is not in the admissible initial set")
 

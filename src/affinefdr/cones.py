@@ -187,20 +187,15 @@ def membership(x: np.ndarray, basis: StateBasis, mode: str = "closed",
     """
     tol = basis.tol if tol is None else tol
     coords = coordinates(x, basis, tol=tol)
-    cone_coords = coords[: basis.m]
-    if mode == "closed":
-        return bool(np.all(cone_coords >= -tol))
-    if mode == "interior":
-        return bool(np.all(cone_coords > tol))
-    if mode == "shifted":
-        if shift is None:
-            raise ValueError("shifted mode requires a shift vector")
-        j = _edge_index(basis.cone, np.asarray(shift, dtype=float), tol)
-        free = np.ones(basis.m, dtype=bool)
-        if j >= 0:
-            free[j] = False
-        return bool(np.all(cone_coords[free] >= -tol))
-    raise ValueError(f"unknown membership mode {mode!r}")
+    if mode != "shifted":
+        return membership_coords(coords, basis.m, mode, tol)
+    if shift is None:
+        raise ValueError("shifted mode requires a shift vector")
+    j = _edge_index(basis.cone, np.asarray(shift, dtype=float), tol)
+    free = np.ones(basis.m, dtype=bool)
+    if j >= 0:
+        free[j] = False
+    return bool(np.all(coords[: basis.m][free] >= -tol))
 
 
 def membership_coords(coords: np.ndarray, m: int, mode: str = "closed",

@@ -3,9 +3,8 @@
 A model with an affine realization is fixed by a cone-plus-subspace state
 space V with its split V (+) G, a functional ell and a volatility
 sigma(h) = amp(h) lam with amp(h)^2 = rho^2 |ell(h)| or rho^2.
-SquareRootModel holds that description and derives the checker input from
-it; SquareRootModel.cir and SquareRootModel.two_factor build the bundled
-kinds.
+SquareRootModel holds that description and is what every checker takes;
+SquareRootModel.cir and SquareRootModel.two_factor build the bundled kinds.
 
 In the cir model lam solves the pre-Riccati equation
 lam' + rho^2 lam Lam + gamma lam = 0 and Lam is its primitive, the solution
@@ -26,9 +25,10 @@ from typing import Callable
 import numpy as np
 
 from . import realization as rz
+from .admissibility import AffineSquareVol
 from .cones import ConeBasis, SplitSpace, StateBasis, orthogonal_split
 from .curves import Grid, PointCombo, ShortEnd, apply_functional, derivative, primitive
-from .errors import ConstraintViolated, NotInV
+from .errors import AffineFdrError, ConstraintViolated, NotInV
 
 
 def riccati_capital(x, rho: float, gamma: float) -> np.ndarray:
@@ -133,8 +133,12 @@ class SquareRootModel:
 
     amp(h)^2 is rho^2 |ell(h)| for amplitude "sqrt_ell" and rho^2 for
     "const"; lam_capital is the primitive of lam.  rho = 0 is accepted and
-    degenerates to a deterministic state process.  Raises NotInV when lam
-    does not lie in the state space.
+    degenerates to a deterministic state process.  span_tol is the relative
+    residual band for "lies in span V", limited by the second-order boundary
+    stencils.  Raises NotInV when lam does not lie in the state space.
+
+    The drift-image operator, the per-sample fits and the R basis are
+    computed once, on first use, and shared by every check.
     """
 
     grid: Grid
@@ -145,18 +149,18 @@ class SquareRootModel:
     split: SplitSpace
     boundary_samples: tuple = ()
     amplitude: str = "sqrt_ell"
-    tol: rz.Tolerances = rz.Tolerances()
+    span_tol: float = 1e-5
 
     def __post_init__(self):
         B = self.split.v_basis.matrix
         coef, *_ = np.linalg.lstsq(B.T, self.lam, rcond=None)
         if np.linalg.norm(self.lam - B.T @ coef) > 1e-6 * max(1.0, np.linalg.norm(self.lam)):
             raise NotInV("volatility curve does not lie in the state space")
-        object.__setattr__(self, "_lam_coords", coef)
+        object.__setattr__(self, "_lam_outer", np.outer(coef, coef))
 
     @classmethod
     def cir(cls, grid: Grid, rho: float, gamma: float, ell=ShortEnd(), n_samples: int = 6,
-            tol: rz.Tolerances = rz.Tolerances()) -> SquareRootModel:
+            span_tol: float = 1e-5) -> SquareRootModel:
         """The Riccati model on V = <lam>+ with G = ker ell and n default samples."""
         if rho < 0 or gamma < 0:
             raise ConstraintViolated("rho and gamma must be nonnegative")
@@ -167,11 +171,12 @@ class SquareRootModel:
             raise ConstraintViolated("functional must normalize lam to 1")
         split = ker_ell_split(grid, ell, lam)
         return cls(grid, ell, rho, lam, _read_only(riccati_capital(grid.x, rho, gamma)),
-                   split, tuple(default_boundary_samples(grid, split, n_samples)), tol=tol)
+                   split, tuple(default_boundary_samples(grid, split, n_samples)),
+                   span_tol=span_tol)
 
     @classmethod
     def two_factor(cls, grid: Grid, rho: float = 0.0, gamma: float = 1.0,
-                   tol: rz.Tolerances = rz.Tolerances()) -> SquareRootModel:
+                   span_tol: float = 1e-5) -> SquareRootModel:
         """The model on V = <lam>+ (+) <lam^2> with lam = exp(-gamma x).
 
         The functional is a two-point combination at 0 and x1 = ln 2 / gamma,
@@ -189,7 +194,7 @@ class SquareRootModel:
         lam = np.exp(-gamma * grid.x)
         split = ker_ell_split(grid, ell, lam, subspace=(lam * lam,))
         return cls(grid, ell, rho, lam, primitive(lam, grid), split,
-                   tuple(shape_boundary_samples(grid, split, 2)), tol=tol)
+                   tuple(shape_boundary_samples(grid, split, 2)), span_tol=span_tol)
 
     def ell_of(self, values: np.ndarray) -> np.ndarray:
         return apply_functional(self.ell, values, self.grid)
@@ -206,32 +211,46 @@ class SquareRootModel:
         return float(self.ell_of(lam_prime) + self.rho * self.rho
                      * self.ell_of(self.lam * self.lam_capital))
 
-    def model_data(self) -> rz.ModelData:
-        """Checker input: the generator d/dx, the drift-image operator on the
-        state basis and the squared volatility amp(h)^2 c c^T, with c the
-        coordinates of lam in that basis.
+    def apply_a(self, h: np.ndarray) -> np.ndarray:
+        """The generator d/dx."""
+        return derivative(h, self.grid)
 
-        Built once per model and shared by every caller, so the drift-image
-        operator is assembled once per run.
-        """
-        return self._model_data
+    def sigma_sq_at(self, h: np.ndarray) -> np.ndarray:
+        """Squared volatility amp(h)^2 c c^T, with c the coordinates of lam in
+        the state basis."""
+        amp = 1.0 if self.amplitude == "const" else abs(float(self.ell_of(h)))
+        return self.rho * self.rho * amp * self._lam_outer
 
     @functools.cached_property
-    def _model_data(self) -> rz.ModelData:
-        # the closures take fields, not self: the model holds its ModelData,
-        # and a reference back would leave both to the cycle collector
-        grid, ell, rho, amplitude = self.grid, self.ell, self.rho, self.amplitude
-        outer = np.outer(self._lam_coords, self._lam_coords)
+    def s_op(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The drift-image operator on the state basis."""
+        return build_s_operator(self.split.v_basis.matrix, self.grid)
 
-        def sigma_sq_at(h: np.ndarray) -> np.ndarray:
-            amp = 1.0 if amplitude == "const" else abs(float(apply_functional(ell, h, grid)))
-            return rho * rho * amp * outer
+    @functools.cached_property
+    def boundary_fits(self) -> list[AffineSquareVol | AffineFdrError]:
+        """fit_boundary_square_vol of each boundary sample, or the error it raised."""
+        fits = []
+        for g in self.boundary_samples:
+            try:
+                fits.append(rz.fit_boundary_square_vol(self, g))
+            except AffineFdrError as exc:
+                fits.append(exc)
+        return fits
 
-        return rz.ModelData(
-            split=self.split,
-            apply_a=lambda h: derivative(h, grid),
-            s_op=build_s_operator(self.split.v_basis.matrix, grid),
-            sigma_sq_at=sigma_sq_at,
-            boundary_samples=list(self.boundary_samples),
-            tol=self.tol,
-        )
+    @functools.cached_property
+    def r_basis(self) -> list[np.ndarray]:
+        """Orthonormal basis of the span R of sigma^2 at each boundary sample g
+        and at g + b_i for each basis curve b_i."""
+        mats = []
+        B = self.split.v_basis.matrix
+        d = self.split.v_basis.dim_v
+        for g in self.boundary_samples:
+            mats.append(self.sigma_sq_at(g))
+            for i in range(d):
+                mats.append(self.sigma_sq_at(g + B[i]))
+        if not mats:
+            return []
+        flat = np.array([m.ravel() for m in mats])
+        u, s, vt = np.linalg.svd(flat, full_matrices=False)
+        rank = int(np.sum(s > rz.RANK_TOL * max(s[0], 1e-30))) if s.size else 0
+        return [vt[i].reshape(d, d) for i in range(rank)]

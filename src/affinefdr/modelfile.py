@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import realization as rz
 from .cones import ConeBasis, StateBasis, orthogonal_split
 from .curves import Grid, PointCombo, ShortEnd, Weight, primitive
 from .errors import ModelFileError, NotInV
@@ -95,10 +94,6 @@ class ModelSpec:
     h0: np.ndarray | None = None
     source_text: str = ""
 
-    @property
-    def tolerances(self) -> rz.Tolerances:
-        return rz.Tolerances(span=self.check_options["span_tol"])
-
     def model(self) -> SquareRootModel:
         """The square-root model of kind cir, two_factor or custom.
 
@@ -107,12 +102,12 @@ class ModelSpec:
         [cone] and [subspace] curves and draws min(max(1, n), 3) shape
         samples.
         """
-        grid, tol = self.grid, self.tolerances
+        grid, span_tol = self.grid, self.check_options["span_tol"]
         if self.kind == "cir":
             return SquareRootModel.cir(grid, self.rho, self.gamma, self.ell,
-                                       self.check_options["boundary_samples"], tol)
+                                       self.check_options["boundary_samples"], span_tol)
         if self.kind == "two_factor":
-            return SquareRootModel.two_factor(grid, self.rho, self.gamma, tol)
+            return SquareRootModel.two_factor(grid, self.rho, self.gamma, span_tol)
         if self.kind != "custom":
             raise ModelFileError(f"model kind {self.kind!r} has no square-root model")
         cone_rows = np.array([c / np.linalg.norm(c) for c in self.cone_curves]) \
@@ -129,7 +124,7 @@ class ModelSpec:
         try:
             return SquareRootModel(grid, self.ell, self.rho, lam, primitive(lam, grid), split,
                                    tuple(shape_boundary_samples(grid, split, max(1, n_b))),
-                                   self.vol_amplitude, tol)
+                                   self.vol_amplitude, span_tol)
         except NotInV as exc:
             raise ModelFileError(f"[model] vol_curve: {exc}") from exc
 

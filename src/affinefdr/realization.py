@@ -9,84 +9,24 @@ are verified on the supplied samples; the report says so explicitly.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import admissibility as adm
 from .admissibility import AffineSquareVol
-from .cones import SplitSpace, membership_coords
+from .cones import membership_coords
 from .errors import AffineFdrError, DimensionExceeded, NotInDomain
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical bands for span, membership, and affinity tests."""
-
-    span: float = 1e-5        # relative residual for "lies in span V"
-                              # (limited by the second-order boundary stencils)
-    membership: float = 1e-9  # band for cone-coordinate sign tests
-    affine: float = 1e-6      # relative residual for affine fits
-    rank: float = 1e-9        # relative singular-value cutoff
+if TYPE_CHECKING:
+    from .hjmm import SquareRootModel
 
 
-@dataclass
-class ModelData:
-    """Everything the checkers need, on a common grid representation.
-
-    apply_a differentiates/transports ambient curves, s_op maps symmetric
-    state-space matrices to ambient curves, sigma_sq_at evaluates the squared
-    volatility (in state-basis coordinates) at an ambient curve, and
-    boundary_samples is a finite list of boundary representatives.  The
-    per-sample fits and the R basis are computed once, on first use, and
-    shared by every check; the fields must not be reassigned after that.
-    """
-
-    split: SplitSpace
-    apply_a: Callable[[np.ndarray], np.ndarray]
-    s_op: Callable[[np.ndarray], np.ndarray]
-    sigma_sq_at: Callable[[np.ndarray], np.ndarray]
-    boundary_samples: Sequence[np.ndarray]
-    tol: Tolerances = field(default_factory=Tolerances)
-
-    @property
-    def dim_v(self) -> int:
-        return self.split.v_basis.dim_v
-
-    @property
-    def m(self) -> int:
-        return self.split.v_basis.m
-
-    @functools.cached_property
-    def boundary_fits(self) -> list[AffineSquareVol | AffineFdrError]:
-        """fit_boundary_square_vol of each boundary sample, or the error it raised."""
-        fits = []
-        for g in self.boundary_samples:
-            try:
-                fits.append(fit_boundary_square_vol(self, g))
-            except AffineFdrError as exc:
-                fits.append(exc)
-        return fits
-
-    @functools.cached_property
-    def r_basis(self) -> list[np.ndarray]:
-        """Orthonormal basis of the span R of sigma^2 at each boundary sample g
-        and at g + b_i for each basis curve b_i."""
-        mats = []
-        B = self.split.v_basis.matrix
-        for g in self.boundary_samples:
-            mats.append(self.sigma_sq_at(g))
-            for i in range(self.dim_v):
-                mats.append(self.sigma_sq_at(g + B[i]))
-        if not mats:
-            return []
-        d = self.dim_v
-        flat = np.array([m.ravel() for m in mats])
-        u, s, vt = np.linalg.svd(flat, full_matrices=False)
-        rank = int(np.sum(s > self.tol.rank * max(s[0], 1e-30))) if s.size else 0
-        return [vt[i].reshape(d, d) for i in range(rank)]
+# numerical bands; the span band is the model's span_tol
+MEMBERSHIP_TOL = 1e-9  # band for cone-coordinate sign tests
+AFFINE_TOL = 1e-6      # relative residual for affine fits
+RANK_TOL = 1e-9        # relative singular-value cutoff
 
 
 def _span_residual(curve: np.ndarray, basis_matrix: np.ndarray) -> float:
@@ -98,7 +38,7 @@ def _span_residual(curve: np.ndarray, basis_matrix: np.ndarray) -> float:
     return float(np.linalg.norm(curve - basis_matrix.T @ coef) / norm)
 
 
-def fit_boundary_square_vol(model: ModelData, g: np.ndarray) -> AffineSquareVol:
+def fit_boundary_square_vol(model: SquareRootModel, g: np.ndarray) -> AffineSquareVol:
     """Affine fit of v -> sigma^2(g + v) from perturbations along the basis.
 
     Perturbation steps t in {0, 1/2, 1} along each basis direction; three
@@ -113,7 +53,7 @@ def fit_boundary_square_vol(model: ModelData, g: np.ndarray) -> AffineSquareVol:
             v = np.zeros(d)
             v[i] = t
             samples.append((v, model.sigma_sq_at(g + t * B[i])))
-    return adm.fit_affine_square(samples, basis, tol=model.tol.affine)
+    return adm.fit_affine_square(samples, basis, tol=AFFINE_TOL)
 
 
 @dataclass(frozen=True)
@@ -149,7 +89,7 @@ def _detail(tag: str, witnesses) -> str:
         for w in witnesses)
 
 
-def check_thm_main2(model: ModelData) -> RealizabilityReport:
+def check_thm_main2(model: SquareRootModel) -> RealizabilityReport:
     """Full realizability check on every boundary sample.
 
     Per sample g the squared volatility must fit affinely and be parallel
@@ -164,14 +104,13 @@ def check_thm_main2(model: ModelData) -> RealizabilityReport:
     """
     basis = model.split.v_basis
     B = basis.matrix
-    tol = model.tol
     results: list[ConditionResult] = []
     for idx, (g, sqvol) in enumerate(zip(model.boundary_samples, model.boundary_fits)):
         tag = f"g[{idx}]"
         if isinstance(sqvol, AffineFdrError):
             results.append(ConditionResult("sigma-affine-parallel", False, f"{tag}: {sqvol}"))
             continue
-        par = adm.is_parallel(sqvol, basis, tol=tol.membership)
+        par = adm.is_parallel(sqvol, basis, tol=MEMBERSHIP_TOL)
         results.append(ConditionResult("sigma-affine-parallel", par.ok,
                                        _detail(tag, par.witnesses)))
 
@@ -181,16 +120,16 @@ def check_thm_main2(model: ModelData) -> RealizabilityReport:
         norms = np.linalg.norm(images, axis=0)
         off_v = np.linalg.norm(images - B.T @ beta2, axis=0) / np.where(norms > 0, norms, 1.0)
         found = {name: [] for name in ("cond-AR-1", "cond-AR-2", "cond-AR-3", "beta-inc-V")}
-        for k in np.flatnonzero(off_v > tol.span):
-            witness = ("off-V", int(k), float(off_v[k]), tol.span)
+        for k in np.flatnonzero(off_v > model.span_tol):
+            witness = ("off-V", int(k), float(off_v[k]), model.span_tol)
             found["beta-inc-V"].append(witness)
-            found["cond-AR-2" if k < model.m else "cond-AR-3"].append(witness)
+            found["cond-AR-2" if k < basis.m else "cond-AR-3"].append(witness)
         drift = adm.AffineDrift(beta1, beta2)
         for name, index, mag in adm.is_inward_pointing(drift, basis, tol=0.0).witnesses:
             cond = {"nu-1": "cond-AR-1", "nu-2-C": "cond-AR-2", "nu-2-U": "cond-AR-3"}[name]
             coords = beta1 if name == "nu-1" else beta2[:, index[0]]
             # a subspace leak into the cone is a stencil error of A: span band
-            band = (tol.span if name == "nu-2-U" else tol.membership) \
+            band = (model.span_tol if name == "nu-2-U" else MEMBERSHIP_TOL) \
                 * max(1.0, float(np.linalg.norm(coords)))
             if mag > band:
                 found[cond].append((name, index, mag, band))
@@ -199,22 +138,12 @@ def check_thm_main2(model: ModelData) -> RealizabilityReport:
     return RealizabilityReport(tuple(results))
 
 
-@dataclass(frozen=True)
-class KSpace:
-    """Basis of the symmetric matrices in R that S maps into span V."""
-
-    basis: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def compute_k(model: ModelData) -> KSpace:
-    """Nullspace construction of the matrices in span R mapped into V by S."""
+def compute_k(model: SquareRootModel) -> tuple[np.ndarray, ...]:
+    """Basis of K, the symmetric matrices in span R that S maps into span V,
+    by a nullspace construction."""
     r_basis = model.r_basis
     if not r_basis:
-        return KSpace(())
+        return ()
     B = model.split.v_basis.matrix
     residuals = []
     for r in r_basis:
@@ -227,37 +156,35 @@ def compute_k(model: ModelData) -> KSpace:
     _, s, vt = np.linalg.svd(M, full_matrices=M.shape[1] > M.shape[0])
     scale = max(float(s[0]) if s.size else 0.0, 1e-30)
     in_null = np.ones(len(r_basis), dtype=bool)
-    in_null[: s.size] = s <= model.tol.span * scale
-    basis = [sum(ci * ri for ci, ri in zip(c, r_basis)) for c in vt[in_null]]
-    return KSpace(tuple(basis))
+    in_null[: s.size] = s <= model.span_tol * scale
+    return tuple(sum(ci * ri for ci, ri in zip(c, r_basis)) for c in vt[in_null])
 
 
-def check_const_mod_k(model: ModelData, kspace: KSpace | None = None) -> bool:
+def check_const_mod_k(model: SquareRootModel) -> bool:
     """Whether the boundary dependence of the squared volatility lies in K.
 
     For all pairs of boundary samples and all basis directions, the
     difference of the fitted linear parts must lie in span K.
     """
-    if kspace is None:
-        kspace = compute_k(model)
+    kspace = compute_k(model)
     fits = model.boundary_fits
     for fit in fits:
         if isinstance(fit, AffineFdrError):
             raise fit
     if len(fits) < 2:
         return True
-    kmat = np.array([k.ravel() for k in kspace.basis]) if kspace.dim else None
+    kmat = np.array([k.ravel() for k in kspace]) if kspace else None
     ref = fits[0]
     for other in fits[1:]:
-        for i in range(model.dim_v):
+        for i in range(model.split.v_basis.dim_v):
             diff = (other.t2[i] - ref.t2[i]).ravel()
             norm = np.linalg.norm(diff)
-            if norm <= model.tol.span * max(1.0, np.abs(ref.t2).max()):
+            if norm <= model.span_tol * max(1.0, np.abs(ref.t2).max()):
                 continue
             if kmat is None:
                 return False
             coef, *_ = np.linalg.lstsq(kmat.T, diff, rcond=None)
-            if np.linalg.norm(diff - kmat.T @ coef) > model.tol.span * norm:
+            if np.linalg.norm(diff - kmat.T @ coef) > model.span_tol * norm:
                 return False
     return True
 
@@ -269,21 +196,21 @@ def _numerical_rank(mat: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def check_damir(model: ModelData) -> bool:
+def check_damir(model: SquareRootModel) -> bool:
     """Both intersection conditions: V and S(R) meet only at 0, and S is
     injective on R."""
     r_basis = model.r_basis
     if not r_basis:
         return True
     sr = np.array([model.s_op(r) for r in r_basis])
-    rank_sr = _numerical_rank(sr, model.tol.rank * 1e3)
+    rank_sr = _numerical_rank(sr, RANK_TOL * 1e3)
     if rank_sr < len(r_basis):
         return False  # ker(S) meets R nontrivially
     B = model.split.v_basis.matrix
     Bn = B / np.linalg.norm(B, axis=1, keepdims=True)
     srn = sr / np.linalg.norm(sr, axis=1, keepdims=True)
     stacked = np.vstack([Bn, srn])
-    return _numerical_rank(stacked, model.tol.rank * 1e3) == Bn.shape[0] + rank_sr
+    return _numerical_rank(stacked, RANK_TOL * 1e3) == Bn.shape[0] + rank_sr
 
 
 def quasi_exp_subspace(apply_a: Callable[[np.ndarray], np.ndarray],
@@ -325,72 +252,14 @@ def quasi_exp_subspace(apply_a: Callable[[np.ndarray], np.ndarray],
     return np.array(basis)
 
 
-@dataclass(frozen=True)
-class QeReport:
-    """Outcome of the quasi-exponential affine-state criterion."""
-
-    a_sigma_dim: int
-    a_sigma_in_v: bool
-    square_vol_constant: bool
-    sigma_constant: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        extra = True if self.sigma_constant is None else self.sigma_constant
-        return self.a_sigma_in_v and self.square_vol_constant and extra
-
-
-def check_qe_affine(apply_a: Callable[[np.ndarray], np.ndarray],
-                    sigma_at: Callable[[np.ndarray], list[np.ndarray]],
-                    v_basis_curves: np.ndarray,
-                    probe_curves: Sequence[np.ndarray],
-                    max_dim: int = 20, tol: float = 1e-3,
-                    rank_one_vol: bool = False) -> QeReport:
-    """Quasi-exponential criterion for affine admissible subspace realizations.
-
-    Checks that the iterated volatility subspace lies in span V and that the
-    squared volatility does not vary along V at any probe curve.  When each
-    volatility component spans at most one direction, constancy of the
-    squared volatility upgrades to constancy of the volatility itself, which
-    is checked directly.
-    """
-    seeds: list[np.ndarray] = []
-    for h in probe_curves:
-        seeds.extend(sigma_at(h))
-    a_sigma = quasi_exp_subspace(apply_a, seeds, max_dim=max_dim, tol=tol)
-    in_v = all(_span_residual(q, v_basis_curves) <= max(tol, 1e-6) for q in a_sigma)
-
-    sq_const = True
-    sig_const = True if rank_one_vol else None
-    ref_vecs = sigma_at(probe_curves[0])
-    ref_sq = _gram(ref_vecs)
-    scale = max(1.0, np.abs(ref_sq).max(initial=0.0))
-    for h in probe_curves:
-        for v in list(v_basis_curves) + [np.zeros_like(h)]:
-            vecs = sigma_at(h + v)
-            if np.max(np.abs(_gram(vecs) - ref_sq)) > 1e3 * tol * scale:
-                sq_const = False
-            if rank_one_vol:
-                for a, b in zip(vecs, ref_vecs):
-                    if np.linalg.norm(a - b) > 1e3 * tol * max(1.0, np.linalg.norm(b)):
-                        sig_const = False
-    return QeReport(a_sigma_dim=len(a_sigma), a_sigma_in_v=in_v,
-                    square_vol_constant=sq_const, sigma_constant=sig_const)
-
-
-def _gram(vecs: Sequence[np.ndarray]) -> np.ndarray:
-    arr = np.array(vecs)
-    return arr @ arr.T
-
-
-def initial_set_coords(h: np.ndarray, model: ModelData) -> tuple[np.ndarray, np.ndarray]:
+def initial_set_coords(h: np.ndarray, model: SquareRootModel) -> tuple[np.ndarray, np.ndarray]:
     """State coordinates of h, and of the projected drift of its G-part."""
     g = model.split.project_g(h)
     return (model.split.v_coords(h),
             model.split.v_coords(model.apply_a(g) + model.s_op(model.sigma_sq_at(g))))
 
 
-def maximal_initial_membership(h: np.ndarray, model: ModelData) -> tuple[bool, bool]:
+def maximal_initial_membership(h: np.ndarray, model: SquareRootModel) -> tuple[bool, bool]:
     """Membership of a curve in the maximal initial set, and boundary flag.
 
     A member has its V-part in the state space and the projected drift of
@@ -401,14 +270,14 @@ def maximal_initial_membership(h: np.ndarray, model: ModelData) -> tuple[bool, b
     if not np.all(np.isfinite(model.apply_a(h))):
         raise NotInDomain("generator not evaluable on this curve")
     coords, drift_coords = initial_set_coords(h, model)
-    m = model.m
+    m = model.split.v_basis.m
     scale = max(1.0, float(np.linalg.norm(coords)))
-    if not membership_coords(coords, m, "closed", tol=model.tol.membership * scale):
+    if not membership_coords(coords, m, "closed", tol=MEMBERSHIP_TOL * scale):
         return False, False
     interior = membership_coords(drift_coords, m, "interior",
-                                 tol=model.tol.membership)
+                                 tol=MEMBERSHIP_TOL)
     if not interior:
         return False, False
-    on_boundary = bool(np.abs(coords[:m]).min(initial=np.inf) <= 1e3 * model.tol.membership
+    on_boundary = bool(np.abs(coords[:m]).min(initial=np.inf) <= 1e3 * MEMBERSHIP_TOL
                        * max(1.0, float(np.linalg.norm(h))))
     return True, on_boundary

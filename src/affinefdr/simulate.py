@@ -267,7 +267,7 @@ def _factored_oracle(model: SquareRootModel, h0: np.ndarray, config: SimConfig) 
     h0 = np.asarray(h0, dtype=float)
     if h0.shape != (grid.n,):
         raise GridMismatch("h0 is not sampled on the model grid")
-    member, _ = rz.maximal_initial_membership(h0, model.model_data())
+    member, _ = rz.maximal_initial_membership(h0, model)
     if not member:
         raise NotInInitialSet("h0 fails the initial-set test")
     if config.dt > grid.dx + 1e-12:

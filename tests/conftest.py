@@ -20,8 +20,8 @@ def cir_model(grid):
     return SquareRootModel.cir(grid, 0.1, 0.05)
 
 
-def perturbed_cir_model_data(model, vol_curve, boundary_samples=None):
-    """Checker input of a CIR model whose lam is replaced by a non-Riccati curve.
+def perturbed_cir_model(model, vol_curve, boundary_samples=None):
+    """A CIR model whose lam is replaced by a non-Riccati curve.
 
     The state space, the drift-image operator and the volatility are all
     rebuilt around vol_curve, which is how the realizability conditions are
@@ -31,7 +31,7 @@ def perturbed_cir_model_data(model, vol_curve, boundary_samples=None):
     if boundary_samples is None:
         boundary_samples = default_boundary_samples(model.grid, split)
     return dataclasses.replace(model, lam=vol_curve, split=split,
-                               boundary_samples=boundary_samples).model_data()
+                               boundary_samples=boundary_samples)
 
 
 def _closed_form_membership(h, model, strict):

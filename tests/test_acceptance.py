@@ -29,7 +29,7 @@ from affinefdr.simulate import (SimConfig, evolve_psi, fdr_phi_values, simulate_
                                 summarize_direct, verify_invariance)
 
 from conftest import (admissible_drift_coeffs, brute_force_inward, brute_force_parallel,
-                      cir_membership, parallel_sqvol_coeffs, perturbed_cir_model_data,
+                      cir_membership, parallel_sqvol_coeffs, perturbed_cir_model,
                       random_state_basis, riccati_rk4, violate_drift_coeffs,
                       violate_sqvol_coeffs)
 
@@ -197,9 +197,9 @@ def test_criterion_05_realizability_cir(grid, cir_model):
     start = time.perf_counter()
     samples = default_boundary_samples(grid, cir_model.split, n=20)
     passing = rz.check_thm_main2(
-        dataclasses.replace(cir_model, boundary_samples=samples).model_data())
+        dataclasses.replace(cir_model, boundary_samples=samples))
     pert = cir_model.lam + 0.01 * grid.x * np.exp(-grid.x)
-    flipped = rz.check_thm_main2(perturbed_cir_model_data(cir_model, pert, samples))
+    flipped = rz.check_thm_main2(perturbed_cir_model(cir_model, pert, samples))
     failing = {c.name for c in flipped.failed()}
     elapsed = time.perf_counter() - start
     ok = passing.overall and bool(failing & {"cond-AR-2", "beta-inc-V"}) \
@@ -209,7 +209,6 @@ def test_criterion_05_realizability_cir(grid, cir_model):
 
 
 def test_criterion_06_initial_set_consistency(grid, cir_model):
-    md = cir_model.model_data()
     rng = np.random.default_rng(600)
     x = grid.x
     disagreements = 0
@@ -218,11 +217,11 @@ def test_criterion_06_initial_set_consistency(grid, cir_model):
         h = c[0] + c[1] * x * np.exp(-x) + c[2] * np.exp(-0.5 * x) \
             + c[3] * np.sin(x) * np.exp(-x)
         a, _ = cir_membership(h, cir_model, 0.05)
-        b, _ = rz.maximal_initial_membership(h, md)
+        b, _ = rz.maximal_initial_membership(h, cir_model)
         disagreements += a != b
-    m1, b1 = rz.maximal_initial_membership(np.full(grid.n, 0.02), md)
-    m2, _ = rz.maximal_initial_membership(np.zeros(grid.n), md)
-    m3, b3 = rz.maximal_initial_membership(x * np.exp(-x), md)
+    m1, b1 = rz.maximal_initial_membership(np.full(grid.n, 0.02), cir_model)
+    m2, _ = rz.maximal_initial_membership(np.zeros(grid.n), cir_model)
+    m3, b3 = rz.maximal_initial_membership(x * np.exp(-x), cir_model)
     examples_ok = m1 and not b1 and not m2 and m3 and b3
     verdict(6, disagreements == 0 and examples_ok,
             f"100 random curves, {disagreements} disagreements; "

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from affinefdr import cli, hjmm
+from affinefdr import realization as rz
 from affinefdr.curves import Grid, derivative
 from affinefdr.hjmm import SquareRootModel, riccati_capital, riccati_small
 from affinefdr.modelfile import parse_model_file
@@ -132,16 +133,25 @@ def test_check_json_matches_golden(name):
 
 def test_check_fits_and_builds_r_basis_once_per_sample(monkeypatch):
     spec = parse_model_file(model_path("cir.model"))
-    md = spec.model().model_data()
-    sigma_sq_at, calls = md.sigma_sq_at, []
-    md.sigma_sq_at = lambda h: calls.append(1) or sigma_sq_at(h)
-    monkeypatch.setattr(SquareRootModel, "model_data", lambda self: md)
+    sigma_sq_at, calls = SquareRootModel.sigma_sq_at, []
+    monkeypatch.setattr(SquareRootModel, "sigma_sq_at",
+                        lambda self, h: calls.append(1) or sigma_sq_at(self, h))
     assert cli._run_checks(spec)["overall"] is True
     # per sample g: the fit reads g and g + t b_i (t = 1/2, 1), the R basis
     # reads g and g + b_i; the checks share both
-    n, d = len(md.boundary_samples), md.dim_v
+    model = spec.model()
+    n, d = len(model.boundary_samples), model.split.v_basis.dim_v
     assert n == 6
     assert len(calls) == n * (1 + 2 * d) + n * (1 + d)
+
+
+def test_check_linear_builds_the_iterated_subspace_once(monkeypatch):
+    spec = parse_model_file(model_path("linear_qe.model"))
+    subspace, calls = rz.quasi_exp_subspace, []
+    monkeypatch.setattr(rz, "quasi_exp_subspace",
+                        lambda *a, **kw: calls.append(1) or subspace(*a, **kw))
+    assert cli._run_checks(spec)["overall"] is True
+    assert len(calls) == 1
 
 
 def test_check_cir_honours_span_tol(tmp_path):
@@ -308,9 +318,9 @@ def test_simulate_artifacts_present(sim_run):
              "direct_phis.csv", "direct_stats.csv", "direct_mean_curve.csv",
              "verify.json", "manifest.json"}
     assert names <= set(os.listdir(sim_run))
-    manifest = json.load(open(os.path.join(sim_run, "manifest.json")))
+    manifest = json.loads((Path(sim_run) / "manifest.json").read_text())
     assert "verify.json" in manifest["artifacts"]
-    verify = json.load(open(os.path.join(sim_run, "verify.json")))
+    verify = json.loads((Path(sim_run) / "verify.json").read_text())
     assert all(p["within_3se"] for p in verify["phis"].values())
 
 
@@ -453,7 +463,7 @@ def test_simulate_assembles_the_drift_image_operator_once(fast_model, tmp_path,
 
 
 def test_simulate_rejects_outside_initial_set(fast_model, tmp_path):
-    text = open(fast_model).read().replace(
+    text = Path(fast_model).read_text().replace(
         "h0 = 0.02 + 0.01 * x * exp(-x)", "h0 = -0.02 + 0 * x")
     bad = tmp_path / "neg.model"
     bad.write_text(text)
@@ -462,7 +472,7 @@ def test_simulate_rejects_outside_initial_set(fast_model, tmp_path):
 
 
 def test_simulate_rejects_cfl_violation(fast_model, tmp_path):
-    text = open(fast_model).read().replace("dt = 0.005", "dt = 0.01")
+    text = Path(fast_model).read_text().replace("dt = 0.005", "dt = 0.01")
     bad = tmp_path / "cfl.model"
     bad.write_text(text)
     res = run_cli("simulate", str(bad), "--out-dir", str(tmp_path / "o"))

@@ -99,7 +99,7 @@ def test_cir_riccati_curves_cached_read_only(grid):
 
 
 def test_sigma_cir_values(grid, cir_model):
-    sigma_sq_at = cir_model.model_data().sigma_sq_at
+    sigma_sq_at = cir_model.sigma_sq_at
     zero_ell = grid.x * np.exp(-grid.x)
     assert np.all(sigma_sq_at(zero_ell) == 0.0)
     unit_ell = np.ones(grid.n)
@@ -112,9 +112,9 @@ def test_square_root_model_data_amplitudes(grid, cir_model):
     vol = 2.0 * cir_model.lam
     unit = 0.1 ** 2 * (2.0 * float(np.linalg.norm(cir_model.lam))) ** 2
     const = SquareRootModel(grid, cir_model.ell, 0.1, vol, primitive(vol, grid), split,
-                            [], "const").model_data()
+                            [], "const")
     sqrt_ell = SquareRootModel(grid, cir_model.ell, 0.1, vol, primitive(vol, grid), split,
-                               [], "sqrt_ell").model_data()
+                               [], "sqrt_ell")
     for level in (0.0, 1.0, -1.0, -3.0):
         h = np.full(grid.n, level)
         assert const.sigma_sq_at(h) == pytest.approx(np.array([[unit]]), rel=1e-12)
@@ -127,12 +127,11 @@ def test_square_root_model_data_amplitudes(grid, cir_model):
 
 
 def test_cir_initial_set_examples(grid, cir_model):
-    md = cir_model.model_data()
-    member, boundary = rz.maximal_initial_membership(np.full(grid.n, 0.02), md)
+    member, boundary = rz.maximal_initial_membership(np.full(grid.n, 0.02), cir_model)
     assert member and not boundary
-    member, boundary = rz.maximal_initial_membership(np.zeros(grid.n), md)
+    member, boundary = rz.maximal_initial_membership(np.zeros(grid.n), cir_model)
     assert not member
-    member, boundary = rz.maximal_initial_membership(grid.x * np.exp(-grid.x), md)
+    member, boundary = rz.maximal_initial_membership(grid.x * np.exp(-grid.x), cir_model)
     assert member and boundary
 
 
@@ -145,15 +144,14 @@ def test_two_factor_functional_constraints(grid):
 
 def test_two_factor_initial_set(grid):
     model = SquareRootModel.two_factor(grid, gamma=1.0)
-    md = model.model_data()
-    assert rz.maximal_initial_membership(np.full(grid.n, 0.5), md)[0]
-    assert not rz.maximal_initial_membership(np.zeros(grid.n), md)[0]
+    assert rz.maximal_initial_membership(np.full(grid.n, 0.5), model)[0]
+    assert not rz.maximal_initial_membership(np.zeros(grid.n), model)[0]
     # verdict invariant under adding g with ell(g) = 0 and ell(g' + g) = 0
     lam2 = model.lam ** 2
     h = np.full(grid.n, 0.5)
     # lam^2 satisfies ell(lam^2) = 0 and ell((lam^2)' + lam^2) = -ell(lam^2) = 0
-    assert rz.maximal_initial_membership(h + 3.0 * lam2, md)[0] == \
-        rz.maximal_initial_membership(h, md)[0]
+    assert rz.maximal_initial_membership(h + 3.0 * lam2, model)[0] == \
+        rz.maximal_initial_membership(h, model)[0]
 
 
 def test_state_drift_slope_short_end(grid, cir_model):

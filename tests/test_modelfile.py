@@ -117,10 +117,10 @@ def test_custom_requires_geometry():
 
 def test_custom_model_data_built():
     spec = parse_model_file(bundled("example64.model"))
-    md = spec.model().model_data()
-    assert md.dim_v == 2 and md.m == 1
+    model = spec.model()
+    assert model.split.v_basis.dim_v == 2 and model.split.v_basis.m == 1
     # volatility curve coordinates live in the cone block
-    sq = md.sigma_sq_at(0.05 * np.ones(spec.grid.n))
+    sq = model.sigma_sq_at(0.05 * np.ones(spec.grid.n))
     assert sq.shape == (2, 2)
     assert sq[0, 0] > 0.0 and abs(sq[1, 1]) < 1e-12
 

@@ -15,19 +15,19 @@ from affinefdr.hjmm import (SquareRootModel, default_boundary_samples, hjm_drift
                             ker_ell_split, shape_boundary_samples)
 from affinefdr.modelfile import parse_model_file
 
-from conftest import cir_membership, perturbed_cir_model_data, two_factor_membership
+from conftest import cir_membership, perturbed_cir_model, two_factor_membership
 
 DATA = Path(__file__).parent / "data"
 
 
 def test_cir_fixture_passes_all_conditions(cir_model):
-    report = rz.check_thm_main2(cir_model.model_data())
+    report = rz.check_thm_main2(cir_model)
     assert report.overall, report.failed()
 
 
 def test_perturbed_lambda_flips_conditions(grid, cir_model):
     pert = cir_model.lam + 0.01 * grid.x * np.exp(-grid.x)
-    report = rz.check_thm_main2(perturbed_cir_model_data(cir_model, pert))
+    report = rz.check_thm_main2(perturbed_cir_model(cir_model, pert))
     failing = {c.name for c in report.failed()}
     assert failing & {"cond-AR-2", "beta-inc-V"}
 
@@ -36,7 +36,7 @@ def test_negated_cir_samples_fail_only_cond_ar1(grid, cir_model):
     # -g points the boundary drift out of the cone, so only nu-1 is violated
     samples = [-g for g in default_boundary_samples(grid, cir_model.split)]
     report = rz.check_thm_main2(
-        dataclasses.replace(cir_model, boundary_samples=samples).model_data())
+        dataclasses.replace(cir_model, boundary_samples=samples))
     assert {c.name for c in report.failed()} == {"cond-AR-1"}
     for i, c in enumerate(report.failed()):
         assert re.fullmatch(rf"g\[{i}\]: nu-1 0 \S+ > \S+", c.detail), c.detail
@@ -49,7 +49,7 @@ def _const_vol_on_exp_cone(grid, subspace):
     split = orthogonal_split(basis)
     return rz.check_thm_main2(SquareRootModel(
         grid, ShortEnd(), 0.1, np.exp(-x), primitive(np.exp(-x), grid), split,
-        shape_boundary_samples(grid, split, 2), "const").model_data())
+        shape_boundary_samples(grid, split, 2), "const"))
 
 
 def test_subspace_leaking_into_cone_fails_cond_ar3(grid):
@@ -77,22 +77,20 @@ def test_failed_condition_lists_every_violation(grid):
 
 def test_two_factor_fixture_passes(grid):
     model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
-    report = rz.check_thm_main2(model.model_data())
+    report = rz.check_thm_main2(model)
     assert report.overall, report.failed()
 
 
 def test_check_damir_verdicts(grid, cir_model):
-    assert rz.check_damir(cir_model.model_data())
+    assert rz.check_damir(cir_model)
     example64 = resources.files("affinefdr") / "models" / "example64.model"
-    assert not rz.check_damir(parse_model_file(str(example64)).model().model_data())
+    assert not rz.check_damir(parse_model_file(str(example64)).model())
 
 
 def test_const_mod_k_and_kspace(cir_model):
-    md = cir_model.model_data()
-    kspace = rz.compute_k(md)
     # the drift image of the volatility matrix leaves span V, so K is trivial
-    assert kspace.dim == 0
-    assert rz.check_const_mod_k(md, kspace)
+    assert len(rz.compute_k(cir_model)) == 0
+    assert rz.check_const_mod_k(cir_model)
 
 
 def test_quasi_exp_dimensions(grid):
@@ -114,30 +112,19 @@ def test_quasi_exp_two_factor_span(grid):
         assert np.linalg.norm(q - span.T @ coef) < 1e-8
 
 
-def test_check_qe_affine_constant_vol(grid):
-    apply_a = lambda h: derivative(h, grid)
-    vol = 0.05 * (1.0 + grid.x) * np.exp(-0.5 * grid.x)
-    a_sigma = rz.quasi_exp_subspace(apply_a, [vol], max_dim=10)
-    report = rz.check_qe_affine(apply_a, lambda h: [vol], np.vstack(a_sigma),
-                                [np.zeros(grid.n)], max_dim=10, rank_one_vol=True)
-    assert report.ok and report.a_sigma_dim == 2
-
-
 def test_maximal_initial_membership_against_cir(grid, cir_model):
-    md = cir_model.model_data()
     rng = np.random.default_rng(21)
     x = grid.x
     for _ in range(30):
         c = rng.normal(0.0, 0.02, 4)
         h = c[0] + c[1] * x * np.exp(-x) + c[2] * np.exp(-0.5 * x) \
             + c[3] * np.sin(x) * np.exp(-x)
-        member, _ = rz.maximal_initial_membership(h, md)
+        member, _ = rz.maximal_initial_membership(h, cir_model)
         assert member == cir_membership(h, cir_model, 0.05)[0]
 
 
 def test_maximal_initial_membership_against_two_factor(grid):
     model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
-    md = model.model_data()
     rng = np.random.default_rng(22)
     x = grid.x
     verdicts = set()
@@ -147,14 +134,14 @@ def test_maximal_initial_membership_against_two_factor(grid):
         # the second curve lies in ker ell, on the boundary whenever it is a member
         for h in (s, s - float(model.ell_of(s)) * model.lam):
             h = h + c[3] * model.lam ** 2
-            verdict = rz.maximal_initial_membership(h, md)
+            verdict = rz.maximal_initial_membership(h, model)
             assert verdict == two_factor_membership(h, model, 1.0)
             verdicts.add(verdict)
     assert verdicts == {(True, False), (True, True), (False, False)}
 
 
 def test_report_structure(cir_model):
-    report = rz.check_thm_main2(cir_model.model_data())
+    report = rz.check_thm_main2(cir_model)
     names = {c.name for c in report.conditions}
     assert names == {"sigma-affine-parallel", "cond-AR-1", "cond-AR-2",
                      "cond-AR-3", "beta-inc-V"}
@@ -189,9 +176,9 @@ def _sweep_verdicts(grid, cir_model):
             factors = rng.choice([-1.0, 1.0], size=6) * 10.0 ** rng.uniform(-2, 2, 6)
             for variant, gs in (("plain", samples),
                                 ("scaled", [f * g for f, g in zip(factors, samples)])):
-                md = perturbed_cir_model_data(cir_model, pert, gs)
+                model = perturbed_cir_model(cir_model, pert, gs)
                 out[f"cir/{shape}/{eps:g}/{variant}"] = \
-                    _failing_per_sample(rz.check_thm_main2(md), len(gs))
+                    _failing_per_sample(rz.check_thm_main2(model), len(gs))
     tf = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
     cone = ConeBasis((tf.lam / np.linalg.norm(tf.lam)).reshape(1, -1), normed=True)
     for eps in (0.0, 1e-7, 1e-6, 3e-6, 1e-5, 1e-4, 1e-2, 1.0):
@@ -200,10 +187,10 @@ def _sweep_verdicts(grid, cir_model):
         split = SplitSpace(basis, np.linalg.solve(rows @ basis.matrix.T, rows))
         samples = shape_boundary_samples(grid, split, 2)
         for amplitude in ("sqrt_ell", "const"):
-            md = dataclasses.replace(tf, split=split, boundary_samples=samples,
-                                     amplitude=amplitude).model_data()
+            model = dataclasses.replace(tf, split=split, boundary_samples=samples,
+                                        amplitude=amplitude)
             out[f"tf/{eps:g}/{amplitude}"] = \
-                _failing_per_sample(rz.check_thm_main2(md), len(samples))
+                _failing_per_sample(rz.check_thm_main2(model), len(samples))
     return out
 
 
