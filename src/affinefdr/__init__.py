@@ -13,7 +13,7 @@ from .admissibility import (AffineDrift, AffineSquareVol, VolMatrix, embed_sigma
                             sigma_square, symmetric_kernel_equivalences)
 from .cones import (ConeBasis, SplitSpace, StateBasis, cone_minus, coordinates,
                     edges, inner_v, membership, normalize_basis,
-                    orthogonal_split, project)
+                    orthogonal_split)
 from .curves import Grid, PointCombo, ShortEnd, Weight, derivative, hw_norm, primitive
 from .errors import AffineFdrError
 from .hjmm import SquareRootModel, build_s_operator, hjm_drift, ker_ell_split

@@ -123,16 +123,16 @@ def _run_checks(spec: ModelSpec) -> dict:
         ok = report.overall
     if spec.kind == "two_factor":
         # quasi-exponential span: seeds are the volatility direction and its
-        # induced drift curve, iterated under d/dx
-        grid = spec.grid
-        seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)
-                 if model.rho > 0 else hjm_drift(model.lam, grid)]
+        # induced drift curve, whose scale rho^2 leaves the span unchanged,
+        # iterated under d/dx
+        seeds = [model.lam, hjm_drift(model.lam, spec.grid)]
         a_sigma = rz.quasi_exp_subspace(model.apply_a, seeds,
                                         max_dim=spec.check_options["max_dim"])
-        in_v = all(rz._span_residual(q, model.split.v_basis.matrix) <= model.span_tol
-                   for q in a_sigma)
+        _, off_v = model.split.v_basis.fit(a_sigma.T)
+        in_v = bool(np.all(np.linalg.norm(off_v, axis=0)
+                           <= model.span_tol * np.linalg.norm(a_sigma, axis=1)))
         checks["a_sigma_dim"] = int(len(a_sigma))
-        checks["a_sigma_in_v"] = bool(in_v)
+        checks["a_sigma_in_v"] = in_v
         ok = ok and in_v and len(a_sigma) == model.split.v_basis.dim_v
     else:
         checks["check_damir"] = rz.check_damir(model)

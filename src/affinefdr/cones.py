@@ -33,8 +33,6 @@ class ConeBasis:
     """Generators of a proper convex cone, one per row."""
 
     generators: np.ndarray
-    normed: bool = False
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         gens = _as_matrix(self.generators)
@@ -43,10 +41,8 @@ class ConeBasis:
             norms = np.linalg.norm(gens, axis=1)
             if np.any(norms == 0.0) or not np.all(np.isfinite(gens)):
                 raise DegenerateBasis("zero or non-finite generator")
-            if np.linalg.matrix_rank(gens, tol=self.tol * max(norms)) < self.m:
+            if np.linalg.matrix_rank(gens, tol=DEFAULT_TOL * max(norms)) < self.m:
                 raise DegenerateBasis("generators are linearly dependent")
-            if self.normed and np.max(np.abs(norms - 1.0)) > 1e-7:
-                raise DegenerateBasis("normed flag set but generators are not unit length")
 
     @property
     def m(self) -> int:
@@ -59,10 +55,7 @@ class ConeBasis:
 
 def normalize_basis(cone: ConeBasis) -> ConeBasis:
     """Rescale each generator to unit Euclidean length; conic hull unchanged."""
-    if cone.m == 0:
-        return ConeBasis(cone.generators, normed=True, tol=cone.tol)
-    norms = np.linalg.norm(cone.generators, axis=1, keepdims=True)
-    return ConeBasis(cone.generators / norms, normed=True, tol=cone.tol)
+    return ConeBasis(cone.generators / np.linalg.norm(cone.generators, axis=1, keepdims=True))
 
 
 def edges(cone: ConeBasis) -> list[np.ndarray]:
@@ -71,7 +64,7 @@ def edges(cone: ConeBasis) -> list[np.ndarray]:
     The result is invariant (as a set) under permutation and positive
     rescaling of the input generators.
     """
-    return list(normalize_basis(cone).generators) if cone.m > 0 else []
+    return list(normalize_basis(cone).generators)
 
 
 def _edge_index(cone: ConeBasis, c: np.ndarray, tol: float) -> int:
@@ -92,20 +85,24 @@ def cone_minus(cone: ConeBasis, c: np.ndarray) -> ConeBasis:
 
     For c = 0 the cone is returned unchanged.
     """
-    j = _edge_index(cone, c, cone.tol)
+    j = _edge_index(cone, c, DEFAULT_TOL)
     if j < 0:
         return cone
     keep = [i for i in range(cone.m) if i != j]
-    return ConeBasis(cone.generators[keep].reshape(len(keep), cone.dim), tol=cone.tol)
+    return ConeBasis(cone.generators[keep].reshape(len(keep), cone.dim))
 
 
 @dataclass(frozen=True)
 class StateBasis:
-    """State space V = C + U: a cone span plus a complementary subspace."""
+    """State space V = C + U: a cone span plus a complementary subspace.
+
+    matrix stacks the normed cone generators and the subspace vectors
+    (dim_v rows); it is built once and read-only.
+    """
 
     cone: ConeBasis
     subspace: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    tol: float = DEFAULT_TOL
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sub = _as_matrix(self.subspace, dim=self.cone.dim)
@@ -116,9 +113,11 @@ class StateBasis:
             raise DegenerateBasis("subspace vectors have wrong ambient dimension")
         if self.dim_v < 1:
             raise DegenerateBasis("state space must have dimension >= 1")
-        full = self.matrix
+        full = np.vstack([normalize_basis(self.cone).generators, sub])
+        full.flags.writeable = False
+        object.__setattr__(self, "matrix", full)
         scale = max(np.linalg.norm(full, axis=1).max(), 1.0)
-        if np.linalg.matrix_rank(full, tol=self.tol * scale) < self.dim_v:
+        if np.linalg.matrix_rank(full, tol=DEFAULT_TOL * scale) < self.dim_v:
             raise DegenerateBasis("cone generators and subspace are linearly dependent")
 
     @property
@@ -135,27 +134,26 @@ class StateBasis:
 
     @property
     def ambient_dim(self) -> int:
-        return self.cone.dim if self.m > 0 else self.subspace.shape[1]
+        return self.cone.dim
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Stacked normed cone generators and subspace vectors (dim_v rows)."""
-        normed = normalize_basis(self.cone).generators if self.m > 0 else \
-            np.zeros((0, self.ambient_dim))
-        return np.vstack([normed, self.subspace])
+    def fit(self, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least-squares coordinates in this basis, and the residual off span V.
+
+        curves is one ambient vector or vectors stacked as columns; the
+        coordinates and residuals keep that layout.
+        """
+        curves = np.asarray(curves, dtype=float)
+        coords, *_ = np.linalg.lstsq(self.matrix.T, curves, rcond=None)
+        return coords, curves - self.matrix.T @ coords
 
 
-def coordinates(x: np.ndarray, basis: StateBasis, tol: float | None = None) -> np.ndarray:
+def coordinates(x: np.ndarray, basis: StateBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Coordinates of x in the normed-cone / subspace basis of V.
 
-    Solved by least squares against the generator matrix; a residual above
-    tolerance means x is not in span V.
+    A least-squares residual above tolerance means x is not in span V.
     """
-    tol = basis.tol if tol is None else tol
-    x = np.asarray(x, dtype=float)
-    B = basis.matrix
-    coef, *_ = np.linalg.lstsq(B.T, x, rcond=None)
-    resid = np.linalg.norm(x - B.T @ coef)
+    coef, resid = basis.fit(x)
+    resid = np.linalg.norm(resid)
     if resid > tol * max(1.0, np.linalg.norm(x)):
         raise NotInV(f"residual {resid:.3e} above tolerance")
     return coef
@@ -178,14 +176,13 @@ def inner_v(x: np.ndarray, y: np.ndarray, basis: StateBasis) -> float:
 
 
 def membership(x: np.ndarray, basis: StateBasis, mode: str = "closed",
-               shift: np.ndarray | None = None, tol: float | None = None) -> bool:
+               shift: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> bool:
     """Set test for x against the cone-plus-subspace state space.
 
     mode "closed" tests cone coordinates >= -tol, "interior" tests > +tol,
     and "shifted" leaves the coordinate along the edge containing `shift`
     unconstrained.  Raises NotInV if x is not in span V.
     """
-    tol = basis.tol if tol is None else tol
     coords = coordinates(x, basis, tol=tol)
     if mode != "shifted":
         return membership_coords(coords, basis.m, mode, tol)
@@ -220,7 +217,6 @@ class SplitSpace:
 
     v_basis: StateBasis
     dual: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         dual = _as_matrix(self.dual, dim=self.v_basis.ambient_dim)
@@ -243,10 +239,4 @@ def orthogonal_split(v_basis: StateBasis) -> SplitSpace:
     """SplitSpace whose G is the ambient orthogonal complement of span V."""
     B = v_basis.matrix
     dual = np.linalg.solve(B @ B.T, B)
-    return SplitSpace(v_basis, dual, tol=v_basis.tol)
-
-
-def project(h: np.ndarray, split: SplitSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Split h into its G-part and V-part; the parts sum back to h exactly."""
-    v_part = split.project_v(h)
-    return np.asarray(h, dtype=float) - v_part, v_part
+    return SplitSpace(v_basis, dual)

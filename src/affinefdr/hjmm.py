@@ -115,15 +115,15 @@ def default_boundary_samples(grid: Grid, split: SplitSpace, n: int = 6,
 
 
 def ker_ell_split(grid: Grid, ell, lam: np.ndarray, subspace=()) -> SplitSpace:
-    """Split of V = <lam>+ (+) span(subspace) whose cone dual row is ell / ell(lam).
+    """Split of V = <lam>+ (+) span(subspace) whose cone dual row is ell / ell(u),
+    with u = lam / |lam| the normed cone row.
 
     Without a subspace G = ker ell; subspace curves take their dual rows
     from the orthogonal split.  Needs ell(lam) != 0.
     """
-    lam_norm = float(np.linalg.norm(lam))
-    basis = StateBasis(ConeBasis(lam.reshape(1, -1) / lam_norm, normed=True),
+    basis = StateBasis(ConeBasis(lam.reshape(1, -1)),
                        subspace=np.reshape(subspace, (len(subspace), grid.n)))
-    dual = ell.dual_vector(grid) * lam_norm / float(apply_functional(ell, lam, grid))
+    dual = ell.dual_vector(grid) / float(apply_functional(ell, basis.matrix[0], grid))
     return SplitSpace(basis, np.vstack([dual, orthogonal_split(basis).dual[1:]]))
 
 
@@ -152,9 +152,8 @@ class SquareRootModel:
     span_tol: float = 1e-5
 
     def __post_init__(self):
-        B = self.split.v_basis.matrix
-        coef, *_ = np.linalg.lstsq(B.T, self.lam, rcond=None)
-        if np.linalg.norm(self.lam - B.T @ coef) > 1e-6 * max(1.0, np.linalg.norm(self.lam)):
+        coef, resid = self.split.v_basis.fit(self.lam)
+        if np.linalg.norm(resid) > 1e-6 * max(1.0, np.linalg.norm(self.lam)):
             raise NotInV("volatility curve does not lie in the state space")
         object.__setattr__(self, "_lam_outer", np.outer(coef, coef))
 

@@ -9,6 +9,7 @@ raise ModelFileError with the offending section and key.
 
 from __future__ import annotations
 
+import ast
 import configparser
 from dataclasses import dataclass, field
 
@@ -26,16 +27,35 @@ _EXPR_NAMES = {
 }
 
 
+# the AST nodes of arithmetic; names, constants and calls are vetted one by one
+_EXPR_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, ast.Add, ast.Sub,
+               ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
 def eval_curve(expr: str, grid: Grid, params: dict[str, float],
                where: str = "curve") -> np.ndarray:
     """Evaluate a closed-form curve expression on the grid.
 
     The namespace contains x, the model parameters, and a small set of
-    numpy functions; builtins are disabled.
+    numpy functions; builtins are disabled.  The expression may hold only
+    int and float constants, those names, the operators + - * / ** and
+    calls of those functions with positional arguments; anything else is
+    rejected before evaluation.
     """
     ns = dict(_EXPR_NAMES)
     ns.update(params)
     ns["x"] = grid.x
+    try:
+        nodes = list(ast.walk(ast.parse(expr, mode="eval")))
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise ModelFileError(f"{where}: cannot parse {expr!r}: {exc}") from exc
+    for node in nodes:
+        if not (isinstance(node, _EXPR_NODES)
+                or isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                or isinstance(node, ast.Name) and node.id in ns
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords):
+            raise ModelFileError(f"{where}: {type(node).__name__} is not allowed in {expr!r}")
     try:
         with np.errstate(all="ignore"):
             values = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - restricted names
@@ -110,13 +130,10 @@ class ModelSpec:
             return SquareRootModel.two_factor(grid, self.rho, self.gamma, span_tol)
         if self.kind != "custom":
             raise ModelFileError(f"model kind {self.kind!r} has no square-root model")
-        cone_rows = np.array([c / np.linalg.norm(c) for c in self.cone_curves]) \
-            if self.cone_curves else np.zeros((0, grid.n))
-        sub_rows = np.array(self.subspace_curves) if self.subspace_curves \
-            else np.zeros((0, grid.n))
+        cone_rows = np.reshape(self.cone_curves, (-1, grid.n))
+        sub_rows = np.reshape(self.subspace_curves, (-1, grid.n))
         try:
-            split = orthogonal_split(StateBasis(
-                ConeBasis(cone_rows, normed=bool(self.cone_curves)), subspace=sub_rows))
+            split = orthogonal_split(StateBasis(ConeBasis(cone_rows), subspace=sub_rows))
         except Exception as exc:
             raise ModelFileError(f"[cone]/[subspace]: {exc}") from exc
         n_b = self.check_options["boundary_samples"]
@@ -151,9 +168,9 @@ def parse_model_text(text: str) -> ModelSpec:
     if not cfg.has_section("model"):
         raise ModelFileError("missing [model] section")
 
-    x_max = _get(cfg, "space", "x_max", float, 10.0) if cfg.has_section("space") else 10.0
-    dx = _get(cfg, "space", "dx", float, 0.005) if cfg.has_section("space") else 0.005
-    alpha = _get(cfg, "space", "weight_alpha", float, 4.0) if cfg.has_section("space") else 4.0
+    x_max = _get(cfg, "space", "x_max", float, 10.0)
+    dx = _get(cfg, "space", "dx", float, 0.005)
+    alpha = _get(cfg, "space", "weight_alpha", float, 4.0)
     try:
         grid = Grid(x_max, dx)
     except Exception as exc:

@@ -29,15 +29,6 @@ AFFINE_TOL = 1e-6      # relative residual for affine fits
 RANK_TOL = 1e-9        # relative singular-value cutoff
 
 
-def _span_residual(curve: np.ndarray, basis_matrix: np.ndarray) -> float:
-    """Relative residual of a curve after least-squares projection onto a span."""
-    norm = np.linalg.norm(curve)
-    if norm == 0.0:
-        return 0.0
-    coef, *_ = np.linalg.lstsq(basis_matrix.T, curve, rcond=None)
-    return float(np.linalg.norm(curve - basis_matrix.T @ coef) / norm)
-
-
 def fit_boundary_square_vol(model: SquareRootModel, g: np.ndarray) -> AffineSquareVol:
     """Affine fit of v -> sigma^2(g + v) from perturbations along the basis.
 
@@ -116,9 +107,9 @@ def check_thm_main2(model: SquareRootModel) -> RealizabilityReport:
 
         beta1 = model.split.v_coords(model.apply_a(g) + model.s_op(sqvol.t1))
         images = np.array([model.apply_a(b) + model.s_op(t) for b, t in zip(B, sqvol.t2)]).T
-        beta2, *_ = np.linalg.lstsq(B.T, images, rcond=None)
+        beta2, resid = basis.fit(images)
         norms = np.linalg.norm(images, axis=0)
-        off_v = np.linalg.norm(images - B.T @ beta2, axis=0) / np.where(norms > 0, norms, 1.0)
+        off_v = np.linalg.norm(resid, axis=0) / np.where(norms > 0, norms, 1.0)
         found = {name: [] for name in ("cond-AR-1", "cond-AR-2", "cond-AR-3", "beta-inc-V")}
         for k in np.flatnonzero(off_v > model.span_tol):
             witness = ("off-V", int(k), float(off_v[k]), model.span_tol)
@@ -144,13 +135,7 @@ def compute_k(model: SquareRootModel) -> tuple[np.ndarray, ...]:
     r_basis = model.r_basis
     if not r_basis:
         return ()
-    B = model.split.v_basis.matrix
-    residuals = []
-    for r in r_basis:
-        curve = model.s_op(r)
-        coef, *_ = np.linalg.lstsq(B.T, curve, rcond=None)
-        residuals.append(curve - B.T @ coef)
-    M = np.array(residuals).T  # ambient x nR
+    _, M = model.split.v_basis.fit(np.array([model.s_op(r) for r in r_basis]).T)  # ambient x nR
     # the thin SVD skips the ambient x ambient U; with nR <= ambient it has
     # the same s and vt, otherwise vt must be square for the nullspace rows
     _, s, vt = np.linalg.svd(M, full_matrices=M.shape[1] > M.shape[0])

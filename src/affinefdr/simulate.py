@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import realization as rz
-from .curves import Grid, Weight, central_stencil, derivative, one_sided_ends
+from .curves import Weight, central_stencil, derivative, one_sided_ends
 from .errors import (CflViolated, ConstraintViolated, GridMismatch, HorizonMismatch,
                      LeftBoundary, NotInInitialSet)
 from .hjmm import SquareRootModel
@@ -65,7 +65,6 @@ class SimConfig:
 class Foliation:
     """Deterministic boundary trajectory psi(t) in G = ker ell."""
 
-    grid: Grid
     times: np.ndarray          # (n_t,)
     psi: np.ndarray            # (n_t, n_x)
     psi_ell_deriv: np.ndarray  # (n_t,), b(t) = ell(d/dx psi(t))
@@ -129,17 +128,13 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
         k3 = rhs(psi + dt / 2 * k2)
         k4 = rhs(psi + dt * k3)
         psi = reproject(psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
-    return Foliation(grid, times, out, b)
+    return Foliation(times, out, b)
 
 
 @dataclass(frozen=True)
 class StatePaths:
     times: np.ndarray   # (n_t,)
     values: np.ndarray  # (n_paths, n_t), cone coordinate of X
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
 
     @property
     def final(self) -> np.ndarray:

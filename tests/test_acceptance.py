@@ -289,9 +289,9 @@ def test_criterion_09_quasi_exponential(grid):
     model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
     seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)]
     a_sigma = rz.quasi_exp_subspace(apply_a, seeds)
-    span = np.vstack([model.lam, model.lam ** 2])
-    span_ok = len(a_sigma) == 2 and all(
-        rz._span_residual(q, span) < 1e-6 for q in a_sigma)
+    _, off_v = model.split.v_basis.fit(a_sigma.T)  # V = span(lam, lam^2)
+    span_ok = len(a_sigma) == 2 and bool(np.all(
+        np.linalg.norm(off_v, axis=0) < 1e-6 * np.linalg.norm(a_sigma, axis=1)))
     ok = d1 == 1 and d2 == 2 and exceeded and span_ok
     verdict(9, ok, f"dims exp={d1}, 1+x={d2}, 1/(1+x)=exceeded({exceeded}), "
                    f"two-factor span(lam, lam^2)={span_ok}")

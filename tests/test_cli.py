@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinefdr import cli, hjmm
+from affinefdr import cli, cones, hjmm
 from affinefdr import realization as rz
 from affinefdr.curves import Grid, derivative
 from affinefdr.hjmm import SquareRootModel, riccati_capital, riccati_small
@@ -201,6 +201,39 @@ def test_check_bad_modelfile(tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text("[model]\nkind = cir\n")
     assert run_cli("check", str(bad)).returncode == 2
+
+
+ESCAPE = ("[c for c in ().__class__.__base__.__subclasses__() "
+          "if c.__name__ == 'catch_warnings'][0]()._module.__builtins__")
+
+
+@pytest.mark.parametrize("expr", [
+    ESCAPE + "['__import__']('os').getpid() + x*0",
+    ESCAPE + "['open']({path!r}, 'w').close() or x",
+    "x.T",
+    "(lambda y: y)(x)",
+], ids=["getpid", "open", "attribute", "lambda"])
+def test_check_rejects_expression_beyond_arithmetic(tmp_path, expr):
+    marker = tmp_path / "evaluated"
+    text = (MODELS / "linear_qe.model").read_text()
+    bad = tmp_path / "bad.model"
+    bad.write_text(text.replace("rho * (1 + x) * exp(-gamma * x)", expr.format(path=str(marker))))
+    res = run_cli("check", str(bad))
+    assert res.returncode == 2, res.stdout
+    assert "[model] vol_curve" in res.stderr
+    assert not marker.exists()
+
+
+def test_check_norms_each_state_basis_once(monkeypatch):
+    normalize, calls = cones.normalize_basis, []
+    monkeypatch.setattr(cones, "normalize_basis",
+                        lambda cone: calls.append(1) or normalize(cone))
+    post_init, bases = cones.StateBasis.__post_init__, []
+    monkeypatch.setattr(cones.StateBasis, "__post_init__",
+                        lambda self: bases.append(1) or post_init(self))
+    for name in ("cir.model", "two_factor.model", "example64.model", "linear_qe.model"):
+        cli._run_checks(parse_model_file(model_path(name)))
+    assert len(calls) == len(bases) == 3
 
 
 def write_curve(path, grid_n, values):

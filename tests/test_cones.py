@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from affinefdr.cones import (ConeBasis, StateBasis, cone_minus, coordinates, edges,
-                             inner_v, membership, normalize_basis, orthogonal_split,
-                             project)
+                             inner_v, membership, normalize_basis, orthogonal_split)
 from affinefdr.errors import DegenerateBasis, NotAnEdge, NotInV
 
 
@@ -61,6 +60,31 @@ def test_coordinates_roundtrip_and_not_in_v():
         coordinates(off, basis)
 
 
+def test_fit_is_one_least_squares_solve_onto_span_v():
+    rng = np.random.default_rng(3)
+    basis = StateBasis(ConeBasis(rng.standard_normal((2, 7)) * [[3.0], [0.2]]),
+                       subspace=rng.standard_normal((1, 7)))
+    assert not basis.matrix.flags.writeable
+    B = basis.matrix
+    h = rng.standard_normal(7)
+    coords, resid = basis.fit(h)
+    ref, *_ = np.linalg.lstsq(B.T, h, rcond=None)
+    np.testing.assert_array_equal(coords, ref)
+    np.testing.assert_array_equal(resid, h - B.T @ ref)
+    curves = rng.standard_normal((7, 4))
+    coords, resid = basis.fit(curves)
+    ref, *_ = np.linalg.lstsq(B.T, curves, rcond=None)
+    assert coords.shape == (3, 4) and resid.shape == (7, 4)
+    np.testing.assert_array_equal(coords, ref)
+    np.testing.assert_array_equal(resid, curves - B.T @ ref)
+    # the basis rows themselves lie in V: unit coordinates, zero residual
+    coords, resid = basis.fit(B.T)
+    np.testing.assert_allclose(coords, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(resid, 0.0, atol=1e-12)
+    x = B.T @ np.array([0.5, 1.5, -2.0])
+    np.testing.assert_array_equal(basis.fit(x)[0], coordinates(x, basis))
+
+
 def test_inner_v_cone_coordinates():
     # the normed generators are orthonormal for the cone-induced product
     gens = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
@@ -88,7 +112,7 @@ def test_project_splits_exactly():
                        subspace=rng.standard_normal((2, 6)))
     split = orthogonal_split(basis)
     h = rng.standard_normal(6)
-    g, v = project(h, split)
+    g, v = split.project_g(h), split.project_v(h)
     assert np.allclose(g + v, h, atol=1e-12)
     assert np.allclose(split.v_coords(g), 0.0, atol=1e-10)
     # V-part reproduces its own coordinates

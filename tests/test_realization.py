@@ -180,7 +180,7 @@ def _sweep_verdicts(grid, cir_model):
                 out[f"cir/{shape}/{eps:g}/{variant}"] = \
                     _failing_per_sample(rz.check_thm_main2(model), len(gs))
     tf = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
-    cone = ConeBasis((tf.lam / np.linalg.norm(tf.lam)).reshape(1, -1), normed=True)
+    cone = ConeBasis(tf.lam.reshape(1, -1))
     for eps in (0.0, 1e-7, 1e-6, 3e-6, 1e-5, 1e-4, 1e-2, 1.0):
         basis = StateBasis(cone, subspace=(tf.lam ** 2 + eps * shapes["xexp"]).reshape(1, -1))
         rows = np.vstack([tf.ell.dual_vector(grid), orthogonal_split(basis).dual[1]])

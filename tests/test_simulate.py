@@ -151,7 +151,7 @@ def test_simulate_state_mean_against_closed_form(grid, cir_model):
     b_const = 0.012
     n_t = 101
     # psi = b x satisfies ell(psi) = 0 and ell(psi') = b for the short end
-    fol = Foliation(grid, np.linspace(0.0, 0.5, n_t),
+    fol = Foliation(np.linspace(0.0, 0.5, n_t),
                     np.tile(b_const * grid.x, (n_t, 1)),
                     np.full(n_t, b_const))
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=4000, seed=3)
