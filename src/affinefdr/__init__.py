@@ -14,7 +14,7 @@ from .admissibility import (AffineDrift, AffineSquareVol, VolMatrix, embed_sigma
 from .cones import (ConeBasis, SplitSpace, StateBasis, cone_minus, coordinates,
                     edges, inner_v, membership, normalize_basis,
                     orthogonal_split)
-from .curves import Grid, PointCombo, ShortEnd, Weight, derivative, hw_norm, primitive
+from .curves import SHORT_END, Grid, PointCombo, Weight, derivative, hw_norm, primitive
 from .errors import AffineFdrError
 from .hjmm import SquareRootModel, build_s_operator, hjm_drift, ker_ell_split
 from .realization import (RealizabilityReport, check_const_mod_k, check_damir,

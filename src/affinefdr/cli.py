@@ -264,7 +264,7 @@ def cmd_simulate(args) -> int:
     # every numeric stage runs before the first write
     foliation = None
     if args.mode in ("fdr", "both"):
-        x0 = float(model.ell_of(h0))
+        x0 = float(model.ell(h0))
         g0 = h0 - x0 * model.lam
         foliation = evolve_psi(model, g0, config.horizon, config.dt)
         paths = simulate_state(model, foliation, x0, config)

@@ -26,8 +26,8 @@ class Grid:
     dx: float = DEFAULT_DX
 
     def __post_init__(self):
-        if self.x_max <= 0 or self.dx <= 0:
-            raise DegenerateBasis("grid extent and spacing must be positive")
+        if not (0 < self.x_max < np.inf and 0 < self.dx < np.inf):
+            raise DegenerateBasis("grid extent and spacing must be positive and finite")
         n = round(self.x_max / self.dx)
         if abs(n * self.dx - self.x_max) > 1e-9 * self.x_max:
             raise GridMismatch("x_max must be an integer multiple of dx")
@@ -118,47 +118,38 @@ def hw_norm(values: np.ndarray, grid: Grid, weight: Weight = Weight()) -> float:
 
 
 @dataclass(frozen=True)
-class ShortEnd:
-    """Evaluation at the left endpoint, ell(h) = h(0)."""
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=float)[..., 0]
-
-    def dual_vector(self, grid: Grid) -> np.ndarray:
-        v = np.zeros(grid.n)
-        v[0] = 1.0
-        return v
-
-
-@dataclass(frozen=True)
 class PointCombo:
-    """Linear combination of point evaluations, ell(h) = sum a_i h(x_i)."""
+    """Linear combination of curve values at grid nodes, ell(h) = sum a_i h(x_i).
 
-    points: tuple[float, ...]
+    PointCombo.at resolves the points x_i to their nodes once, when the
+    functional is built; SHORT_END is h(0).
+    """
+
+    nodes: tuple[int, ...]
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.points) != len(self.coeffs) or not self.points:
-            raise DegenerateBasis("points and coefficients must match and be nonempty")
+        if len(self.nodes) != len(self.coeffs) or not self.nodes:
+            raise DegenerateBasis("nodes and coefficients must match and be nonempty")
 
-    def __call__(self, values: np.ndarray, grid: Grid | None = None) -> np.ndarray:
+    @classmethod
+    def at(cls, grid: Grid, points, coeffs) -> PointCombo:
+        """The combination of the values at points, each of which must be a grid node."""
+        return cls(tuple(grid.index_of(x0) for x0 in points), tuple(coeffs))
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """ell of one curve, or of each curve along the last axis of a batch."""
         values = np.asarray(values, dtype=float)
-        if grid is None:
-            raise GridMismatch("PointCombo evaluation needs the grid")
-        out = 0.0
-        for x0, a in zip(self.points, self.coeffs):
-            out = out + a * values[..., grid.index_of(x0)]
+        out = self.coeffs[0] * values[..., self.nodes[0]]
+        for i, a in zip(self.nodes[1:], self.coeffs[1:]):
+            out = out + a * values[..., i]
         return out
 
     def dual_vector(self, grid: Grid) -> np.ndarray:
         v = np.zeros(grid.n)
-        for x0, a in zip(self.points, self.coeffs):
-            v[grid.index_of(x0)] += a
+        for i, a in zip(self.nodes, self.coeffs):
+            v[i] += a
         return v
 
 
-def apply_functional(ell, values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Evaluate a functional on one curve or a batch of curves."""
-    if isinstance(ell, PointCombo):
-        return ell(values, grid)
-    return ell(values)
+SHORT_END = PointCombo((0,), (1.0,))

@@ -27,7 +27,7 @@ import numpy as np
 from . import realization as rz
 from .admissibility import AffineSquareVol
 from .cones import ConeBasis, SplitSpace, StateBasis, orthogonal_split
-from .curves import Grid, PointCombo, ShortEnd, apply_functional, derivative, primitive
+from .curves import SHORT_END, Grid, PointCombo, derivative, primitive
 from .errors import AffineFdrError, ConstraintViolated, NotInV
 
 
@@ -114,7 +114,7 @@ def default_boundary_samples(grid: Grid, split: SplitSpace, n: int = 6,
     return out
 
 
-def ker_ell_split(grid: Grid, ell, lam: np.ndarray, subspace=()) -> SplitSpace:
+def ker_ell_split(grid: Grid, ell: PointCombo, lam: np.ndarray, subspace=()) -> SplitSpace:
     """Split of V = <lam>+ (+) span(subspace) whose cone dual row is ell / ell(u),
     with u = lam / |lam| the normed cone row.
 
@@ -123,7 +123,7 @@ def ker_ell_split(grid: Grid, ell, lam: np.ndarray, subspace=()) -> SplitSpace:
     """
     basis = StateBasis(ConeBasis(lam.reshape(1, -1)),
                        subspace=np.reshape(subspace, (len(subspace), grid.n)))
-    dual = ell.dual_vector(grid) / float(apply_functional(ell, basis.matrix[0], grid))
+    dual = ell.dual_vector(grid) / float(ell(basis.matrix[0]))
     return SplitSpace(basis, np.vstack([dual, orthogonal_split(basis).dual[1:]]))
 
 
@@ -142,7 +142,7 @@ class SquareRootModel:
     """
 
     grid: Grid
-    ell: object
+    ell: PointCombo
     rho: float
     lam: np.ndarray
     lam_capital: np.ndarray
@@ -158,15 +158,15 @@ class SquareRootModel:
         object.__setattr__(self, "_lam_outer", np.outer(coef, coef))
 
     @classmethod
-    def cir(cls, grid: Grid, rho: float, gamma: float, ell=ShortEnd(), n_samples: int = 6,
-            span_tol: float = 1e-5) -> SquareRootModel:
+    def cir(cls, grid: Grid, rho: float, gamma: float, ell: PointCombo = SHORT_END,
+            n_samples: int = 6, span_tol: float = 1e-5) -> SquareRootModel:
         """The Riccati model on V = <lam>+ with G = ker ell and n default samples."""
         if rho < 0 or gamma < 0:
             raise ConstraintViolated("rho and gamma must be nonnegative")
         if rho == 0 and gamma == 0:
             raise ConstraintViolated("rho and gamma cannot both vanish")
         lam = _read_only(riccati_small(grid.x, rho, gamma))
-        if abs(apply_functional(ell, lam, grid) - 1.0) > 1e-8:
+        if abs(ell(lam) - 1.0) > 1e-8:
             raise ConstraintViolated("functional must normalize lam to 1")
         split = ker_ell_split(grid, ell, lam)
         return cls(grid, ell, rho, lam, _read_only(riccati_capital(grid.x, rho, gamma)),
@@ -189,14 +189,11 @@ class SquareRootModel:
         x1 = round(np.log(2.0) / gamma / grid.dx) * grid.dx  # snap to the grid
         l1 = np.exp(-gamma * x1)
         a = np.linalg.solve(np.array([[1.0, l1], [1.0, l1 * l1]]), np.array([1.0, 0.0]))
-        ell = PointCombo((0.0, x1), (float(a[0]), float(a[1])))
+        ell = PointCombo.at(grid, (0.0, x1), (float(a[0]), float(a[1])))
         lam = np.exp(-gamma * grid.x)
         split = ker_ell_split(grid, ell, lam, subspace=(lam * lam,))
         return cls(grid, ell, rho, lam, primitive(lam, grid), split,
                    tuple(shape_boundary_samples(grid, split, 2)), span_tol=span_tol)
-
-    def ell_of(self, values: np.ndarray) -> np.ndarray:
-        return apply_functional(self.ell, values, self.grid)
 
     @property
     def state_drift_slope(self) -> float:
@@ -207,8 +204,8 @@ class SquareRootModel:
         equals -gamma; it is evaluated numerically from the discretized curves.
         """
         lam_prime = derivative(self.lam, self.grid)
-        return float(self.ell_of(lam_prime) + self.rho * self.rho
-                     * self.ell_of(self.lam * self.lam_capital))
+        return float(self.ell(lam_prime) + self.rho * self.rho
+                     * self.ell(self.lam * self.lam_capital))
 
     def apply_a(self, h: np.ndarray) -> np.ndarray:
         """The generator d/dx."""
@@ -217,7 +214,7 @@ class SquareRootModel:
     def sigma_sq_at(self, h: np.ndarray) -> np.ndarray:
         """Squared volatility amp(h)^2 c c^T, with c the coordinates of lam in
         the state basis."""
-        amp = 1.0 if self.amplitude == "const" else abs(float(self.ell_of(h)))
+        amp = 1.0 if self.amplitude == "const" else abs(float(self.ell(h)))
         return self.rho * self.rho * amp * self._lam_outer
 
     @functools.cached_property

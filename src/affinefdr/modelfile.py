@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import ConeBasis, StateBasis, orthogonal_split
-from .curves import Grid, PointCombo, ShortEnd, Weight, primitive
+from .curves import SHORT_END, Grid, PointCombo, Weight, primitive
 from .errors import ModelFileError, NotInV
 from .hjmm import SquareRootModel, shape_boundary_samples
 from .simulate import SimConfig
@@ -40,28 +40,32 @@ def eval_curve(expr: str, grid: Grid, params: dict[str, float],
     numpy functions; builtins are disabled.  The expression may hold only
     int and float constants, those names, the operators + - * / ** and
     calls of those functions with positional arguments; anything else is
-    rejected before evaluation.
+    rejected before evaluation.  Every constant is evaluated as a float, so
+    no integer power is computed exactly and an overflow is an error.
     """
     ns = dict(_EXPR_NAMES)
     ns.update(params)
     ns["x"] = grid.x
     try:
-        nodes = list(ast.walk(ast.parse(expr, mode="eval")))
-    except (SyntaxError, ValueError, RecursionError) as exc:
+        tree = ast.parse(expr, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+                node.value = float(node.value)
+    except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
         raise ModelFileError(f"{where}: cannot parse {expr!r}: {exc}") from exc
-    for node in nodes:
+    for node in ast.walk(tree):
         if not (isinstance(node, _EXPR_NODES)
-                or isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                or isinstance(node, ast.Constant) and type(node.value) is float
                 or isinstance(node, ast.Name) and node.id in ns
                 or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords):
             raise ModelFileError(f"{where}: {type(node).__name__} is not allowed in {expr!r}")
     try:
         with np.errstate(all="ignore"):
-            values = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - restricted names
+            values = np.asarray(eval(compile(tree, "<curve>", "eval"),  # noqa: S307
+                                     {"__builtins__": {}}, ns), dtype=float)
     except Exception as exc:
         raise ModelFileError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
-    values = np.asarray(values, dtype=float)
     if values.ndim == 0:
         values = np.full(grid.n, float(values))
     if values.shape != (grid.n,) or not np.all(np.isfinite(values)):
@@ -69,10 +73,10 @@ def eval_curve(expr: str, grid: Grid, params: dict[str, float],
     return values
 
 
-def _parse_ell(spec: str, grid: Grid):
+def _parse_ell(spec: str, grid: Grid) -> PointCombo:
     spec = spec.strip()
     if spec == "short_end":
-        return ShortEnd()
+        return SHORT_END
     if spec.startswith("points:"):
         points, coeffs = [], []
         for item in spec[len("points:"):].split(","):
@@ -81,14 +85,16 @@ def _parse_ell(spec: str, grid: Grid):
                 continue
             try:
                 xs, cs = item.split(":")
-                x0 = float(xs)
+                x0, c = float(xs), float(cs)
+                if not np.isfinite([x0, c]).all():
+                    raise ValueError("not finite")
                 points.append(round(x0 / grid.dx) * grid.dx)  # snap to grid
-                coeffs.append(float(cs))
+                coeffs.append(c)
             except ValueError as exc:
                 raise ModelFileError(f"[model] ell: bad point entry {item!r}") from exc
         if not points:
             raise ModelFileError("[model] ell: no points given")
-        return PointCombo(tuple(points), tuple(coeffs))
+        return PointCombo.at(grid, points, coeffs)
     raise ModelFileError(f"[model] ell: unknown spec {spec!r}")
 
 
@@ -104,7 +110,7 @@ class ModelSpec:
     weight: Weight
     rho: float
     gamma: float
-    ell: object
+    ell: PointCombo
     cone_curves: tuple[np.ndarray, ...] = ()
     subspace_curves: tuple[np.ndarray, ...] = ()
     vol_amplitude: str = "sqrt_ell"      # sqrt_ell | const
@@ -119,8 +125,7 @@ class ModelSpec:
 
         cir draws n = [check] boundary_samples (default 6) boundary samples
         and two_factor always 2.  custom builds the orthogonal split of its
-        [cone] and [subspace] curves and draws min(max(1, n), 3) shape
-        samples.
+        [cone] and [subspace] curves and draws min(n, 3) shape samples.
         """
         grid, span_tol = self.grid, self.check_options["span_tol"]
         if self.kind == "cir":
@@ -140,7 +145,7 @@ class ModelSpec:
         lam = self.vol_curves[0]
         try:
             return SquareRootModel(grid, self.ell, self.rho, lam, primitive(lam, grid), split,
-                                   tuple(shape_boundary_samples(grid, split, max(1, n_b))),
+                                   tuple(shape_boundary_samples(grid, split, n_b)),
                                    self.vol_amplitude, span_tol)
         except NotInV as exc:
             raise ModelFileError(f"[model] vol_curve: {exc}") from exc
@@ -174,9 +179,9 @@ def parse_model_text(text: str) -> ModelSpec:
     try:
         grid = Grid(x_max, dx)
     except Exception as exc:
-        raise ModelFileError(f"[space]: {exc}") from exc
-    if alpha <= 3.0:
-        raise ModelFileError("[space] weight_alpha must exceed 3")
+        raise ModelFileError(f"[space] x_max, dx: {exc}") from exc
+    if not 3.0 < alpha < np.inf:
+        raise ModelFileError("[space] weight_alpha must be finite and exceed 3")
     weight = Weight(alpha)
 
     kind = _get(cfg, "model", "kind", str, required=True).strip()
@@ -216,6 +221,10 @@ def parse_model_text(text: str) -> ModelSpec:
     check_options = {"boundary_samples": _get(cfg, "check", "boundary_samples", int, 6),
                      "max_dim": _get(cfg, "check", "max_dim", int, 20),
                      "span_tol": _get(cfg, "check", "span_tol", float, 1e-5)}
+    if check_options["boundary_samples"] < 1:
+        raise ModelFileError("[check] boundary_samples must be at least 1")
+    if not 0.0 < check_options["span_tol"] < np.inf:
+        raise ModelFileError("[check] span_tol must be finite and positive")
 
     sim = None
     h0 = None

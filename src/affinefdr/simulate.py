@@ -80,7 +80,7 @@ def _steps_per(dt: float, foliation: Foliation) -> int:
 
 
 def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
-               dt: float | None = None) -> Foliation:
+               dt: float) -> Foliation:
     """Integrate d/dt psi = psi' - ell(psi') lam starting from g0 in ker ell.
 
     Classical RK4 in time over fourth-order spatial stencils; each step is
@@ -96,9 +96,8 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (grid.n,):
         raise GridMismatch("g0 is not sampled on the model grid")
-    if abs(float(model.ell_of(g0))) > 1e-8 * max(1.0, float(np.abs(g0).max())):
+    if abs(float(model.ell(g0))) > 1e-8 * max(1.0, float(np.abs(g0).max())):
         raise ConstraintViolated("g0 must lie in ker ell")
-    dt = grid.dx if dt is None else dt
     n_steps = round(horizon / dt)
     if abs(n_steps * dt - horizon) > 1e-9:
         raise ConstraintViolated("horizon must be an integer multiple of dt")
@@ -106,10 +105,10 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
 
     def rhs(psi):
         d = derivative(psi, grid)
-        return d - float(model.ell_of(d)) * lam
+        return d - float(model.ell(d)) * lam
 
     def reproject(psi):
-        return psi - float(model.ell_of(psi)) * lam
+        return psi - float(model.ell(psi)) * lam
 
     times = np.linspace(0.0, horizon, n_steps + 1)
     out = np.empty((n_steps + 1, grid.n))
@@ -118,7 +117,7 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
     for k in range(n_steps + 1):
         out[k] = psi
         d = derivative(psi, grid)
-        b[k] = float(model.ell_of(d))
+        b[k] = float(model.ell(d))
         if b[k] <= 0.0:
             raise LeftBoundary(float(times[k]))
         if k == n_steps:
@@ -141,27 +140,27 @@ class StatePaths:
         return self.values[:, -1]
 
 
-def path_normals(seed: int, n_paths: int, n_steps: int, stream: int = 0) -> np.ndarray:
+def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Per-path standard normals from counter-based generators.
 
-    Each path p draws from a Philox generator keyed by (seed, stream, p),
+    Each path p draws from a Philox generator keyed by (seed, p),
     so a path's increments do not depend on n_paths or scheduling order.
     The last draw is cached, so the realization and the direct oracle of
     one run share it; the array is read-only so neither alters the other's
     noise.
     """
     # a plain function in front of the cache keeps its calls visible to
-    # function-level tracing, and passing stream positionally gives keyword
-    # and positional calls one cache key
-    return _cached_normals(seed, n_paths, n_steps, stream)
+    # function-level tracing, and passing the arguments positionally gives
+    # keyword and positional calls one cache key
+    return _cached_normals(seed, n_paths, n_steps)
 
 
 @functools.lru_cache(maxsize=1)
-def _cached_normals(seed: int, n_paths: int, n_steps: int, stream: int) -> np.ndarray:
+def _cached_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     out = np.empty((n_paths, n_steps))
     # one generator, reset per path to the fresh state of Philox(key=[.., p]):
     # the same stream as a new generator per path, without building one
-    bits = np.random.Philox(key=[seed + (stream << 32), 0])
+    bits = np.random.Philox(key=[seed, 0])
     gen = np.random.Generator(bits)
     fresh = bits.state   # counter 0, empty buffer
     for p in range(n_paths):
@@ -186,9 +185,9 @@ def _validate_coefficient_reduction(model: SquareRootModel, foliation: Foliation
         psi = foliation.psi[k]
         for x in (0.0, 0.05, 0.4):
             h = psi + x * model.lam
-            lhs = float(model.ell_of(derivative(h, model.grid))
-                        + model.rho ** 2 * abs(float(model.ell_of(h)))
-                        * float(model.ell_of(model.lam * model.lam_capital)))
+            lhs = float(model.ell(derivative(h, model.grid))
+                        + model.rho ** 2 * abs(float(model.ell(h)))
+                        * float(model.ell(model.lam * model.lam_capital)))
             rhs = foliation.psi_ell_deriv[k] + a * x
             worst = max(worst, abs(lhs - rhs))
     if worst > 1e-8:
@@ -201,9 +200,10 @@ def simulate_state(model: SquareRootModel, foliation: Foliation, x0: float,
                    config: SimConfig) -> StatePaths:
     """Paths of dX = (b(t) + a X) dt + rho sqrt(X) dW, X_0 = x0 >= 0.
 
-    Full-truncation Euler uses X+ inside drift and diffusion and clamps at 0,
-    so every recorded value is nonnegative.  The drift-implicit variant
-    solves the linear implicit step for the drift and truncates likewise.
+    Both schemes clamp the state at 0 after each step, so the drift and
+    diffusion of full-truncation Euler read X >= 0 and every recorded value
+    is nonnegative.  The drift-implicit variant solves the linear implicit
+    step for the drift and truncates likewise.
     """
     if x0 < 0:
         raise ConstraintViolated("x0 must be nonnegative")
@@ -222,11 +222,10 @@ def simulate_state(model: SquareRootModel, foliation: Foliation, x0: float,
     values[:, 0] = x
     for k in range(n):
         b = foliation.psi_ell_deriv[k * steps_per]
-        xp = np.maximum(x, 0.0)
         # each step scales its own column: no scaled copy of all the normals
-        diffusion = model.rho * np.sqrt(xp) * (normals[:, k] * np.sqrt(dt))
+        diffusion = model.rho * np.sqrt(x) * (normals[:, k] * np.sqrt(dt))
         if config.scheme == "full_truncation":
-            x = x + (b + a * xp) * dt + diffusion
+            x = x + (b + a * x) * dt + diffusion
         else:
             x = (x + b * dt + diffusion) / (1.0 - a * dt)
         x = np.maximum(x, 0.0)
@@ -274,9 +273,7 @@ def _factored_oracle(model: SquareRootModel, h0: np.ndarray, config: SimConfig) 
     n = config.n_steps
     basis = _shifted_basis(model, shift, n)
     _, h0_rows = _held_windows(h0, shift, n)
-    # ell_of may return views; copies keep the held curve from living on
-    return _FactoredOracle(ell_h0=np.array(model.ell_of(h0_rows)),
-                           ell_basis=np.array(model.ell_of(basis)),
+    return _FactoredOracle(ell_h0=model.ell(h0_rows), ell_basis=model.ell(basis),
                            basis=basis, tail=h0_rows[n].copy(), shift=shift)
 
 
@@ -434,7 +431,7 @@ def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: SquareRootMod
                         * _steps_per(paths.times[1] - paths.times[0], foliation)]
     x_final = paths.final
     lam = model.lam
-    ell = np.asarray(model.ell_of(psi) + x_final * model.ell_of(lam), dtype=float)
+    ell = model.ell(psi) + x_final * model.ell(lam)
     i1 = grid.index_of(1.0)
     at1 = psi[i1] + x_final * lam[i1]
     w = weight.values(grid)

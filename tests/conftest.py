@@ -1,4 +1,6 @@
 import dataclasses
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,10 @@ from affinefdr.cones import ConeBasis, StateBasis
 from affinefdr.curves import Grid, derivative
 from affinefdr.errors import DimensionMismatch
 from affinefdr.hjmm import SquareRootModel, default_boundary_samples, ker_ell_split
+
+# CLI subprocesses import the package from this checkout, installed or not
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +42,7 @@ def perturbed_cir_model(model, vol_curve, boundary_samples=None):
 
 def _closed_form_membership(h, model, strict):
     """Member iff ell(h) >= 0 and strict > 0, on a 1e-9 max(1, |h|) band."""
-    val = float(model.ell_of(h))
+    val = float(model.ell(h))
     tol = 1e-9 * max(1.0, float(np.linalg.norm(h)))
     member = val >= -tol and strict > tol
     return member, member and abs(val) <= tol
@@ -45,15 +51,15 @@ def _closed_form_membership(h, model, strict):
 def cir_membership(h, model, gamma):
     """Reference CIR initial-set test:
     ell(h) >= 0 and ell(h') + (rho^2 ell(lam Lam) + gamma) ell(h) > 0."""
-    coef = model.rho ** 2 * float(model.ell_of(model.lam * model.lam_capital)) + gamma
-    strict = float(model.ell_of(derivative(h, model.grid))) \
-        + coef * max(float(model.ell_of(h)), 0.0)
+    coef = model.rho ** 2 * float(model.ell(model.lam * model.lam_capital)) + gamma
+    strict = float(model.ell(derivative(h, model.grid))) \
+        + coef * max(float(model.ell(h)), 0.0)
     return _closed_form_membership(h, model, strict)
 
 
 def two_factor_membership(h, model, gamma):
     """Reference two-factor initial-set test: ell(h) >= 0 and ell(h' + gamma h) > 0."""
-    strict = float(model.ell_of(derivative(h, model.grid) + gamma * h))
+    strict = float(model.ell(derivative(h, model.grid) + gamma * h))
     return _closed_form_membership(h, model, strict)
 
 
@@ -268,4 +274,4 @@ def gathered_oracle(model: SquareRootModel, h0: np.ndarray, shift: int, n: int):
     basis = np.empty((2 * n, grid.n))
     basis[0::2] = (model.lam * model.lam_capital)[idx[n - 1::-1]]
     basis[1::2] = model.lam[idx[n - 1::-1]]
-    return basis, np.array(model.ell_of(basis)), np.array(model.ell_of(h0[idx])), h0[idx[n]]
+    return basis, np.array(model.ell(basis)), np.array(model.ell(h0[idx])), h0[idx[n]]

@@ -260,9 +260,9 @@ def test_criterion_07_weak_agreement(cir_model, big_run):
 def test_criterion_08_exact_identities(grid, cir_model, big_run):
     foliation, paths, _, _ = big_run
     curves = foliation.psi[-1] + paths.final[:, None] * cir_model.lam
-    ell_gap = float(np.abs(np.asarray(cir_model.ell_of(curves))
+    ell_gap = float(np.abs(np.asarray(cir_model.ell(curves))
                            - paths.final).max())
-    psi_gap = max(abs(float(cir_model.ell_of(p))) for p in foliation.psi)
+    psi_gap = max(abs(float(cir_model.ell(p))) for p in foliation.psi)
     det = SquareRootModel.cir(grid, 0.0, 0.05)
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     fol0 = evolve_psi(det, h0 - 0.02 * det.lam, horizon=0.5, dt=0.005)

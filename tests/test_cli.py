@@ -99,6 +99,12 @@ def test_riccati_rejects_nonpositive_rho(tmp_path):
     assert res.returncode == 2
 
 
+def test_riccati_rejects_infinite_dx(tmp_path, capsys):
+    assert cli.main(["riccati", "--rho", "0.1", "--dx", "inf",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_check_cir_accepts():
     res = run_cli("check", model_path("cir.model"), "--json")
     assert res.returncode == 0, res.stderr
@@ -212,7 +218,9 @@ ESCAPE = ("[c for c in ().__class__.__base__.__subclasses__() "
     ESCAPE + "['open']({path!r}, 'w').close() or x",
     "x.T",
     "(lambda y: y)(x)",
-], ids=["getpid", "open", "attribute", "lambda"])
+    "x + 0 * 3**3**15",
+    "10**400",
+], ids=["getpid", "open", "attribute", "lambda", "integer-power", "overflow"])
 def test_check_rejects_expression_beyond_arithmetic(tmp_path, expr):
     marker = tmp_path / "evaluated"
     text = (MODELS / "linear_qe.model").read_text()
@@ -222,6 +230,23 @@ def test_check_rejects_expression_beyond_arithmetic(tmp_path, expr):
     assert res.returncode == 2, res.stdout
     assert "[model] vol_curve" in res.stderr
     assert not marker.exists()
+
+
+@pytest.mark.parametrize("old,new,where", [
+    ("boundary_samples = 6", "boundary_samples = 0", "[check] boundary_samples"),
+    ("boundary_samples = 6", "boundary_samples = -3", "[check] boundary_samples"),
+    ("span_tol = 1e-5", "span_tol = nan", "[check] span_tol"),
+    ("weight_alpha = 4", "weight_alpha = nan", "[space] weight_alpha"),
+    ("dx = 0.005", "dx = inf", "[space] x_max, dx"),
+    ("ell = short_end", "ell = points: inf:1", "[model] ell"),
+    ("ell = short_end", "ell = points: 0:nan", "[model] ell"),
+], ids=["samples-0", "samples-negative", "span-tol-nan", "alpha-nan", "dx-inf",
+        "point-inf", "coeff-nan"])
+def test_check_rejects_out_of_range_model_values(tmp_path, capsys, old, new, where):
+    bad = tmp_path / "bad.model"
+    bad.write_text((MODELS / "cir.model").read_text().replace(old, new))
+    assert cli.main(["check", str(bad)]) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_check_norms_each_state_basis_once(monkeypatch):
@@ -398,7 +423,7 @@ def test_simulate_npy_arrays(fast_model, sim_run):
     psi = np.load(os.path.join(sim_run, "psi.npy"), allow_pickle=False)
     assert psi.dtype == np.dtype("<f8")
     assert psi.shape == (config.n_steps + 1, spec.grid.n)
-    assert np.array_equal(psi[0], h0 - float(model.ell_of(h0)) * model.lam)
+    assert np.array_equal(psi[0], h0 - float(model.ell(h0)) * model.lam)
 
 
 def reference_simulate_csvs(modelfile, out, mode):
@@ -415,7 +440,7 @@ def reference_simulate_csvs(modelfile, out, mode):
     written, arrays = {}, {}
     foliation = None
     if mode in ("fdr", "both"):
-        x0 = float(model.ell_of(h0))
+        x0 = float(model.ell(h0))
         foliation = evolve_psi(model, h0 - x0 * model.lam, config.horizon, config.dt)
         paths = simulate_state(model, foliation, x0, config)
         arrays = {"psi.npy": foliation.psi, "paths.npy": paths.values}

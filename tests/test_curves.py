@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from affinefdr.curves import (Grid, PointCombo, ShortEnd, Weight, apply_functional,
-                              derivative, hw_norm, primitive)
+from affinefdr.curves import (SHORT_END, Grid, PointCombo, Weight, derivative, hw_norm,
+                              primitive)
 from affinefdr.errors import GridMismatch
 
 
@@ -60,11 +60,38 @@ def test_hw_norm_triangle_inequality():
 def test_functionals():
     grid = Grid(10.0, 0.005)
     h = np.cos(grid.x)
-    assert apply_functional(ShortEnd(), h, grid) == pytest.approx(1.0)
-    ell = PointCombo((0.0, 1.0), (-1.0, 4.0))
-    assert apply_functional(ell, h, grid) == pytest.approx(-1.0 + 4.0 * np.cos(1.0))
+    assert SHORT_END(h) == pytest.approx(1.0)
+    ell = PointCombo.at(grid, (0.0, 1.0), (-1.0, 4.0))
+    assert ell(h) == pytest.approx(-1.0 + 4.0 * np.cos(1.0))
     dual = ell.dual_vector(grid)
-    assert dual @ h == pytest.approx(apply_functional(ell, h, grid))
+    assert dual @ h == pytest.approx(ell(h))
+
+
+@pytest.mark.parametrize("point,fault", [(0.0033, "is not a grid node"),
+                                         (13.865, r"lies outside \[0, 10\]")])
+def test_point_combo_resolves_its_points_when_built(point, fault):
+    with pytest.raises(GridMismatch, match=fault):
+        PointCombo.at(Grid(10.0, 0.005), (0.0, point), (1.0, 1.0))
+
+
+def test_short_end_is_a_fresh_copy_of_node_zero():
+    v = np.array([[-0.0, 1.5, 2.0], [0.25, -3.0, np.pi]])
+    for values in (v[0], v):
+        got = SHORT_END(values)
+        ref = values[..., 0]
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+        assert not np.shares_memory(got, values)
+
+
+def test_two_node_combination_is_bitwise_its_sum():
+    grid = Grid(10.0, 0.005)
+    v = np.random.default_rng(5).standard_normal((4, grid.n))
+    a0, a1 = -1.0 / 3.0, 4.0 / 7.0
+    ell = PointCombo.at(grid, (0.0, 0.695), (a0, a1))
+    i1 = grid.index_of(0.695)
+    assert ell.nodes == (0, i1)
+    assert np.array_equal(ell(v), a0 * v[:, 0] + a1 * v[:, i1])
+    assert ell(v[2]) == a0 * v[2, 0] + a1 * v[2, i1]
 
 
 def test_grid_mismatch_raised():

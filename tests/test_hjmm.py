@@ -79,7 +79,7 @@ def test_s_operator_reproduces_hjm_drift(grid):
 
 
 def test_cir_model_invariants(grid, cir_model):
-    assert float(cir_model.ell_of(cir_model.lam)) == pytest.approx(1.0, abs=1e-8)
+    assert float(cir_model.ell(cir_model.lam)) == pytest.approx(1.0, abs=1e-8)
     assert cir_model.lam_capital[0] == 0.0
     with pytest.raises(ConstraintViolated):
         SquareRootModel.cir(grid, 0.0, 0.0)
@@ -138,8 +138,8 @@ def test_cir_initial_set_examples(grid, cir_model):
 def test_two_factor_functional_constraints(grid):
     model = SquareRootModel.two_factor(grid, gamma=1.0)
     lam = model.lam
-    assert float(model.ell_of(lam)) == pytest.approx(1.0, abs=1e-12)
-    assert float(model.ell_of(lam ** 2)) == pytest.approx(0.0, abs=1e-12)
+    assert float(model.ell(lam)) == pytest.approx(1.0, abs=1e-12)
+    assert float(model.ell(lam ** 2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_factor_initial_set(grid):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affinefdr.curves import PointCombo, ShortEnd
+from affinefdr.curves import SHORT_END, PointCombo
 from affinefdr.errors import GridMismatch, ModelFileError
 from affinefdr.hjmm import riccati_small
 from affinefdr.modelfile import eval_curve, parse_model_file, parse_model_text
@@ -41,7 +41,7 @@ def test_cir_spec_builds_model():
     spec = parse_model_text(BASE)
     model = spec.model()
     assert model.rho == 0.1 and np.array_equal(model.lam, riccati_small(spec.grid.x, 0.1, 0.05))
-    assert isinstance(model.ell, ShortEnd)
+    assert model.ell == SHORT_END
     with pytest.raises(ModelFileError):
         parse_model_text(BASE.replace("kind = cir", "kind = linear\nvol_curve = 1")).model()
 
@@ -62,13 +62,13 @@ def test_point_combo_ell():
     spec = parse_model_text(text)
     ell = spec.model().ell
     assert isinstance(ell, PointCombo)
-    assert ell.points == (0.0, 1.0) and ell.coeffs == (2.0, c2)
+    assert ell.nodes == (0, 200) and ell.coeffs == (2.0, c2)
 
 
 def test_point_ell_beyond_grid_end():
     text = BASE.replace("ell = short_end", "ell = points: 0:1, 12:-0.5")
     with pytest.raises(GridMismatch, match=r"^point 12.0 lies outside \[0, 10\]$"):
-        parse_model_text(text).model()
+        parse_model_text(text)
 
 
 @pytest.mark.parametrize("check_section", ["", "\n[check]\nspan_tol = 1e-5\n"],

@@ -9,7 +9,7 @@ import pytest
 
 from affinefdr import realization as rz
 from affinefdr.cones import ConeBasis, SplitSpace, StateBasis, orthogonal_split
-from affinefdr.curves import Grid, ShortEnd, derivative, primitive
+from affinefdr.curves import SHORT_END, Grid, derivative, primitive
 from affinefdr.errors import DimensionExceeded
 from affinefdr.hjmm import (SquareRootModel, default_boundary_samples, hjm_drift,
                             ker_ell_split, shape_boundary_samples)
@@ -48,7 +48,7 @@ def _const_vol_on_exp_cone(grid, subspace):
     basis = StateBasis(ConeBasis(np.exp(-x).reshape(1, -1)), subspace=subspace.reshape(1, -1))
     split = orthogonal_split(basis)
     return rz.check_thm_main2(SquareRootModel(
-        grid, ShortEnd(), 0.1, np.exp(-x), primitive(np.exp(-x), grid), split,
+        grid, SHORT_END, 0.1, np.exp(-x), primitive(np.exp(-x), grid), split,
         shape_boundary_samples(grid, split, 2), "const"))
 
 
@@ -132,7 +132,7 @@ def test_maximal_initial_membership_against_two_factor(grid):
         c = rng.normal(0.0, 0.02, 4)
         s = c[0] + c[1] * x * np.exp(-x) + c[2] * np.exp(-0.5 * x)
         # the second curve lies in ker ell, on the boundary whenever it is a member
-        for h in (s, s - float(model.ell_of(s)) * model.lam):
+        for h in (s, s - float(model.ell(s)) * model.lam):
             h = h + c[3] * model.lam ** 2
             verdict = rz.maximal_initial_membership(h, model)
             assert verdict == two_factor_membership(h, model, 1.0)
