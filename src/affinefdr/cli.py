@@ -107,7 +107,7 @@ def _run_checks(spec: ModelSpec) -> dict:
         try:
             a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid),
                                             list(spec.vol_curves),
-                                            max_dim=spec.check_options["max_dim"])
+                                            max_dim=spec.max_dim)
         except rz.DimensionExceeded as exc:
             return {"quasi_exponential": False, "detail": str(exc), "overall": False}
         # the state space is the iterated subspace itself and sigma is
@@ -115,7 +115,7 @@ def _run_checks(spec: ModelSpec) -> dict:
         return {"quasi_exponential": True, "a_sigma_dim": len(a_sigma), "overall": True}
     checks: dict = {}
     # custom gets the split-independent structural checks only
-    model = spec.model()
+    model = spec.model
     ok = True
     if spec.kind != "custom":
         report = rz.check_thm_main2(model)
@@ -127,7 +127,7 @@ def _run_checks(spec: ModelSpec) -> dict:
         # iterated under d/dx
         seeds = [model.lam, hjm_drift(model.lam, spec.grid)]
         a_sigma = rz.quasi_exp_subspace(model.apply_a, seeds,
-                                        max_dim=spec.check_options["max_dim"])
+                                        max_dim=spec.max_dim)
         _, off_v = model.split.v_basis.fit(a_sigma.T)
         in_v = bool(np.all(np.linalg.norm(off_v, axis=0)
                            <= model.span_tol * np.linalg.norm(a_sigma, axis=1)))
@@ -191,7 +191,7 @@ def cmd_initial_set(args) -> int:
     h = _read_curve_csv(args.curve, spec.grid)
     if spec.kind not in ("cir", "two_factor"):
         raise ModelFileError(f"model kind {spec.kind!r} has no split along ker ell")
-    model = spec.model()
+    model = spec.model
     member, on_boundary = rz.maximal_initial_membership(h, model)
     coords, drift = rz.initial_set_coords(h, model)
     print("state coordinates of h = " + ", ".join(f"{c:.10g}" for c in coords))
@@ -248,7 +248,7 @@ def cmd_simulate(args) -> int:
         raise ModelFileError("simulate currently supports kind = cir only")
     if spec.sim is None or spec.h0 is None:
         raise ModelFileError("model file needs a [sim] section with an h0 curve")
-    model = spec.model()
+    model = spec.model
     config = spec.sim
     h0 = spec.h0
     member, _ = rz.maximal_initial_membership(h0, model)

@@ -105,7 +105,8 @@ def default_boundary_samples(grid: Grid, split: SplitSpace, n: int = 6,
     x = grid.x
     shapes = np.array([x * np.exp(-a * x) for a in (0.5, 1.0, 1.5, 2.0, 3.0)]
                       + [np.sin(b * x) * np.exp(-x) for b in (0.5, 1.0, 2.0)])
-    rng = np.random.default_rng(seed)
+    # made only for a mixture: importing numpy.random costs about 10 ms
+    rng = np.random.default_rng(seed) if n > len(shapes) else None
     out = []
     for i in range(n):
         s = shapes[i] if i < len(shapes) else \

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,13 @@ def eval_curve(expr: str, grid: Grid, params: dict[str, float],
             raise ModelFileError(f"{where}: {type(node).__name__} is not allowed in {expr!r}")
     try:
         with np.errstate(all="ignore"):
-            values = np.asarray(eval(compile(tree, "<curve>", "eval"),  # noqa: S307
-                                     {"__builtins__": {}}, ns), dtype=float)
+            values = eval(compile(tree, "<curve>", "eval"),  # noqa: S307
+                          {"__builtins__": {}}, ns)
     except Exception as exc:
         raise ModelFileError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
+    if np.iscomplexobj(values):
+        raise ModelFileError(f"{where}: expression {expr!r} has a complex value")
+    values = np.asarray(values, dtype=float)
     if values.ndim == 0:
         values = np.full(grid.n, float(values))
     if values.shape != (grid.n,) or not np.all(np.isfinite(values)):
@@ -103,52 +106,21 @@ KINDS = ("cir", "two_factor", "linear", "custom")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parsed and validated content of a model file."""
+    """Parsed and validated content of a model file.
+
+    model is the square-root model of a cir, two_factor or custom file, built
+    once at parse, and None for linear; max_dim is [check] max_dim.
+    """
 
     kind: str
     grid: Grid
     weight: Weight
-    rho: float
-    gamma: float
-    ell: PointCombo
-    cone_curves: tuple[np.ndarray, ...] = ()
-    subspace_curves: tuple[np.ndarray, ...] = ()
-    vol_amplitude: str = "sqrt_ell"      # sqrt_ell | const
-    vol_curves: tuple[np.ndarray, ...] = ()
-    check_options: dict = field(default_factory=dict)
-    sim: SimConfig | None = None
-    h0: np.ndarray | None = None
-    source_text: str = ""
-
-    def model(self) -> SquareRootModel:
-        """The square-root model of kind cir, two_factor or custom.
-
-        cir draws n = [check] boundary_samples (default 6) boundary samples
-        and two_factor always 2.  custom builds the orthogonal split of its
-        [cone] and [subspace] curves and draws min(n, 3) shape samples.
-        """
-        grid, span_tol = self.grid, self.check_options["span_tol"]
-        if self.kind == "cir":
-            return SquareRootModel.cir(grid, self.rho, self.gamma, self.ell,
-                                       self.check_options["boundary_samples"], span_tol)
-        if self.kind == "two_factor":
-            return SquareRootModel.two_factor(grid, self.rho, self.gamma, span_tol)
-        if self.kind != "custom":
-            raise ModelFileError(f"model kind {self.kind!r} has no square-root model")
-        cone_rows = np.reshape(self.cone_curves, (-1, grid.n))
-        sub_rows = np.reshape(self.subspace_curves, (-1, grid.n))
-        try:
-            split = orthogonal_split(StateBasis(ConeBasis(cone_rows), subspace=sub_rows))
-        except Exception as exc:
-            raise ModelFileError(f"[cone]/[subspace]: {exc}") from exc
-        n_b = self.check_options["boundary_samples"]
-        lam = self.vol_curves[0]
-        try:
-            return SquareRootModel(grid, self.ell, self.rho, lam, primitive(lam, grid), split,
-                                   tuple(shape_boundary_samples(grid, split, n_b)),
-                                   self.vol_amplitude, span_tol)
-        except NotInV as exc:
-            raise ModelFileError(f"[model] vol_curve: {exc}") from exc
+    model: SquareRootModel | None
+    vol_curves: tuple[np.ndarray, ...]
+    max_dim: int
+    sim: SimConfig | None
+    h0: np.ndarray | None
+    source_text: str
 
 
 def _get(cfg: configparser.ConfigParser, section: str, key: str, cast,
@@ -218,12 +190,14 @@ def parse_model_text(text: str) -> ModelSpec:
         raise ModelFileError("[model] rho must be nonnegative")
 
     # every [check] default lives here, with or without the section
-    check_options = {"boundary_samples": _get(cfg, "check", "boundary_samples", int, 6),
-                     "max_dim": _get(cfg, "check", "max_dim", int, 20),
-                     "span_tol": _get(cfg, "check", "span_tol", float, 1e-5)}
-    if check_options["boundary_samples"] < 1:
+    n_samples = _get(cfg, "check", "boundary_samples", int, 6)
+    max_dim = _get(cfg, "check", "max_dim", int, 20)
+    span_tol = _get(cfg, "check", "span_tol", float, 1e-5)
+    if n_samples < 1:
         raise ModelFileError("[check] boundary_samples must be at least 1")
-    if not 0.0 < check_options["span_tol"] < np.inf:
+    if max_dim < 1:
+        raise ModelFileError("[check] max_dim must be at least 1")
+    if not 0.0 < span_tol < np.inf:
         raise ModelFileError("[check] span_tol must be finite and positive")
 
     sim = None
@@ -241,11 +215,32 @@ def parse_model_text(text: str) -> ModelSpec:
         if cfg.has_option("sim", "h0"):
             h0 = eval_curve(cfg.get("sim", "h0"), grid, params, where="[sim] h0")
 
-    return ModelSpec(kind=kind, grid=grid, weight=weight, rho=rho, gamma=gamma,
-                     ell=ell, cone_curves=cone_curves,
-                     subspace_curves=subspace_curves, vol_amplitude=vol_amp,
-                     vol_curves=vol_curves, check_options=check_options,
-                     sim=sim, h0=h0, source_text=text)
+    # the square-root model: cir draws n = boundary_samples boundary samples
+    # and two_factor always 2; custom builds the orthogonal split of its
+    # [cone] and [subspace] curves and draws min(n, 3) shape samples
+    model = None
+    if kind == "cir":
+        model = SquareRootModel.cir(grid, rho, gamma, ell, n_samples, span_tol)
+    elif kind == "two_factor":
+        model = SquareRootModel.two_factor(grid, rho, gamma, span_tol)
+    elif kind == "custom":
+        cone_rows = np.reshape(cone_curves, (-1, grid.n))
+        sub_rows = np.reshape(subspace_curves, (-1, grid.n))
+        try:
+            split = orthogonal_split(StateBasis(ConeBasis(cone_rows), subspace=sub_rows))
+        except Exception as exc:
+            raise ModelFileError(f"[cone]/[subspace]: {exc}") from exc
+        lam = vol_curves[0]
+        try:
+            model = SquareRootModel(grid, ell, rho, lam, primitive(lam, grid), split,
+                                    tuple(shape_boundary_samples(grid, split, n_samples)),
+                                    vol_amp, span_tol)
+        except NotInV as exc:
+            raise ModelFileError(f"[model] vol_curve: {exc}") from exc
+
+    return ModelSpec(kind=kind, grid=grid, weight=weight, model=model,
+                     vol_curves=vol_curves, max_dim=max_dim, sim=sim, h0=h0,
+                     source_text=text)
 
 
 def parse_model_file(path: str) -> ModelSpec:

@@ -49,8 +49,13 @@ class SimConfig:
     scheme: str = "full_truncation"
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0 or self.n_paths < 1:
-            raise ConstraintViolated("dt, horizon and n_paths must be positive")
+        for key in ("horizon", "dt"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ConstraintViolated(f"{key} must be finite and positive")
+        if self.n_paths < 1:
+            raise ConstraintViolated("paths must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConstraintViolated("seed must lie in [0, 2**64)")
         if self.scheme not in SCHEMES:
             raise ConstraintViolated(f"scheme must be one of {SCHEMES}")
         if abs(round(self.horizon / self.dt) * self.dt - self.horizon) > 1e-9:
@@ -160,7 +165,9 @@ def _cached_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     out = np.empty((n_paths, n_steps))
     # one generator, reset per path to the fresh state of Philox(key=[.., p]):
     # the same stream as a new generator per path, without building one
-    bits = np.random.Philox(key=[seed, 0])
+    # an explicit uint64 key: numpy casts a list holding ints of 2**63 and
+    # more through float64, so distinct seeds would share a key
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state   # counter 0, empty buffer
     for p in range(n_paths):

@@ -14,6 +14,8 @@ from affinefdr.hjmm import SquareRootModel, default_boundary_samples, ker_ell_sp
 # CLI subprocesses import the package from this checkout, installed or not
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+# and turn warnings into errors, as pytest does in process
+os.environ["PYTHONWARNINGS"] = "error"
 
 
 @pytest.fixture(scope="session")

@@ -145,7 +145,7 @@ def test_check_fits_and_builds_r_basis_once_per_sample(monkeypatch):
     assert cli._run_checks(spec)["overall"] is True
     # per sample g: the fit reads g and g + t b_i (t = 1/2, 1), the R basis
     # reads g and g + b_i; the checks share both
-    model = spec.model()
+    model = spec.model
     n, d = len(model.boundary_samples), model.split.v_basis.dim_v
     assert n == 6
     assert len(calls) == n * (1 + 2 * d) + n * (1 + d)
@@ -240,8 +240,17 @@ def test_check_rejects_expression_beyond_arithmetic(tmp_path, expr):
     ("dx = 0.005", "dx = inf", "[space] x_max, dx"),
     ("ell = short_end", "ell = points: inf:1", "[model] ell"),
     ("ell = short_end", "ell = points: 0:nan", "[model] ell"),
+    ("span_tol = 1e-5", "span_tol = 1e-5\nmax_dim = 0", "[check] max_dim"),
+    ("span_tol = 1e-5", "span_tol = 1e-5\nmax_dim = -2", "[check] max_dim"),
+    ("dt = 0.005", "dt = inf", "[sim]: dt"),
+    ("dt = 0.005", "dt = nan", "[sim]: dt"),
+    ("horizon = 0.5", "horizon = nan", "[sim]: horizon"),
+    ("horizon = 0.5", "horizon = inf", "[sim]: horizon"),
+    ("seed = 12345", "seed = -1", "[sim]: seed"),
+    ("seed = 12345", "seed = 18446744073709551616", "[sim]: seed"),
 ], ids=["samples-0", "samples-negative", "span-tol-nan", "alpha-nan", "dx-inf",
-        "point-inf", "coeff-nan"])
+        "point-inf", "coeff-nan", "max-dim-0", "max-dim-negative", "dt-inf", "dt-nan",
+        "horizon-nan", "horizon-inf", "seed-negative", "seed-2**64"])
 def test_check_rejects_out_of_range_model_values(tmp_path, capsys, old, new, where):
     bad = tmp_path / "bad.model"
     bad.write_text((MODELS / "cir.model").read_text().replace(old, new))
@@ -412,7 +421,7 @@ def test_simulate_byte_identical(fast_model, sim_run, tmp_path):
 
 def test_simulate_npy_arrays(fast_model, sim_run):
     spec = parse_model_file(fast_model)
-    model, config, h0 = spec.model(), spec.sim, spec.h0
+    model, config, h0 = spec.model, spec.sim, spec.h0
     paths = np.load(os.path.join(sim_run, "paths.npy"), allow_pickle=False)
     assert paths.dtype == np.dtype("<f8")
     assert paths.shape == (config.n_paths, config.n_steps + 1)
@@ -431,7 +440,7 @@ def reference_simulate_csvs(modelfile, out, mode):
     reference writer, and its .npy artifacts saved from those arrays;
     returns their names."""
     spec = parse_model_file(modelfile)
-    model, config, h0, x = spec.model(), spec.sim, spec.h0, spec.grid.x.tolist()
+    model, config, h0, x = spec.model, spec.sim, spec.h0, spec.grid.x.tolist()
 
     def phi_rows(phis):
         return [(p, float(phis["ell"][p]), float(phis["eval_at_1"][p]),

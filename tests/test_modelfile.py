@@ -1,10 +1,13 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from affinefdr.curves import SHORT_END, PointCombo
 from affinefdr.errors import GridMismatch, ModelFileError
 from affinefdr.hjmm import riccati_small
-from affinefdr.modelfile import eval_curve, parse_model_file, parse_model_text
+from affinefdr.modelfile import ModelSpec, eval_curve, parse_model_file, parse_model_text
 from importlib import resources
 
 BASE = """
@@ -39,11 +42,10 @@ def test_bundled_models_parse(name, kind):
 
 def test_cir_spec_builds_model():
     spec = parse_model_text(BASE)
-    model = spec.model()
+    model = spec.model
     assert model.rho == 0.1 and np.array_equal(model.lam, riccati_small(spec.grid.x, 0.1, 0.05))
     assert model.ell == SHORT_END
-    with pytest.raises(ModelFileError):
-        parse_model_text(BASE.replace("kind = cir", "kind = linear\nvol_curve = 1")).model()
+    assert parse_model_text(BASE.replace("kind = cir", "kind = linear\nvol_curve = 1")).model is None
 
 
 def test_sim_section_parsed():
@@ -60,7 +62,7 @@ def test_point_combo_ell():
     c2 = -1.0 / float(riccati_small(np.array([1.0]), 0.1, 0.05)[0])
     text = BASE.replace("ell = short_end", f"ell = points: 0:2, 1:{c2!r}")
     spec = parse_model_text(text)
-    ell = spec.model().ell
+    ell = spec.model.ell
     assert isinstance(ell, PointCombo)
     assert ell.nodes == (0, 200) and ell.coeffs == (2.0, c2)
 
@@ -75,7 +77,13 @@ def test_point_ell_beyond_grid_end():
                          ids=["no-section", "section"])
 def test_check_defaults_with_and_without_section(check_section):
     spec = parse_model_text(BASE + check_section)
-    assert spec.check_options == {"boundary_samples": 6, "max_dim": 20, "span_tol": 1e-5}
+    assert spec.max_dim == 20
+    assert spec.model.span_tol == 1e-5 and len(spec.model.boundary_samples) == 6
+
+
+def test_model_spec_fields():
+    assert [f.name for f in dataclasses.fields(ModelSpec)] == [
+        "kind", "grid", "weight", "model", "vol_curves", "max_dim", "sim", "h0", "source_text"]
 
 
 def test_eval_curve_restricted_namespace():
@@ -86,6 +94,18 @@ def test_eval_curve_restricted_namespace():
         eval_curve("__import__('os')", spec.grid, {}, "[t] k")
     with pytest.raises(ModelFileError):
         eval_curve("1 / (x - x)", spec.grid, {}, "[t] k")
+
+
+@pytest.mark.parametrize("expr", ["(-8)**(1/3) * x", "0.02 + 0.001 * (-8)**(1/3) * x * exp(-x)",
+                                  "(-1)**0.5"])
+def test_eval_curve_rejects_complex_values(expr):
+    # numpy casts complex to float with only a ComplexWarning; ignore it so
+    # the test sees whether the value itself is rejected
+    grid = parse_model_text(BASE).grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ModelFileError, match=r"^\[sim\] h0: .* complex"):
+            eval_curve(expr, grid, {}, "[sim] h0")
 
 
 @pytest.mark.parametrize("mutate, fragment", [
@@ -117,7 +137,7 @@ def test_custom_requires_geometry():
 
 def test_custom_model_data_built():
     spec = parse_model_file(bundled("example64.model"))
-    model = spec.model()
+    model = spec.model
     assert model.split.v_basis.dim_v == 2 and model.split.v_basis.m == 1
     # volatility curve coordinates live in the cone block
     sq = model.sigma_sq_at(0.05 * np.ones(spec.grid.n))
@@ -128,5 +148,5 @@ def test_custom_model_data_built():
 def test_custom_vol_curve_must_lie_in_span():
     text = parse_model_file(bundled("example64.model")).source_text
     bad = text.replace("vol_curve = exp(-gamma * x)", "vol_curve = sin(x)")
-    with pytest.raises(ModelFileError):
-        parse_model_text(bad).model()
+    with pytest.raises(ModelFileError, match=r"^\[model\] vol_curve: "):
+        parse_model_text(bad)

@@ -84,7 +84,7 @@ def test_two_factor_fixture_passes(grid):
 def test_check_damir_verdicts(grid, cir_model):
     assert rz.check_damir(cir_model)
     example64 = resources.files("affinefdr") / "models" / "example64.model"
-    assert not rz.check_damir(parse_model_file(str(example64)).model())
+    assert not rz.check_damir(parse_model_file(str(example64)).model)
 
 
 def test_const_mod_k_and_kspace(cir_model):

@@ -114,6 +114,13 @@ def test_path_normals_match_a_generator_per_path(seed):
         assert np.array_equal(got[p], gen.standard_normal(n_steps)), p
 
 
+def test_path_normals_keep_seeds_beyond_2_63_apart():
+    # a key list cast through float64 merges these seeds, the last into
+    # seed 0 with a cast warning, which pytest turns into an error
+    assert not np.array_equal(path_normals(2 ** 63, 2, 5), path_normals(2 ** 63 + 5, 2, 5))
+    assert not np.array_equal(path_normals(2 ** 64 - 1, 2, 5), path_normals(0, 2, 5))
+
+
 def test_path_normals_shared_and_read_only():
     a = path_normals(11, 3, 20)
     b = path_normals(11, 3, 20)
@@ -389,7 +396,7 @@ def test_summarize_direct_matches_materialized_ensemble(grid, cir_model, case, n
 def test_summarize_direct_builds_only_the_mean_curve(monkeypatch):
     # cir.model's curves stay below 1, so the residual's normalizer needs none
     spec = parse_model_file(resources.files("affinefdr") / "models" / "cir.model")
-    model, cfg, h0 = spec.model(), spec.sim, spec.h0
+    model, cfg, h0 = spec.model, spec.sim, spec.h0
     x0 = float(model.ell(h0))
     psi = evolve_psi(model, h0 - x0 * model.lam, cfg.horizon, cfg.dt).psi[-1]
     shapes = []
