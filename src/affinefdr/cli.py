@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from . import realization as rz
 from .curves import Grid, derivative
-from .errors import (AffineFdrError, GridMismatch, LeftBoundary, MissingArtifacts,
-                     ModelFileError, NotInInitialSet)
+from .errors import (AffineFdrError, ConstraintViolated, GridMismatch, LeftBoundary,
+                     MalformedArtifact, MissingArtifacts, ModelFileError, NotInInitialSet)
 from .hjmm import hjm_drift, riccati_capital, riccati_small
 from .modelfile import ModelSpec, parse_model_file
 from .simulate import (evolve_psi, fdr_phi_values, simulate_state, summarize_direct,
@@ -68,14 +68,11 @@ def _write_csv(path: str, header: str, values: np.ndarray) -> None:
 # ---------------------------------------------------------------- riccati
 
 def cmd_riccati(args) -> int:
-    if args.rho <= 0:
-        print("error: --rho must be positive", file=sys.stderr)
-        return 2
-    try:
-        grid = Grid(args.xmax, args.dx)
-    except AffineFdrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if not (np.isfinite(args.rho) and args.rho > 0):
+        raise ConstraintViolated("--rho must be finite and positive")
+    if not np.isfinite(args.gamma):
+        raise ConstraintViolated("--gamma must be finite")
+    grid = Grid(args.xmax, args.dx)
     lam_cap = riccati_capital(grid.x, args.rho, args.gamma)
     lam = riccati_small(grid.x, args.rho, args.gamma)
     residual = derivative(lam, grid) + args.rho ** 2 * lam * lam_cap + args.gamma * lam
@@ -128,9 +125,7 @@ def _run_checks(spec: ModelSpec) -> dict:
         seeds = [model.lam, hjm_drift(model.lam, spec.grid)]
         a_sigma = rz.quasi_exp_subspace(model.apply_a, seeds,
                                         max_dim=spec.max_dim)
-        _, off_v = model.split.v_basis.fit(a_sigma.T)
-        in_v = bool(np.all(np.linalg.norm(off_v, axis=0)
-                           <= model.span_tol * np.linalg.norm(a_sigma, axis=1)))
+        in_v = bool(np.all(model.split.v_basis.off_span(a_sigma.T) <= model.span_tol))
         checks["a_sigma_dim"] = int(len(a_sigma))
         checks["a_sigma_in_v"] = in_v
         ok = ok and in_v and len(a_sigma) == model.split.v_basis.dim_v
@@ -181,7 +176,7 @@ def _read_curve_csv(path: str, grid: Grid) -> np.ndarray:
         raise ModelFileError(f"{path}: malformed curve CSV: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
         raise ModelFileError(f"{path}: expected two columns x,value")
-    if data.shape[0] != grid.n or np.abs(data[:, 0] - grid.x).max() > 1e-9:
+    if data.shape[0] != grid.n or not np.all(np.abs(data[:, 0] - grid.x) <= 1e-9):
         raise GridMismatch(f"{path}: curve x-column does not match the model grid")
     return data[:, 1]
 
@@ -209,8 +204,11 @@ def cmd_initial_set(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 def _load_phi_csv(path: str) -> dict[str, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return {"ell": data[:, 1], "eval_at_1": data[:, 2], "hw_norm": data[:, 3]}
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(1, 2, 3))
+    except ValueError as exc:
+        raise MalformedArtifact(f"{path}: {exc}") from exc
+    return {"ell": data[:, 0], "eval_at_1": data[:, 1], "hw_norm": data[:, 2]}
 
 
 def build_verify_report(run_dir: str) -> dict:
@@ -225,14 +223,15 @@ def build_verify_report(run_dir: str) -> dict:
             raise MissingArtifacts(f"{run_dir} lacks {name}")
     fdr = _load_phi_csv(os.path.join(run_dir, "fdr_phis.csv"))
     direct = _load_phi_csv(os.path.join(run_dir, "direct_phis.csv"))
-    stats = {}
-    with open(os.path.join(run_dir, "direct_stats.csv"), encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            key, value = line.strip().split(",")
-            stats[key] = float(value)
-    return verify_invariance(fdr, direct, stats["min_ell"],
-                             stats["foliation_residual"])
+    stats_path = os.path.join(run_dir, "direct_stats.csv")
+    try:
+        with open(stats_path, encoding="utf-8") as fh:
+            stats = {key: float(value) for key, value in
+                     (line.strip().split(",") for line in list(fh)[1:])}
+        min_ell, residual = stats["min_ell"], stats["foliation_residual"]
+    except (ValueError, KeyError) as exc:
+        raise MalformedArtifact(f"{stats_path}: malformed key,value table: {exc}") from exc
+    return verify_invariance(fdr, direct, min_ell, residual)
 
 
 def _phi_table(phis: dict[str, np.ndarray]) -> tuple[str, np.ndarray]:
@@ -319,9 +318,15 @@ def cmd_verify(args) -> int:
     if not os.path.exists(manifest_path):
         raise MissingArtifacts(f"{args.run_dir} has no manifest.json")
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise MalformedArtifact(f"{manifest_path}: {exc}") from exc
+    artifacts = manifest.get("artifacts", {}) if isinstance(manifest, dict) else None
+    if not isinstance(artifacts, dict):
+        raise MalformedArtifact(f"{manifest_path}: artifacts is not an object of digests")
     mismatches = []
-    for name, digest in manifest.get("artifacts", {}).items():
+    for name, digest in artifacts.items():
         if name == "verify.json":
             continue
         path = os.path.join(args.run_dir, name)

@@ -146,6 +146,13 @@ class StateBasis:
         coords, *_ = np.linalg.lstsq(self.matrix.T, curves, rcond=None)
         return coords, curves - self.matrix.T @ coords
 
+    def off_span(self, curves: np.ndarray) -> np.ndarray:
+        """Relative residual off span V, |residual| / |curve| (0 for a zero
+        curve), of one curve or of each column."""
+        curves = np.asarray(curves, dtype=float)
+        norms = np.linalg.norm(curves, axis=0)
+        return np.linalg.norm(self.fit(curves)[1], axis=0) / np.where(norms > 0, norms, 1.0)
+
 
 def coordinates(x: np.ndarray, basis: StateBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Coordinates of x in the normed-cone / subspace basis of V.

@@ -41,10 +41,6 @@ class Grid:
     def x(self) -> np.ndarray:
         return np.linspace(0.0, self.x_max, self.n)
 
-    def sample(self, f) -> np.ndarray:
-        """Evaluate a callable on the grid points."""
-        return np.asarray(f(self.x), dtype=float)
-
     def index_of(self, x0: float) -> int:
         """Grid index of a point that must lie on the grid."""
         i = min(max(round(x0 / self.dx), 0), self.n - 1)

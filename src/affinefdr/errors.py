@@ -85,5 +85,9 @@ class MissingArtifacts(AffineFdrError):
     """A run directory lacks required output files."""
 
 
+class MalformedArtifact(AffineFdrError):
+    """A run-directory file cannot be read as the artifact it should be."""
+
+
 class ModelFileError(AffineFdrError):
     """Model file cannot be parsed or validated."""

@@ -138,8 +138,8 @@ class SquareRootModel:
     residual band for "lies in span V", limited by the second-order boundary
     stencils.  Raises NotInV when lam does not lie in the state space.
 
-    The drift-image operator, the per-sample fits and the R basis are
-    computed once, on first use, and shared by every check.
+    The drift-image operator and the per-sample fits are computed once, on
+    first use, and shared by every check.
     """
 
     grid: Grid
@@ -234,20 +234,12 @@ class SquareRootModel:
                 fits.append(exc)
         return fits
 
-    @functools.cached_property
+    @property
     def r_basis(self) -> list[np.ndarray]:
-        """Orthonormal basis of the span R of sigma^2 at each boundary sample g
-        and at g + b_i for each basis curve b_i."""
-        mats = []
-        B = self.split.v_basis.matrix
-        d = self.split.v_basis.dim_v
-        for g in self.boundary_samples:
-            mats.append(self.sigma_sq_at(g))
-            for i in range(d):
-                mats.append(self.sigma_sq_at(g + B[i]))
-        if not mats:
+        """R, the span of the squared volatilities amp(h)^2 c c^T: the normed
+        line of c c^T, or nothing when sigma^2 vanishes identically."""
+        norm = float(np.linalg.norm(self._lam_outer))
+        if self.rho == 0 or norm == 0 or (self.amplitude == "sqrt_ell"
+                                          and not np.any(self.ell.dual_vector(self.grid))):
             return []
-        flat = np.array([m.ravel() for m in mats])
-        u, s, vt = np.linalg.svd(flat, full_matrices=False)
-        rank = int(np.sum(s > rz.RANK_TOL * max(s[0], 1e-30))) if s.size else 0
-        return [vt[i].reshape(d, d) for i in range(rank)]
+        return [self._lam_outer / norm]

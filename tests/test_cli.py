@@ -105,6 +105,18 @@ def test_riccati_rejects_infinite_dx(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--rho", "nan"), ("--gamma", "nan"),
+                                         ("--rho", "inf")])
+def test_riccati_rejects_non_finite_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "r.csv"
+    argv = {"--rho": "0.1", "--gamma": "0.05", flag: value}
+    assert cli.main(["riccati", *(a for kv in argv.items() for a in kv),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be finite")
+    assert not out.exists()
+
+
 def test_check_cir_accepts():
     res = run_cli("check", model_path("cir.model"), "--json")
     assert res.returncode == 0, res.stderr
@@ -137,18 +149,18 @@ def test_check_json_matches_golden(name):
     assert res.stdout.encode() == (DATA / f"check_{name}.json").read_bytes()
 
 
-def test_check_fits_and_builds_r_basis_once_per_sample(monkeypatch):
+def test_check_fits_once_per_sample(monkeypatch):
     spec = parse_model_file(model_path("cir.model"))
     sigma_sq_at, calls = SquareRootModel.sigma_sq_at, []
     monkeypatch.setattr(SquareRootModel, "sigma_sq_at",
                         lambda self, h: calls.append(1) or sigma_sq_at(self, h))
     assert cli._run_checks(spec)["overall"] is True
-    # per sample g: the fit reads g and g + t b_i (t = 1/2, 1), the R basis
-    # reads g and g + b_i; the checks share both
+    # per sample g the fit reads g and g + t b_i (t = 1/2, 1), and the checks
+    # share it; R is the line of c c^T and reads no sample
     model = spec.model
     n, d = len(model.boundary_samples), model.split.v_basis.dim_v
     assert n == 6
-    assert len(calls) == n * (1 + 2 * d) + n * (1 + d)
+    assert len(calls) == n * (1 + 2 * d) == 18
 
 
 def test_check_linear_builds_the_iterated_subspace_once(monkeypatch):
@@ -360,6 +372,18 @@ def test_initial_set_grid_mismatch(tmp_path):
     write_curve(short, 100, np.full(100, 0.02))
     res = run_cli("initial-set", model_path("cir.model"), "--curve", str(short))
     assert res.returncode == 2
+
+
+def test_initial_set_rejects_a_nan_in_the_x_column(tmp_path):
+    curve = tmp_path / "nan_x.csv"
+    write_curve(curve, 2001, np.full(2001, 0.02))
+    lines = curve.read_text().splitlines(keepends=True)
+    lines[5] = "nan," + lines[5].split(",")[1]
+    curve.write_text("".join(lines))
+    res = run_cli("initial-set", model_path("cir.model"), "--curve", str(curve))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "x-column" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 @pytest.fixture(scope="module")
@@ -586,6 +610,33 @@ def test_verify_missing_artifacts(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_cli("verify", str(empty)).returncode == 2
+
+
+PHI_HEADER = "path,ell,eval_at_1,hw_norm\n"
+
+
+@pytest.mark.parametrize("bad, files", [
+    ("manifest.json", {"manifest.json": "{not json"}),
+    ("manifest.json", {"manifest.json": "[1,2]"}),
+    ("manifest.json", {"manifest.json": '{"artifacts": []}'}),
+    ("fdr_phis.csv", {"fdr_phis.csv": PHI_HEADER + "0,abc,1,2\n"}),
+    ("direct_phis.csv", {"direct_phis.csv": PHI_HEADER + "0,1\n"}),
+    ("direct_stats.csv", {"direct_stats.csv": "key,value\nmin_ell\n"}),
+], ids=["not-json", "list", "artifacts-list", "fdr-non-numeric", "direct-short-row",
+        "stats-short-row"])
+def test_verify_rejects_a_malformed_run_directory(tmp_path, bad, files):
+    run = tmp_path / "run"
+    run.mkdir()
+    valid = {"manifest.json": '{"artifacts": {}}',
+             "fdr_phis.csv": PHI_HEADER + "0,0.1,0.2,0.3\n",
+             "direct_phis.csv": PHI_HEADER + "0,0.1,0.2,0.3\n",
+             "direct_stats.csv": "key,value\nmin_ell,0.1\nfoliation_residual,0\n"}
+    for name, text in {**valid, **files}.items():
+        (run / name).write_text(text)
+    res = run_cli("verify", str(run))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {run / bad}: ")
+    assert "Traceback" not in res.stderr
 
 
 def test_version_flag():

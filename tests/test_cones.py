@@ -85,6 +85,16 @@ def test_fit_is_one_least_squares_solve_onto_span_v():
     np.testing.assert_array_equal(basis.fit(x)[0], coordinates(x, basis))
 
 
+def test_off_span_is_the_relative_residual_off_span_v():
+    basis = StateBasis(ConeBasis(np.array([[2.0, 0.0, 0.0]])),
+                       subspace=np.array([[0.0, 1.0, 0.0]]))
+    assert basis.off_span(np.array([3.0, -1.0, 0.0])) == 0.0
+    assert basis.off_span(np.zeros(3)) == 0.0
+    assert basis.off_span(np.array([0.0, 3.0, 4.0])) == pytest.approx(0.8, rel=1e-15)
+    curves = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]]).T
+    np.testing.assert_allclose(basis.off_span(curves), [0.0, 0.0, 1.0], atol=1e-15)
+
+
 def test_inner_v_cone_coordinates():
     # the normed generators are orthonormal for the cone-induced product
     gens = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0]])

@@ -93,6 +93,39 @@ def test_const_mod_k_and_kspace(cir_model):
     assert rz.check_const_mod_k(cir_model)
 
 
+def test_k_is_r_where_s_maps_the_volatility_direction_into_v(grid, cir_model):
+    example64 = resources.files("affinefdr") / "models" / "example64.model"
+    for model in (SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0),
+                  parse_model_file(str(example64)).model):
+        (r,) = model.r_basis
+        assert np.linalg.norm(r) == pytest.approx(1.0, rel=1e-15)
+        assert np.linalg.matrix_rank(r) == 1
+        kspace = rz.compute_k(model)
+        assert len(kspace) == 1 and np.array_equal(kspace[0], r)
+        assert not rz.check_damir(model)
+    assert rz.compute_k(cir_model) == ()
+
+
+def test_r_is_empty_where_sigma_sq_vanishes(grid, tmp_path):
+    example64 = resources.files("affinefdr") / "models" / "example64.model"
+    zero_ell = tmp_path / "zero_ell.model"
+    zero_ell.write_text(example64.read_text().replace("ell = short_end", "ell = points: 0:0"))
+    for model in (SquareRootModel.cir(grid, 0.0, 0.05), parse_model_file(str(zero_ell)).model):
+        assert model.r_basis == []
+        assert rz.compute_k(model) == ()
+        assert rz.check_damir(model)
+
+
+def test_readme_lists_every_fixed_band_of_realization():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("fixed constants of `affinefdr.realization`:", 1)[1].split("\n\n")[1]
+    listed = dict(re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", table, re.M))
+    assert listed, "no band table found in README.md"
+    assert {name: float(value) for name, value in listed.items()} \
+        == {name: getattr(rz, name, None) for name in listed}
+    assert {name for name in vars(rz) if name.endswith("_TOL")} <= set(listed)
+
+
 def test_quasi_exp_dimensions(grid):
     apply_a = lambda h: derivative(h, grid)
     assert len(rz.quasi_exp_subspace(apply_a, [np.exp(-0.05 * grid.x)])) == 1
