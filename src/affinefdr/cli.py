@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -97,47 +98,46 @@ def _condition_summary(report: rz.RealizabilityReport) -> dict:
     return out
 
 
+def _quasi_exp(apply_a, seeds, max_dim: int) -> tuple[np.ndarray | None, dict]:
+    """The iterated span of seeds under apply_a and its a_sigma_dim, or None
+    and the DimensionExceeded message as detail."""
+    try:
+        a_sigma = rz.quasi_exp_subspace(apply_a, seeds, max_dim=max_dim)
+    except rz.DimensionExceeded as exc:
+        return None, {"detail": str(exc)}
+    return a_sigma, {"a_sigma_dim": int(len(a_sigma))}
+
+
 def _run_checks(spec: ModelSpec) -> dict:
-    """All applicable structural checks for the parsed model."""
-    if spec.kind == "linear":
-        grid = spec.grid
-        try:
-            a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid),
-                                            list(spec.vol_curves),
-                                            max_dim=spec.max_dim)
-        except rz.DimensionExceeded as exc:
-            return {"quasi_exponential": False, "detail": str(exc), "overall": False}
-        # the state space is the iterated subspace itself and sigma is
-        # constant, so it holds A sigma and sigma^2 does not vary along it
-        return {"quasi_exponential": True, "a_sigma_dim": len(a_sigma), "overall": True}
-    checks: dict = {}
-    # custom gets the split-independent structural checks only
+    """The checks chosen by the model: a linear file (constant sigma) needs a
+    quasi-exponential sigma alone; a square-root model runs check_thm_main2,
+    check_damir and check_const_mod_k.  check_damir gates nothing: where it
+    fails, S maps c c^T into V, so V must be the quasi-exponential span of
+    lam and its drift curve."""
     model = spec.model
-    ok = True
-    if spec.kind != "custom":
-        report = rz.check_thm_main2(model)
-        checks["realizability"] = _condition_summary(report)
-        ok = report.overall
-    if spec.kind == "two_factor":
-        # quasi-exponential span: seeds are the volatility direction and its
-        # induced drift curve, whose scale rho^2 leaves the span unchanged,
-        # iterated under d/dx
-        seeds = [model.lam, hjm_drift(model.lam, spec.grid)]
-        a_sigma = rz.quasi_exp_subspace(model.apply_a, seeds,
-                                        max_dim=spec.max_dim)
-        in_v = bool(np.all(model.split.v_basis.off_span(a_sigma.T) <= model.span_tol))
-        checks["a_sigma_dim"] = int(len(a_sigma))
-        checks["a_sigma_in_v"] = in_v
-        ok = ok and in_v and len(a_sigma) == model.split.v_basis.dim_v
-    else:
-        checks["check_damir"] = rz.check_damir(model)
-        try:
-            checks["check_const_mod_k"] = rz.check_const_mod_k(model)
-        except AffineFdrError as exc:
-            # the squared volatility need not fit affinely over this split
-            checks["check_const_mod_k"] = False
-            checks["const_mod_k_detail"] = str(exc)
-        ok = ok and checks["check_damir"] and checks["check_const_mod_k"]
+    if model is None:
+        a_sigma, checks = _quasi_exp(lambda h: derivative(h, spec.grid),
+                                     list(spec.vol_curves), spec.max_dim)
+        return {"quasi_exponential": a_sigma is not None, **checks,
+                "overall": a_sigma is not None}
+    report = rz.check_thm_main2(model)
+    checks = {"realizability": _condition_summary(report),
+              "check_damir": rz.check_damir(model)}
+    try:
+        checks["check_const_mod_k"] = rz.check_const_mod_k(model)
+    except AffineFdrError as exc:
+        # the squared volatility need not fit affinely over this split
+        checks["check_const_mod_k"] = False
+        checks["const_mod_k_detail"] = str(exc)
+    ok = report.overall and checks["check_const_mod_k"]
+    if not checks["check_damir"]:
+        # the drift curve's scale rho^2 leaves the span unchanged
+        basis = model.split.v_basis
+        a_sigma, qe = _quasi_exp(model.apply_a, [model.lam, hjm_drift(model.lam, model.grid)],
+                                 spec.max_dim)
+        in_v = a_sigma is not None and bool(np.all(basis.off_span(a_sigma.T) <= model.span_tol))
+        checks.update(qe, a_sigma_in_v=in_v)
+        ok = ok and in_v and len(a_sigma) == basis.dim_v
     checks["overall"] = bool(ok)
     return checks
 
@@ -205,9 +205,14 @@ def cmd_initial_set(args) -> int:
 
 def _load_phi_csv(path: str) -> dict[str, np.ndarray]:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(1, 2, 3))
+        with warnings.catch_warnings():
+            # loadtxt warns of a table without rows, which is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(1, 2, 3))
     except ValueError as exc:
         raise MalformedArtifact(f"{path}: {exc}") from exc
+    if not len(data):
+        raise MalformedArtifact(f"{path}: no rows")
     return {"ell": data[:, 0], "eval_at_1": data[:, 1], "hw_norm": data[:, 2]}
 
 
@@ -223,6 +228,9 @@ def build_verify_report(run_dir: str) -> dict:
             raise MissingArtifacts(f"{run_dir} lacks {name}")
     fdr = _load_phi_csv(os.path.join(run_dir, "fdr_phis.csv"))
     direct = _load_phi_csv(os.path.join(run_dir, "direct_phis.csv"))
+    if len(fdr["ell"]) != len(direct["ell"]):
+        raise MalformedArtifact(f"{os.path.join(run_dir, 'fdr_phis.csv')}: {len(fdr['ell'])} "
+                                f"paths against {len(direct['ell'])} in direct_phis.csv")
     stats_path = os.path.join(run_dir, "direct_stats.csv")
     try:
         with open(stats_path, encoding="utf-8") as fh:

@@ -150,17 +150,61 @@ def test_check_json_matches_golden(name):
 
 
 def test_check_fits_once_per_sample(monkeypatch):
-    spec = parse_model_file(model_path("cir.model"))
     sigma_sq_at, calls = SquareRootModel.sigma_sq_at, []
     monkeypatch.setattr(SquareRootModel, "sigma_sq_at",
                         lambda self, h: calls.append(1) or sigma_sq_at(self, h))
-    assert cli._run_checks(spec)["overall"] is True
     # per sample g the fit reads g and g + t b_i (t = 1/2, 1), and the checks
     # share it; R is the line of c c^T and reads no sample
-    model = spec.model
-    n, d = len(model.boundary_samples), model.split.v_basis.dim_v
-    assert n == 6
-    assert len(calls) == n * (1 + 2 * d) == 18
+    for name, n, n_calls, overall in [("cir", 6, 18, True), ("two_factor", 2, 10, True),
+                                      ("example64", 3, 15, False)]:
+        spec = parse_model_file(model_path(f"{name}.model"))
+        calls.clear()
+        assert cli._run_checks(spec)["overall"] is overall
+        model = spec.model
+        d = model.split.v_basis.dim_v
+        assert len(model.boundary_samples) == n
+        assert len(calls) == n * (1 + 2 * d) == n_calls, name
+
+
+@pytest.mark.parametrize("name", ["cir", "two_factor", "example64"])
+def test_check_square_root_key_set(capsys, name):
+    cli.main(["check", model_path(f"{name}.model"), "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"realizability", "check_damir", "check_const_mod_k"} <= set(checks)
+    # the quasi-exponential test runs exactly where K is nontrivial
+    qe_keys = {"a_sigma_dim", "a_sigma_in_v"}
+    assert qe_keys & set(checks) == (set() if checks["check_damir"] else qe_keys)
+
+
+def test_check_nontrivial_k_needs_a_quasi_exponential_lam(tmp_path):
+    # S(c c^T) = lam Lam = log(1 + x) / (1 + x) lies in V, so K = R; but the
+    # iterated span of 1 / (1 + x) under d/dx is not finite-dimensional
+    qe = tmp_path / "qe.model"
+    qe.write_text("[model]\nkind = custom\nrho = 0.1\nvol_curve = 1 / (1 + x)\n"
+                  "[cone]\nc1 = 1 / (1 + x)\n[subspace]\nu1 = log(1 + x) / (1 + x)\n"
+                  "[check]\nmax_dim = 10\n")
+    res = run_cli("check", str(qe), "--json")
+    assert res.returncode == 1, res.stderr
+    checks = json.loads(res.stdout)["checks"]
+    assert checks["check_damir"] is False
+    assert checks["detail"] == "iterated subspace exceeds 10 dimensions"
+    assert checks["a_sigma_in_v"] is False and checks["overall"] is False
+
+
+def test_check_holds_the_benchmark_pins(capsys):
+    # every boolean the benchmark pins, read from its reference without change
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "check_reference.json")
+                           .read_text(encoding="utf-8"))
+    exits = {"cir": 0, "two_factor": 0, "example64": 1, "linear_qe": 0}
+    assert set(reference) == set(exits)
+    for name, pins in reference.items():
+        assert cli.main(["check", model_path(f"{name}.model"), "--json"]) == exits[name]
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        for key, value in pins.items():
+            leaf = checks
+            for part in key.split("."):
+                leaf = leaf[part]
+            assert leaf is value, (name, key)
 
 
 def test_check_linear_builds_the_iterated_subspace_once(monkeypatch):
@@ -622,8 +666,10 @@ PHI_HEADER = "path,ell,eval_at_1,hw_norm\n"
     ("fdr_phis.csv", {"fdr_phis.csv": PHI_HEADER + "0,abc,1,2\n"}),
     ("direct_phis.csv", {"direct_phis.csv": PHI_HEADER + "0,1\n"}),
     ("direct_stats.csv", {"direct_stats.csv": "key,value\nmin_ell\n"}),
+    ("fdr_phis.csv", {"fdr_phis.csv": PHI_HEADER}),
+    ("fdr_phis.csv", {"direct_phis.csv": PHI_HEADER + "0,0.1,0.2,0.3\n1,0.1,0.2,0.3\n"}),
 ], ids=["not-json", "list", "artifacts-list", "fdr-non-numeric", "direct-short-row",
-        "stats-short-row"])
+        "stats-short-row", "fdr-header-only", "path-count-mismatch"])
 def test_verify_rejects_a_malformed_run_directory(tmp_path, bad, files):
     run = tmp_path / "run"
     run.mkdir()

@@ -10,7 +10,7 @@ import pytest
 from affinefdr import realization as rz
 from affinefdr.cones import ConeBasis, SplitSpace, StateBasis, orthogonal_split
 from affinefdr.curves import SHORT_END, Grid, derivative, primitive
-from affinefdr.errors import DimensionExceeded
+from affinefdr.errors import DimensionExceeded, NotAffine
 from affinefdr.hjmm import (SquareRootModel, default_boundary_samples, hjm_drift,
                             ker_ell_split, shape_boundary_samples)
 from affinefdr.modelfile import parse_model_file
@@ -91,6 +91,20 @@ def test_const_mod_k_and_kspace(cir_model):
     # the drift image of the volatility matrix leaves span V, so K is trivial
     assert len(rz.compute_k(cir_model)) == 0
     assert rz.check_const_mod_k(cir_model)
+
+
+def test_const_mod_k_is_closed_form(grid, cir_model):
+    # K trivial: off ker ell the fitted slope of |ell| takes the sign of ell(g)
+    up = 0.5 * cir_model.lam
+    for samples, agree in (((up, 2 * up), True), ((up, -up), False)):
+        model = dataclasses.replace(cir_model, boundary_samples=samples)
+        assert rz.compute_k(model) == ()
+        assert rz.check_const_mod_k(model) is agree
+    # K = R: every slope is a multiple of c c^T; a failed fit still raises
+    assert rz.check_const_mod_k(SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0))
+    example64 = resources.files("affinefdr") / "models" / "example64.model"
+    with pytest.raises(NotAffine):
+        rz.check_const_mod_k(parse_model_file(str(example64)).model)
 
 
 def test_k_is_r_where_s_maps_the_volatility_direction_into_v(grid, cir_model):
