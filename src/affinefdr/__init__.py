@@ -9,8 +9,8 @@ direct method-of-lines discretization used as a verification oracle.
 __version__ = "0.1.0"
 
 from .admissibility import (AffineDrift, AffineSquareVol, VolMatrix, embed_sigma_square,
-                            fit_affine_square, is_inward_pointing, is_parallel,
-                            sigma_square, symmetric_kernel_equivalences)
+                            is_inward_pointing, is_parallel, sigma_square,
+                            symmetric_kernel_equivalences)
 from .cones import (ConeBasis, SplitSpace, StateBasis, cone_minus, coordinates,
                     edges, inner_v, membership, normalize_basis,
                     orthogonal_split)

@@ -18,9 +18,6 @@ from .cones import DEFAULT_TOL, StateBasis
 from .errors import (
     BasisNotExtension,
     DimensionMismatch,
-    IllConditioned,
-    InsufficientSamples,
-    NotAffine,
     NotSymmetric,
     NotSymmetricNonnegative,
 )
@@ -241,37 +238,3 @@ def symmetric_kernel_equivalences(T: np.ndarray, basis: StateBasis,
         "edges_in_kernel": c_in_ker,
     }
 
-
-def fit_affine_square(samples, basis: StateBasis,
-                      tol: float = 1e-6) -> AffineSquareVol:
-    """Least-squares affine fit of sampled symmetric matrices over the state space.
-
-    samples is a sequence of (v, M) pairs with v in state-basis coordinates.
-    The linear part is constrained to vanish on subspace directions; a
-    residual above tol times the data scale raises NotAffine.
-    """
-    samples = list(samples)
-    d = basis.dim_v
-    m = basis.m
-    if len(samples) < d + 2:
-        raise InsufficientSamples(f"need at least {d + 2} samples, got {len(samples)}")
-    vs = np.array([np.asarray(v, dtype=float) for v, _ in samples])
-    ms = np.array([np.asarray(M, dtype=float) for _, M in samples])
-    n = len(samples)
-    design = np.hstack([np.ones((n, 1)), vs[:, :m]])
-    scale = max(np.abs(ms).max(), 1e-30)
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv[-1] < 1e-10 * sv[0]:
-        raise IllConditioned("sample design matrix is rank deficient")
-    coef, *_ = np.linalg.lstsq(design, ms.reshape(n, d * d), rcond=None)
-    t1 = coef[0].reshape(d, d)
-    t2 = np.zeros((d, d, d))
-    for k in range(m):
-        t2[k] = coef[1 + k].reshape(d, d)
-    fitted = t1[None, :, :] + np.tensordot(vs, t2, axes=(1, 0))
-    resid = np.max(np.abs(fitted - ms))
-    if resid > tol * scale:
-        raise NotAffine(f"max residual {resid:.3e} exceeds {tol:.1e} x scale {scale:.3e}")
-    t1 = (t1 + t1.T) / 2.0
-    t2 = (t2 + np.transpose(t2, (0, 2, 1))) / 2.0
-    return AffineSquareVol(t1, t2)

@@ -23,7 +23,7 @@ from . import realization as rz
 from .curves import Grid, derivative
 from .errors import (AffineFdrError, ConstraintViolated, GridMismatch, LeftBoundary,
                      MalformedArtifact, MissingArtifacts, ModelFileError, NotInInitialSet)
-from .hjmm import hjm_drift, riccati_capital, riccati_small
+from .hjmm import riccati_capital, riccati_small
 from .modelfile import ModelSpec, parse_model_file
 from .simulate import (evolve_psi, fdr_phi_values, simulate_state, summarize_direct,
                        verify_invariance)
@@ -113,7 +113,7 @@ def _run_checks(spec: ModelSpec) -> dict:
     quasi-exponential sigma alone; a square-root model runs check_thm_main2,
     check_damir and check_const_mod_k.  check_damir gates nothing: where it
     fails, S maps c c^T into V, so V must be the quasi-exponential span of
-    lam and its drift curve."""
+    lam and its drift curve S(c c^T)."""
     model = spec.model
     if model is None:
         a_sigma, checks = _quasi_exp(lambda h: derivative(h, spec.grid),
@@ -131,10 +131,8 @@ def _run_checks(spec: ModelSpec) -> dict:
         checks["const_mod_k_detail"] = str(exc)
     ok = report.overall and checks["check_const_mod_k"]
     if not checks["check_damir"]:
-        # the drift curve's scale rho^2 leaves the span unchanged
         basis = model.split.v_basis
-        a_sigma, qe = _quasi_exp(model.apply_a, [model.lam, hjm_drift(model.lam, model.grid)],
-                                 spec.max_dim)
+        a_sigma, qe = _quasi_exp(model.apply_a, [model.lam, model.s_cc], spec.max_dim)
         in_v = a_sigma is not None and bool(np.all(basis.off_span(a_sigma.T) <= model.span_tol))
         checks.update(qe, a_sigma_in_v=in_v)
         ok = ok and in_v and len(a_sigma) == basis.dim_v
@@ -184,9 +182,9 @@ def _read_curve_csv(path: str, grid: Grid) -> np.ndarray:
 def cmd_initial_set(args) -> int:
     spec = parse_model_file(args.modelfile)
     h = _read_curve_csv(args.curve, spec.grid)
-    if spec.kind not in ("cir", "two_factor"):
-        raise ModelFileError(f"model kind {spec.kind!r} has no split along ker ell")
     model = spec.model
+    if model is None or not model.ell_vanishes_on_g:
+        raise ModelFileError(f"model kind {spec.kind!r} has no split along ker ell")
     member, on_boundary = rz.maximal_initial_membership(h, model)
     coords, drift = rz.initial_set_coords(h, model)
     print("state coordinates of h = " + ", ".join(f"{c:.10g}" for c in coords))

@@ -37,14 +37,6 @@ class NotAffine(AffineFdrError):
     """Sampled map is not affine within tolerance."""
 
 
-class InsufficientSamples(AffineFdrError):
-    """Too few sample points for the requested fit."""
-
-
-class IllConditioned(AffineFdrError):
-    """Sample design matrix is rank deficient."""
-
-
 class DimensionExceeded(AffineFdrError):
     """Iterated subspace keeps growing past the allowed dimension."""
 

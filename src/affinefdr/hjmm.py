@@ -19,13 +19,12 @@ evaluated in an overflow-free rational-in-expm1 arrangement.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import realization as rz
-from .admissibility import AffineSquareVol
 from .cones import ConeBasis, SplitSpace, StateBasis, orthogonal_split
 from .curves import SHORT_END, Grid, PointCombo, derivative, primitive
 from .errors import AffineFdrError, ConstraintViolated, NotInV
@@ -74,12 +73,12 @@ def build_s_operator(basis_curves: np.ndarray, grid: Grid) -> Callable[[np.ndarr
     curves = np.atleast_2d(np.asarray(basis_curves, dtype=float))
     prims = primitive(curves, grid)
 
-    def s_op(phi: np.ndarray) -> np.ndarray:
+    def apply(phi: np.ndarray) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
         # sum_ij phi_ij b_j * B_i  ==  sum_i B_i * (phi @ b)_i
         return np.einsum("ij,jx,ix->x", phi, curves, prims)
 
-    return s_op
+    return apply
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -138,7 +137,9 @@ class SquareRootModel:
     residual band for "lies in span V", limited by the second-order boundary
     stencils.  Raises NotInV when lam does not lie in the state space.
 
-    The drift-image operator and the per-sample fits are computed once, on
+    The squared volatility is sigma^2(h) = amp_sq(h) cc, with the read-only
+    cc = c c^T and c the state coordinates of lam.  The drift image
+    s_cc = S(c c^T) and the per-sample fits of amp^2 are computed once, on
     first use, and shared by every check.
     """
 
@@ -151,12 +152,13 @@ class SquareRootModel:
     boundary_samples: tuple = ()
     amplitude: str = "sqrt_ell"
     span_tol: float = 1e-5
+    cc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         coef, resid = self.split.v_basis.fit(self.lam)
         if np.linalg.norm(resid) > 1e-6 * max(1.0, np.linalg.norm(self.lam)):
             raise NotInV("volatility curve does not lie in the state space")
-        object.__setattr__(self, "_lam_outer", np.outer(coef, coef))
+        object.__setattr__(self, "cc", _read_only(np.outer(coef, coef)))
 
     @classmethod
     def cir(cls, grid: Grid, rho: float, gamma: float, ell: PointCombo = SHORT_END,
@@ -212,19 +214,25 @@ class SquareRootModel:
         """The generator d/dx."""
         return derivative(h, self.grid)
 
-    def sigma_sq_at(self, h: np.ndarray) -> np.ndarray:
-        """Squared volatility amp(h)^2 c c^T, with c the coordinates of lam in
-        the state basis."""
+    def amp_sq(self, h: np.ndarray) -> float:
+        """The squared amplitude amp(h)^2: rho^2 |ell(h)| or rho^2."""
         amp = 1.0 if self.amplitude == "const" else abs(float(self.ell(h)))
-        return self.rho * self.rho * amp * self._lam_outer
+        return self.rho * self.rho * amp
 
     @functools.cached_property
-    def s_op(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The drift-image operator on the state basis."""
-        return build_s_operator(self.split.v_basis.matrix, self.grid)
+    def s_cc(self) -> np.ndarray:
+        """S(c c^T), the drift image of the volatility direction."""
+        return _read_only(build_s_operator(self.split.v_basis.matrix, self.grid)(self.cc))
+
+    @property
+    def ell_vanishes_on_g(self) -> bool:
+        """Whether G lies in ker ell: ell equals ell(B) applied to the V-coordinates."""
+        dual = self.ell.dual_vector(self.grid)
+        resid = dual - self.ell(self.split.v_basis.matrix) @ self.split.dual
+        return bool(np.abs(resid).max() <= 1e-9 * np.abs(dual).max())
 
     @functools.cached_property
-    def boundary_fits(self) -> list[AffineSquareVol | AffineFdrError]:
+    def boundary_fits(self) -> list[tuple[float, np.ndarray] | AffineFdrError]:
         """fit_boundary_square_vol of each boundary sample, or the error it raised."""
         fits = []
         for g in self.boundary_samples:
@@ -238,8 +246,8 @@ class SquareRootModel:
     def r_basis(self) -> list[np.ndarray]:
         """R, the span of the squared volatilities amp(h)^2 c c^T: the normed
         line of c c^T, or nothing when sigma^2 vanishes identically."""
-        norm = float(np.linalg.norm(self._lam_outer))
+        norm = float(np.linalg.norm(self.cc))
         if self.rho == 0 or norm == 0 or (self.amplitude == "sqrt_ell"
                                           and not np.any(self.ell.dual_vector(self.grid))):
             return []
-        return [self._lam_outer / norm]
+        return [self.cc / norm]

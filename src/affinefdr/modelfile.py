@@ -162,6 +162,9 @@ def parse_model_text(text: str) -> ModelSpec:
     rho = _get(cfg, "model", "rho", float, 0.0)
     gamma = _get(cfg, "model", "gamma", float, 0.0)
     params = {"rho": rho, "gamma": gamma}
+    for key, value in params.items():
+        if not np.isfinite(value):
+            raise ModelFileError(f"[model] {key} must be finite")
     ell_spec = _get(cfg, "model", "ell", str, "short_end")
     ell = _parse_ell(ell_spec, grid)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import admissibility as adm
 from .admissibility import AffineSquareVol
 from .cones import membership_coords
-from .errors import AffineFdrError, DimensionExceeded, NotInDomain
+from .errors import AffineFdrError, DimensionExceeded, NotAffine, NotInDomain
 
 if TYPE_CHECKING:
     from .hjmm import SquareRootModel
@@ -28,22 +28,27 @@ MEMBERSHIP_TOL = 1e-9  # band for cone-coordinate sign tests
 AFFINE_TOL = 1e-6      # relative residual for affine fits
 
 
-def fit_boundary_square_vol(model: SquareRootModel, g: np.ndarray) -> AffineSquareVol:
-    """Affine fit of v -> sigma^2(g + v) from perturbations along the basis.
+def fit_boundary_square_vol(model: SquareRootModel, g: np.ndarray) -> tuple[float, np.ndarray]:
+    """Affine fit s0 + s @ v of v -> amp^2(g + v), so sigma^2(g + v) is
+    (s0 + s @ v) c c^T.
 
     Perturbation steps t in {0, 1/2, 1} along each basis direction; three
-    collinear points also detect non-affinity.
+    collinear points also detect non-affinity.  The slope vanishes on
+    subspace directions.  A residual above AFFINE_TOL times the data scale
+    raises NotAffine; both are reported in entries of sigma^2.
     """
     basis = model.split.v_basis
-    B = basis.matrix
-    d = basis.dim_v
-    samples = [(np.zeros(d), model.sigma_sq_at(g))]
-    for i in range(d):
-        for t in (0.5, 1.0):
-            v = np.zeros(d)
-            v[i] = t
-            samples.append((v, model.sigma_sq_at(g + t * B[i])))
-    return adm.fit_affine_square(samples, basis, tol=AFFINE_TOL)
+    d, m = basis.dim_v, basis.m
+    vs = np.vstack([np.zeros(d), *(t * e for e in np.eye(d) for t in (0.5, 1.0))])
+    amp = np.array([model.amp_sq(g + v @ basis.matrix) for v in vs])
+    design = np.hstack([np.ones((len(vs), 1)), vs[:, :m]])
+    coef = np.linalg.lstsq(design, amp, rcond=None)[0]
+    entry = np.abs(model.cc).max(initial=0.0)
+    resid = np.abs(design @ coef - amp).max() * entry
+    scale = max(np.abs(amp).max() * entry, 1e-30)
+    if resid > AFFINE_TOL * scale:
+        raise NotAffine(f"max residual {resid:.3e} exceeds {AFFINE_TOL:.1e} x scale {scale:.3e}")
+    return float(coef[0]), np.concatenate([coef[1:], np.zeros(d - m)])
 
 
 @dataclass(frozen=True)
@@ -82,30 +87,35 @@ def _detail(tag: str, witnesses) -> str:
 def check_thm_main2(model: SquareRootModel) -> RealizabilityReport:
     """Full realizability check on every boundary sample.
 
-    Per sample g the squared volatility must fit affinely and be parallel
-    (adm.is_parallel), and the coordinate drift v -> beta1 + beta2 v of
+    Per sample g the squared amplitude must fit affinely, amp^2(g + v) =
+    s0 + s @ v, and T1 = s0 c c^T, T2[k] = s_k c c^T must be parallel
+    (adm.is_parallel); the coordinate drift v -> beta1 + beta2 v of
     A + S sigma_g^2 must stay in V and point inward (adm.is_inward_pointing).
-    beta1 holds the V-coordinates of A g + S T1, column k of beta2 the
-    least-squares V-coordinates of A b_k + S T2[k].  The inward-pointing
+    beta1 holds the V-coordinates of A g + s0 S(c c^T), column k of beta2 the
+    least-squares V-coordinates of A b_k + s_k S(c c^T).  The inward-pointing
     witnesses above their bands are reported under the realizability names:
     nu-1 as cond-AR-1, nu-2-C as cond-AR-2 and nu-2-U as cond-AR-3.  A column
     off V fails beta-inc-V and the condition of its edge or subspace
     direction.  One failing fit never aborts the report.
     """
     basis = model.split.v_basis
-    B = basis.matrix
     results: list[ConditionResult] = []
-    for idx, (g, sqvol) in enumerate(zip(model.boundary_samples, model.boundary_fits)):
+    for idx, (g, fit) in enumerate(zip(model.boundary_samples, model.boundary_fits)):
         tag = f"g[{idx}]"
-        if isinstance(sqvol, AffineFdrError):
-            results.append(ConditionResult("sigma-affine-parallel", False, f"{tag}: {sqvol}"))
+        try:
+            if isinstance(fit, AffineFdrError):
+                raise fit
+            s0, s = fit
+            par = adm.is_parallel(AffineSquareVol(s0 * model.cc, np.multiply.outer(s, model.cc)),
+                                  basis, tol=MEMBERSHIP_TOL)
+        except AffineFdrError as exc:
+            results.append(ConditionResult("sigma-affine-parallel", False, f"{tag}: {exc}"))
             continue
-        par = adm.is_parallel(sqvol, basis, tol=MEMBERSHIP_TOL)
         results.append(ConditionResult("sigma-affine-parallel", par.ok,
                                        _detail(tag, par.witnesses)))
 
-        beta1 = model.split.v_coords(model.apply_a(g) + model.s_op(sqvol.t1))
-        images = np.array([model.apply_a(b) + model.s_op(t) for b, t in zip(B, sqvol.t2)]).T
+        beta1 = model.split.v_coords(model.apply_a(g) + s0 * model.s_cc)
+        images = (model.apply_a(basis.matrix) + np.multiply.outer(s, model.s_cc)).T
         beta2 = basis.fit(images)[0]
         off_v = basis.off_span(images)
         found = {name: [] for name in ("cond-AR-1", "cond-AR-2", "cond-AR-3", "beta-inc-V")}
@@ -130,20 +140,20 @@ def check_thm_main2(model: SquareRootModel) -> RealizabilityReport:
 def compute_k(model: SquareRootModel) -> tuple[np.ndarray, ...]:
     """Basis of K, the matrices r in R that S maps into span V.
 
-    R is at most the line of c c^T, so K is R when S r lies in span V within
-    span_tol, and trivial otherwise.
+    R is at most the line of c c^T, so K is R when S(c c^T) lies in span V
+    within span_tol, and trivial otherwise.
     """
-    basis = model.split.v_basis
-    return tuple(r for r in model.r_basis if basis.off_span(model.s_op(r)) <= model.span_tol)
+    in_v = model.split.v_basis.off_span(model.s_cc) <= model.span_tol
+    return tuple(model.r_basis) if in_v else ()
 
 
 def check_const_mod_k(model: SquareRootModel) -> bool:
     """Whether the boundary dependence of the squared volatility lies in K.
 
-    Every fitted T2[k] is a multiple of c c^T, which spans R.  So the check
-    holds when K = R; when K is trivial, the fitted linear parts of all
-    boundary samples must agree with the first within
-    span_tol max(1, max |T2|).  A failed fit raises.
+    Every fitted T2[k] = s_k c c^T is a multiple of c c^T, which spans R.  So
+    the check holds when K = R; when K is trivial, the T2 of all boundary
+    samples must agree with the first's: |s_k - s_ref,k| |c c^T|_F within
+    span_tol max(1, max |s_ref| max |c c^T|).  A failed fit raises.
     """
     fits = model.boundary_fits
     for fit in fits:
@@ -151,10 +161,10 @@ def check_const_mod_k(model: SquareRootModel) -> bool:
             raise fit
     if not fits or compute_k(model):
         return True
-    ref = fits[0].t2
-    band = model.span_tol * max(1.0, np.abs(ref).max())
-    return all(np.linalg.norm((fit.t2 - ref).reshape(len(ref), -1), axis=1).max() <= band
-               for fit in fits[1:])
+    ref = fits[0][1]
+    entry = np.abs(model.cc).max(initial=0.0)
+    band = model.span_tol * max(1.0, np.abs(ref).max() * entry)
+    return all(np.abs(s - ref).max() * np.linalg.norm(model.cc) <= band for _, s in fits[1:])
 
 
 def check_damir(model: SquareRootModel) -> bool:
@@ -210,7 +220,7 @@ def initial_set_coords(h: np.ndarray, model: SquareRootModel) -> tuple[np.ndarra
     """State coordinates of h, and of the projected drift of its G-part."""
     g = model.split.project_g(h)
     return (model.split.v_coords(h),
-            model.split.v_coords(model.apply_a(g) + model.s_op(model.sigma_sq_at(g))))
+            model.split.v_coords(model.apply_a(g) + model.amp_sq(g) * model.s_cc))
 
 
 def maximal_initial_membership(h: np.ndarray, model: SquareRootModel) -> tuple[bool, bool]:

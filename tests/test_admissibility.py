@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from affinefdr.admissibility import (AffineDrift, AffineSquareVol, VolMatrix,
-                                     embed_sigma_square, fit_affine_square,
-                                     is_inward_pointing, is_parallel, sigma_square,
-                                     symmetric_kernel_equivalences)
+                                     embed_sigma_square, is_inward_pointing, is_parallel,
+                                     sigma_square, symmetric_kernel_equivalences)
 from affinefdr.cones import ConeBasis, StateBasis
-from affinefdr.errors import (BasisNotExtension, IllConditioned, InsufficientSamples,
-                              NotAffine, NotSymmetric, NotSymmetricNonnegative)
+from affinefdr.errors import BasisNotExtension, NotSymmetric, NotSymmetricNonnegative
 
 from conftest import (admissible_drift_coeffs, brute_force_inward, brute_force_parallel,
-                      parallel_sqvol_coeffs, random_state_basis, violate_drift_coeffs)
+                      parallel_sqvol_coeffs, violate_drift_coeffs)
 
 
 def test_sigma_square_is_gram_matrix():
@@ -114,31 +112,3 @@ def test_symmetric_kernel_rejects_indefinite():
     with pytest.raises(NotSymmetricNonnegative):
         symmetric_kernel_equivalences(np.diag([1.0, -1.0]), basis)
 
-
-def test_fit_affine_square_recovers_coefficients():
-    rng = np.random.default_rng(8)
-    basis = random_state_basis(rng, d_max=3)
-    m, d = basis.m, basis.dim_v
-    t1, t2 = parallel_sqvol_coeffs(rng, m, d)
-    truth = AffineSquareVol(t1, t2)
-    samples = []
-    for _ in range(d + 4):
-        v = np.abs(rng.standard_normal(d))
-        samples.append((v, truth(v)))
-    fitted = fit_affine_square(samples, basis)
-    assert np.allclose(fitted.t1, t1, atol=1e-8)
-    assert np.allclose(fitted.t2[:m], t2[:m], atol=1e-8)
-
-
-def test_fit_affine_square_error_paths():
-    basis = StateBasis(ConeBasis(np.eye(2)))
-    with pytest.raises(InsufficientSamples):
-        fit_affine_square([(np.zeros(2), np.zeros((2, 2)))], basis)
-    same = [(np.array([1.0, 0.0]), np.eye(2))] * 6
-    with pytest.raises(IllConditioned):
-        fit_affine_square(same, basis)
-    rng = np.random.default_rng(9)
-    quad = [(v := np.abs(rng.standard_normal(2)), np.eye(2) * float(v @ v))
-            for _ in range(8)]
-    with pytest.raises(NotAffine):
-        fit_affine_square(quad, basis)

@@ -150,9 +150,9 @@ def test_check_json_matches_golden(name):
 
 
 def test_check_fits_once_per_sample(monkeypatch):
-    sigma_sq_at, calls = SquareRootModel.sigma_sq_at, []
-    monkeypatch.setattr(SquareRootModel, "sigma_sq_at",
-                        lambda self, h: calls.append(1) or sigma_sq_at(self, h))
+    amp_sq, calls = SquareRootModel.amp_sq, []
+    monkeypatch.setattr(SquareRootModel, "amp_sq",
+                        lambda self, h: calls.append(1) or amp_sq(self, h))
     # per sample g the fit reads g and g + t b_i (t = 1/2, 1), and the checks
     # share it; R is the line of c c^T and reads no sample
     for name, n, n_calls, overall in [("cir", 6, 18, True), ("two_factor", 2, 10, True),
@@ -164,6 +164,35 @@ def test_check_fits_once_per_sample(monkeypatch):
         d = model.split.v_basis.dim_v
         assert len(model.boundary_samples) == n
         assert len(calls) == n * (1 + 2 * d) == n_calls, name
+
+
+def test_check_applies_the_drift_image_operator_once(monkeypatch):
+    build, applied = hjmm.build_s_operator, []
+
+    def counting(*args):
+        apply = build(*args)
+        return lambda phi: applied.append(1) or apply(phi)
+
+    monkeypatch.setattr(hjmm, "build_s_operator", counting)
+    # fit, beta1, beta2, K and the quasi-exponential seed all read S(c c^T)
+    for name in ("cir", "two_factor", "example64"):
+        spec = parse_model_file(model_path(f"{name}.model"))
+        applied.clear()
+        cli._run_checks(spec)
+        assert len(applied) == 1, name
+
+
+def test_check_output_does_not_depend_on_the_blas_thread_count():
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        outputs[threads] = [
+            subprocess.run([sys.executable, "-m", "affinefdr.cli", "check",
+                            model_path(f"{name}.model"), "--json"],
+                           capture_output=True, env=env).stdout
+            for name in ("cir", "two_factor", "example64", "linear_qe")]
+    assert all(outputs["1"])
+    assert outputs["1"] == outputs["2"]
 
 
 @pytest.mark.parametrize("name", ["cir", "two_factor", "example64"])
@@ -288,28 +317,38 @@ def test_check_rejects_expression_beyond_arithmetic(tmp_path, expr):
     assert not marker.exists()
 
 
-@pytest.mark.parametrize("old,new,where", [
-    ("boundary_samples = 6", "boundary_samples = 0", "[check] boundary_samples"),
-    ("boundary_samples = 6", "boundary_samples = -3", "[check] boundary_samples"),
-    ("span_tol = 1e-5", "span_tol = nan", "[check] span_tol"),
-    ("weight_alpha = 4", "weight_alpha = nan", "[space] weight_alpha"),
-    ("dx = 0.005", "dx = inf", "[space] x_max, dx"),
-    ("ell = short_end", "ell = points: inf:1", "[model] ell"),
-    ("ell = short_end", "ell = points: 0:nan", "[model] ell"),
-    ("span_tol = 1e-5", "span_tol = 1e-5\nmax_dim = 0", "[check] max_dim"),
-    ("span_tol = 1e-5", "span_tol = 1e-5\nmax_dim = -2", "[check] max_dim"),
-    ("dt = 0.005", "dt = inf", "[sim]: dt"),
-    ("dt = 0.005", "dt = nan", "[sim]: dt"),
-    ("horizon = 0.5", "horizon = nan", "[sim]: horizon"),
-    ("horizon = 0.5", "horizon = inf", "[sim]: horizon"),
-    ("seed = 12345", "seed = -1", "[sim]: seed"),
-    ("seed = 12345", "seed = 18446744073709551616", "[sim]: seed"),
+@pytest.mark.parametrize("name,old,new,where", [
+    ("cir", "boundary_samples = 6", "boundary_samples = 0", "[check] boundary_samples"),
+    ("cir", "boundary_samples = 6", "boundary_samples = -3", "[check] boundary_samples"),
+    ("cir", "span_tol = 1e-5", "span_tol = nan", "[check] span_tol"),
+    ("cir", "weight_alpha = 4", "weight_alpha = nan", "[space] weight_alpha"),
+    ("cir", "dx = 0.005", "dx = inf", "[space] x_max, dx"),
+    ("cir", "ell = short_end", "ell = points: inf:1", "[model] ell"),
+    ("cir", "ell = short_end", "ell = points: 0:nan", "[model] ell"),
+    ("cir", "span_tol = 1e-5", "span_tol = 1e-5\nmax_dim = 0", "[check] max_dim"),
+    ("cir", "span_tol = 1e-5", "span_tol = 1e-5\nmax_dim = -2", "[check] max_dim"),
+    ("cir", "dt = 0.005", "dt = inf", "[sim]: dt"),
+    ("cir", "dt = 0.005", "dt = nan", "[sim]: dt"),
+    ("cir", "horizon = 0.5", "horizon = nan", "[sim]: horizon"),
+    ("cir", "horizon = 0.5", "horizon = inf", "[sim]: horizon"),
+    ("cir", "seed = 12345", "seed = -1", "[sim]: seed"),
+    ("cir", "seed = 12345", "seed = 18446744073709551616", "[sim]: seed"),
+    ("cir", "rho = 0.1", "rho = nan", "[model] rho"),
+    ("cir", "gamma = 0.05", "gamma = nan", "[model] gamma"),
+    ("cir", "gamma = 0.05", "gamma = inf", "[model] gamma"),
+    ("two_factor", "rho = 0.1", "rho = nan", "[model] rho"),
+    ("two_factor", "gamma = 1.0", "gamma = nan", "[model] gamma"),
+    ("example64", "rho = 0.2", "rho = nan", "[model] rho"),
 ], ids=["samples-0", "samples-negative", "span-tol-nan", "alpha-nan", "dx-inf",
         "point-inf", "coeff-nan", "max-dim-0", "max-dim-negative", "dt-inf", "dt-nan",
-        "horizon-nan", "horizon-inf", "seed-negative", "seed-2**64"])
-def test_check_rejects_out_of_range_model_values(tmp_path, capsys, old, new, where):
+        "horizon-nan", "horizon-inf", "seed-negative", "seed-2**64", "cir-rho-nan",
+        "cir-gamma-nan", "cir-gamma-inf", "two_factor-rho-nan", "two_factor-gamma-nan",
+        "example64-rho-nan"])
+def test_check_rejects_out_of_range_model_values(tmp_path, capsys, name, old, new, where):
+    text = (MODELS / f"{name}.model").read_text()
+    assert old in text
     bad = tmp_path / "bad.model"
-    bad.write_text((MODELS / "cir.model").read_text().replace(old, new))
+    bad.write_text(text.replace(old, new))
     assert cli.main(["check", str(bad)]) == 2
     assert where in capsys.readouterr().err
 

@@ -99,12 +99,16 @@ def test_cir_riccati_curves_cached_read_only(grid):
 
 
 def test_sigma_cir_values(grid, cir_model):
-    sigma_sq_at = cir_model.sigma_sq_at
+    amp_sq = cir_model.amp_sq
     zero_ell = grid.x * np.exp(-grid.x)
-    assert np.all(sigma_sq_at(zero_ell) == 0.0)
+    assert amp_sq(zero_ell) == 0.0
     unit_ell = np.ones(grid.n)
-    assert np.allclose(sigma_sq_at(unit_ell),
-                       0.1 ** 2 * float(np.linalg.norm(cir_model.lam)) ** 2)
+    assert amp_sq(unit_ell) == pytest.approx(0.1 ** 2, rel=1e-15)
+    # c c^T: the state basis is lam normed, so c = |lam|
+    assert cir_model.cc == pytest.approx(np.array([[float(np.linalg.norm(cir_model.lam)) ** 2]]),
+                                         rel=1e-12)
+    with pytest.raises(ValueError):
+        cir_model.cc[0, 0] = 0.0
 
 
 def test_square_root_model_data_amplitudes(grid, cir_model):
@@ -117,10 +121,10 @@ def test_square_root_model_data_amplitudes(grid, cir_model):
                                [], "sqrt_ell")
     for level in (0.0, 1.0, -1.0, -3.0):
         h = np.full(grid.n, level)
-        assert const.sigma_sq_at(h) == pytest.approx(np.array([[unit]]), rel=1e-12)
+        assert const.amp_sq(h) * const.cc == pytest.approx(np.array([[unit]]), rel=1e-12)
         # negative ell(h) enters through |ell(h)|, as in the direct simulator
-        assert sqrt_ell.sigma_sq_at(h) == pytest.approx(np.array([[abs(level) * unit]]),
-                                                        rel=1e-12)
+        assert sqrt_ell.amp_sq(h) * sqrt_ell.cc == pytest.approx(
+            np.array([[abs(level) * unit]]), rel=1e-12)
     with pytest.raises(NotInV):
         SquareRootModel(grid, cir_model.ell, 0.1, np.sin(grid.x), primitive(np.sin(grid.x), grid),
                         split, [], "const")

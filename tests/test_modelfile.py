@@ -140,7 +140,7 @@ def test_custom_model_data_built():
     model = spec.model
     assert model.split.v_basis.dim_v == 2 and model.split.v_basis.m == 1
     # volatility curve coordinates live in the cone block
-    sq = model.sigma_sq_at(0.05 * np.ones(spec.grid.n))
+    sq = model.amp_sq(0.05 * np.ones(spec.grid.n)) * model.cc
     assert sq.shape == (2, 2)
     assert sq[0, 0] > 0.0 and abs(sq[1, 1]) < 1e-12
 

@@ -107,6 +107,20 @@ def test_const_mod_k_is_closed_form(grid, cir_model):
         rz.check_const_mod_k(parse_model_file(str(example64)).model)
 
 
+@pytest.mark.parametrize("name", ["cir", "two_factor"])
+def test_boundary_fit_is_the_slope_of_amp_sq(name):
+    # g lies in ker ell, so amp^2(g + v) = rho^2 |ell(v)|: s0 = 0, on the cone
+    # s_k = rho^2 |ell(b_k)|, and ell vanishes on the subspace
+    models = resources.files("affinefdr") / "models"
+    model = parse_model_file(str(models / f"{name}.model")).model
+    basis = model.split.v_basis
+    slope = model.rho ** 2 * np.abs(model.ell(basis.matrix[:basis.m]))
+    for s0, s in model.boundary_fits:
+        assert s0 == pytest.approx(0.0, abs=1e-12 * slope.max())
+        assert s[:basis.m] == pytest.approx(slope, rel=1e-12)
+        assert np.all(s[basis.m:] == 0.0)
+
+
 def test_k_is_r_where_s_maps_the_volatility_direction_into_v(grid, cir_model):
     example64 = resources.files("affinefdr") / "models" / "example64.model"
     for model in (SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0),
