@@ -219,11 +219,9 @@ def build_verify_report(run_dir: str) -> dict:
 
     simulate builds the same report from the arrays it writes, and %.17g
     round-trips every float64, so verify over an untouched run directory
-    reproduces verify.json byte for byte.
+    reproduces verify.json byte for byte.  The caller has checked that each
+    of VERIFY_ARTIFACTS exists and matches its manifest hash.
     """
-    for name in VERIFY_ARTIFACTS:
-        if not os.path.exists(os.path.join(run_dir, name)):
-            raise MissingArtifacts(f"{run_dir} lacks {name}")
     fdr = _load_phi_csv(os.path.join(run_dir, "fdr_phis.csv"))
     direct = _load_phi_csv(os.path.join(run_dir, "direct_phis.csv"))
     if len(fdr["ell"]) != len(direct["ell"]):
@@ -344,6 +342,14 @@ def cmd_verify(args) -> int:
         print("input-hash mismatch: " + ", ".join(sorted(mismatches)),
               file=sys.stderr)
         return 2
+    # a CSV the manifest does not hash may be left from an earlier run into
+    # the same directory, so verify reads none
+    for name in VERIFY_ARTIFACTS:
+        path = os.path.join(args.run_dir, name)
+        if not os.path.exists(path):
+            raise MissingArtifacts(f"{args.run_dir} lacks {name}")
+        if name not in artifacts:
+            raise MalformedArtifact(f"{path}: not listed in manifest.json")
     report = build_verify_report(args.run_dir)
     _write_json(os.path.join(args.run_dir, "verify.json"), report)
     ok = all(p["within_3se"] for p in report["phis"].values())

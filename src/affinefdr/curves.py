@@ -59,30 +59,42 @@ def check_same_grid(grid: Grid, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spatial derivative along the last axis.
+def derivative(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Spatial derivative along the last axis, into out when given.
 
     Fourth-order central differences in the interior, second-order one-sided
-    at the first and last two nodes.
+    at the first and last two nodes.  out must not overlap values.
     """
     f = check_same_grid(grid, values)
-    d = np.empty_like(f)
-    d[..., 2:-2] = central_stencil(f, grid.dx)
+    d = np.empty_like(f) if out is None else out
+    central_stencil(f, grid.dx, d[..., 2:-2])
     one_sided_ends(f, grid.dx, d)
     return d
 
 
-def central_stencil(f: np.ndarray, dx: float) -> np.ndarray:
-    """The derivative's fourth-order central differences at nodes 2 .. -3 of f."""
-    return (f[..., :-4] - 8 * f[..., 1:-3] + 8 * f[..., 3:-1] - f[..., 4:]) / (12 * dx)
+def central_stencil(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The derivative's fourth-order central differences at nodes 2 .. -3 of f,
+    ((f0 - 8 f1) + 8 f3) - f4 over 12 dx, into out when given."""
+    out = np.multiply(f[..., 1:-3], 8, out=out)
+    np.subtract(f[..., :-4], out, out=out)
+    out += 8 * f[..., 3:-1]
+    out -= f[..., 4:]
+    out /= 12 * dx
+    return out
 
 
 def one_sided_ends(f: np.ndarray, dx: float, d: np.ndarray) -> None:
-    """Write the derivative's first and last two nodes of f into d."""
-    d[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2 * dx)
-    d[..., 1] = (f[..., 2] - f[..., 0]) / (2 * dx)
-    d[..., -2] = (f[..., -1] - f[..., -3]) / (2 * dx)
-    d[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2 * dx)
+    """Write the derivative's first and last two nodes of f into d.  A single
+    curve's six end values are read as Python floats, whose arithmetic is
+    numpy's float64 arithmetic without its per-scalar dispatch."""
+    if f.ndim == 1:
+        (f0, f1, f2), (g3, g2, g1) = f[:3].tolist(), f[-3:].tolist()
+    else:
+        f0, f1, f2, g3, g2, g1 = (f[..., i] for i in (0, 1, 2, -3, -2, -1))
+    d[..., 0] = (-3 * f0 + 4 * f1 - f2) / (2 * dx)
+    d[..., 1] = (f2 - f0) / (2 * dx)
+    d[..., -2] = (g1 - g3) / (2 * dx)
+    d[..., -1] = (3 * g1 - 4 * g2 + g3) / (2 * dx)
 
 
 def primitive(values: np.ndarray, grid: Grid) -> np.ndarray:

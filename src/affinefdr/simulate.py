@@ -11,6 +11,9 @@ block of RECURSION_BLOCK paths and reduces each slice of PATH_BLOCK rows to
 its functionals, coefficient sum (for the mean curve), min ell and foliation
 residual, without the slice's curves.  With the realization's mean curve
 taken as psi(T) + mean(X_T) lam, simulate holds no (paths, grid) array.
+The time loops step on buffers allocated once per run (per block in the
+oracle) and keep the plain expressions' operations in their order, so their
+results are those expressions' bits.
 """
 
 from __future__ import annotations
@@ -106,32 +109,43 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
     n_steps = round(horizon / dt)
     if abs(n_steps * dt - horizon) > 1e-9:
         raise ConstraintViolated("horizon must be an integer multiple of dt")
-    lam = model.lam
-
-    def rhs(psi):
-        d = derivative(psi, grid)
-        return d - float(model.ell(d)) * lam
-
-    def reproject(psi):
-        return psi - float(model.ell(psi)) * lam
-
+    lam, ell = model.lam, model.ell
     times = np.linspace(0.0, horizon, n_steps + 1)
     out = np.empty((n_steps + 1, grid.n))
     b = np.empty(n_steps + 1)
-    psi = g0.copy()
+    # the four stages, the stage argument and a work row, reused every step
+    k1, k2, k3, k4, arg, work = np.empty((6, grid.n))
+
+    def rhs(h, into):
+        """into = h' - ell(h') lam; returns ell(h')."""
+        derivative(h, grid, out=into)
+        e = float(ell(into))
+        into -= np.multiply(lam, e, out=work)
+        return e
+
+    def stage(psi, slope, step):
+        """arg = psi + step slope."""
+        np.multiply(slope, step, out=arg)
+        return np.add(psi, arg, out=arg)
+
+    out[0] = g0
     for k in range(n_steps + 1):
-        out[k] = psi
-        d = derivative(psi, grid)
-        b[k] = float(model.ell(d))
+        psi = out[k]
+        b[k] = rhs(psi, k1)   # k1, and b(t) from the same derivative
         if b[k] <= 0.0:
             raise LeftBoundary(float(times[k]))
         if k == n_steps:
             break
-        k1 = d - b[k] * lam   # rhs(psi), from the derivative b[k] already took
-        k2 = rhs(psi + dt / 2 * k1)
-        k3 = rhs(psi + dt / 2 * k2)
-        k4 = rhs(psi + dt * k3)
-        psi = reproject(psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        rhs(stage(psi, k1, dt / 2), k2)
+        rhs(stage(psi, k2, dt / 2), k3)
+        rhs(stage(psi, k3, dt), k4)
+        # psi + dt/6 (k1 + 2 k2 + 2 k3 + k4), re-projected onto ker ell
+        acc = np.add(k1, np.multiply(k2, 2, out=arg), out=arg)
+        acc += np.multiply(k3, 2, out=work)
+        acc += k4
+        acc *= dt / 6
+        nxt = np.add(psi, acc, out=out[k + 1])
+        nxt -= np.multiply(lam, float(ell(nxt)), out=work)
     return Foliation(times, out, b)
 
 
@@ -225,17 +239,28 @@ def simulate_state(model: SquareRootModel, foliation: Foliation, x0: float,
     normals = path_normals(config.seed, config.n_paths, n) if model.rho > 0 \
         else np.zeros((config.n_paths, n))
     x = np.full(config.n_paths, float(x0))
+    diffusion, work = np.empty((2, config.n_paths))
     values = np.empty((config.n_paths, n + 1))
     values[:, 0] = x
     for k in range(n):
         b = foliation.psi_ell_deriv[k * steps_per]
-        # each step scales its own column: no scaled copy of all the normals
-        diffusion = model.rho * np.sqrt(x) * (normals[:, k] * np.sqrt(dt))
+        # rho sqrt(x) (dW_k sqrt(dt)), scaling only this step's column
+        np.sqrt(x, out=diffusion)
+        diffusion *= model.rho
+        diffusion *= np.multiply(normals[:, k], np.sqrt(dt), out=work)
         if config.scheme == "full_truncation":
-            x = x + (b + a * x) * dt + diffusion
+            # x + (b + a x) dt + diffusion
+            drift = np.multiply(x, a, out=work)
+            drift += b
+            drift *= dt
+            x += drift
+            x += diffusion
         else:
-            x = (x + b * dt + diffusion) / (1.0 - a * dt)
-        x = np.maximum(x, 0.0)
+            # (x + b dt + diffusion) / (1 - a dt)
+            x += b * dt
+            x += diffusion
+            x /= 1.0 - a * dt
+        np.maximum(x, 0.0, out=x)
         values[:, k + 1] = x
     times = np.linspace(0.0, config.horizon, n + 1)
     return StatePaths(times, values)
@@ -316,15 +341,22 @@ def _oracle_blocks(model: SquareRootModel, oracle: _FactoredOracle, config: SimC
     for s in range(0, config.n_paths, RECURSION_BLOCK):
         m = min(RECURSION_BLOCK, config.n_paths - s)
         noise = normals[s:s + m] * np.sqrt(dt) if rho > 0 else np.zeros((m, n))
+        # fresh per block, as the slices yielded below view them
         coef = np.zeros((m, n, 2))   # (a_j, b_j) per path and step
+        ell_r, mag, amp = np.empty((3, m))
         min_ell = np.inf
         for k in range(n + 1):
-            ell_r = oracle.ell_h0[k] \
-                + coef[:, :k].reshape(m, 2 * k) @ oracle.ell_basis[2 * (n - k):]
+            np.matmul(coef[:, :k].reshape(m, 2 * k), oracle.ell_basis[2 * (n - k):], out=ell_r)
+            ell_r += oracle.ell_h0[k]
             min_ell = min(min_ell, float(ell_r.min()))
             if k < n:
-                coef[:, k, 0] = rho ** 2 * np.abs(ell_r) * dt
-                coef[:, k, 1] = rho * np.sqrt(np.abs(ell_r)) * noise[:, k]
+                # a_k = rho^2 |ell| dt and b_k = rho sqrt|ell| dW_k
+                np.abs(ell_r, out=mag)
+                np.sqrt(mag, out=amp)
+                amp *= rho
+                np.multiply(amp, noise[:, k], out=coef[:, k, 1])
+                mag *= rho ** 2
+                np.multiply(mag, dt, out=coef[:, k, 0])
         for t in range(0, m, PATH_BLOCK):
             yield s + t, coef.reshape(m, 2 * n)[t:t + PATH_BLOCK], ell_r[t:t + PATH_BLOCK], min_ell
 
@@ -379,25 +411,29 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     # trapezoid of r'^2 w with r' = coef @ basis' + tail'
     q = weight.values(grid) * grid.dx
     q[[0, -1]] /= 2.0
-    d_basis = _shifted_basis(model, oracle.shift, config.n_steps, grid.dx)
+    # the Gram of w = sqrt(q) basis' is the symmetric product w w^T, whose
+    # sums do not depend on the BLAS thread count; w's memory then holds the
+    # projected basis, so at most two (2K, n_x) arrays are live
+    w = _shifted_basis(model, oracle.shift, config.n_steps, grid.dx)
     d_tail = derivative(oracle.tail, grid)
-    gram, cross = (d_basis * q) @ d_basis.T, 2.0 * (d_basis @ (q * d_tail))
-    const = float(d_tail @ (q * d_tail))
-    del d_basis
+    cross, const = 2.0 * (w @ (q * d_tail)), float(d_tail @ (q * d_tail))
+    w *= np.sqrt(q)
+    gram = w @ w.T
     nodes = [0, grid.index_of(1.0)]   # r(0) for hw_norm, and eval_at_1
     cols = oracle.basis[:, nodes]
     if psi is not None:
         # |P(coef @ basis + tail - psi)|^2 with P the projection orthogonal
         # to lam, as a quadratic form in coef like the hw_norm integral
         u = model.lam / np.linalg.norm(model.lam)
-        perp = np.outer(oracle.basis @ u, u)
-        np.subtract(oracle.basis, perp, out=perp)
+        np.outer(oracle.basis @ u, u, out=w)
+        np.subtract(oracle.basis, w, out=w)
         e = oracle.tail - psi
         e -= (e @ u) * u
-        res_gram, res_cross, res_const = perp @ perp.T, 2.0 * (perp @ e), float(e @ e)
-        del perp
+        res_gram, res_cross, res_const = w @ w.T, 2.0 * (w @ e), float(e @ e)
         # max|r| of a block is at most tail_sup + max_p |coef_p| @ row_sup
-        row_sup, tail_sup = np.abs(oracle.basis).max(axis=1), float(np.abs(oracle.tail).max())
+        row_sup = np.abs(oracle.basis, out=w).max(axis=1)
+        tail_sup = float(np.abs(oracle.tail).max())
+    del w
 
     ell, at1, norms = (np.empty(config.n_paths) for _ in range(3))
     coef_sum = np.zeros(len(oracle.basis))

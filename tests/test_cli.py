@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -516,6 +517,24 @@ def test_simulate_manifest_across_blocks_matches_golden(tmp_path):
         (DATA / "manifest_cir_1100_both.json").read_bytes()
 
 
+@pytest.mark.parametrize("paths", [200, 1100])
+def test_simulate_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, paths):
+    # the models of both manifest goldens; the thread count is read per process
+    model = tmp_path / "cir.model"
+    model.write_text((MODELS / "cir.model").read_text().replace("paths = 2000",
+                                                                f"paths = {paths}"))
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        res = subprocess.run([sys.executable, "-m", "affinefdr.cli", "simulate", str(model),
+                              "--out-dir", str(out)], capture_output=True, text=True,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        runs[threads] = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    assert len(runs["1"]) == 9
+    assert runs["1"] == runs["2"]
+
+
 def test_simulate_byte_identical(fast_model, sim_run, tmp_path):
     out2 = tmp_path / "again"
     res = run_cli("simulate", fast_model, "--out-dir", str(out2))
@@ -689,6 +708,21 @@ def test_verify_detects_tampering(sim_run, tmp_path):
     assert "paths.npy" in res.stdout + res.stderr
 
 
+def test_verify_refuses_csvs_the_manifest_does_not_list(fast_model, tmp_path):
+    # an fdr run into a directory that a both run left: the stale direct CSVs
+    # are not hashed by the new manifest, so verify must not pair them up
+    out = tmp_path / "run"
+    assert simulate_in_process(fast_model, out, "both") == 0
+    reseeded = tmp_path / "seed999.model"
+    reseeded.write_text(Path(fast_model).read_text().replace("seed = 12345", "seed = 999"))
+    assert simulate_in_process(str(reseeded), out, "fdr") == 0
+    assert "direct_phis.csv" not in json.loads((out / "manifest.json").read_text())["artifacts"]
+    res = run_cli("verify", str(out))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {out / 'direct_phis.csv'}: not listed in manifest.json")
+    assert "Traceback" not in res.stderr
+
+
 def test_verify_missing_artifacts(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -712,11 +746,14 @@ PHI_HEADER = "path,ell,eval_at_1,hw_norm\n"
 def test_verify_rejects_a_malformed_run_directory(tmp_path, bad, files):
     run = tmp_path / "run"
     run.mkdir()
-    valid = {"manifest.json": '{"artifacts": {}}',
-             "fdr_phis.csv": PHI_HEADER + "0,0.1,0.2,0.3\n",
+    valid = {"fdr_phis.csv": PHI_HEADER + "0,0.1,0.2,0.3\n",
              "direct_phis.csv": PHI_HEADER + "0,0.1,0.2,0.3\n",
              "direct_stats.csv": "key,value\nmin_ell,0.1\nfoliation_residual,0\n"}
-    for name, text in {**valid, **files}.items():
+    written = {**valid, **files}
+    # the manifest lists the three CSVs with their real hashes, as verify requires
+    written.setdefault("manifest.json", json.dumps({"artifacts": {
+        name: hashlib.sha256(written[name].encode()).hexdigest() for name in valid}}))
+    for name, text in written.items():
         (run / name).write_text(text)
     res = run_cli("verify", str(run))
     assert res.returncode == 2

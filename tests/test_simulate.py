@@ -10,7 +10,7 @@ from affinefdr.errors import (CflViolated, ConstraintViolated, HorizonMismatch,
                               LeftBoundary, NotInInitialSet)
 from affinefdr.hjmm import SquareRootModel, riccati_small
 from affinefdr.modelfile import parse_model_file
-from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, Foliation, SimConfig,
+from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, SCHEMES, Foliation, SimConfig,
                                 StatePaths, _FactoredOracle, _factored_oracle, _held_windows,
                                 _oracle_blocks, _shifted_basis, evolve_psi, fdr_phi_values,
                                 path_normals, simulate_state, summarize_direct,
@@ -78,11 +78,68 @@ def test_evolve_psi_step_halving(cir_model, g0):
 def test_evolve_psi_differentiates_once_per_stage(cir_model, g0, monkeypatch):
     # b(t) = ell(psi') and the first RK4 stage share one derivative
     calls = []
-    monkeypatch.setattr(simulate, "derivative",
-                        lambda values, grid: calls.append(1) or derivative(values, grid))
+    monkeypatch.setattr(simulate, "derivative", lambda values, grid, out=None:
+                        calls.append(1) or derivative(values, grid, out=out))
     fol = evolve_psi(cir_model, g0, horizon=0.05, dt=0.005)
     n_steps = len(fol.times) - 1
     assert n_steps == 10 and len(calls) == 4 * n_steps + 1
+
+
+def reference_derivative(f, dx):
+    """The derivative's stencils as plain expressions, one new array per operation."""
+    d = np.empty_like(f)
+    d[..., 2:-2] = (f[..., :-4] - 8 * f[..., 1:-3] + 8 * f[..., 3:-1] - f[..., 4:]) / (12 * dx)
+    d[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2 * dx)
+    d[..., 1] = (f[..., 2] - f[..., 0]) / (2 * dx)
+    d[..., -2] = (f[..., -1] - f[..., -3]) / (2 * dx)
+    d[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2 * dx)
+    return d
+
+
+def reference_evolve_psi(model, g0, horizon, dt):
+    """evolve_psi's RK4 leaf as plain expressions: (psi rows, b(t))."""
+    lam, dx = model.lam, model.grid.dx
+
+    def rhs(psi):
+        d = reference_derivative(psi, dx)
+        return d - float(model.ell(d)) * lam
+
+    n_steps = round(horizon / dt)
+    psi, rows, b = g0.copy(), [], []
+    for k in range(n_steps + 1):
+        rows.append(psi)
+        d = reference_derivative(psi, dx)
+        b.append(float(model.ell(d)))
+        if k == n_steps:
+            break
+        k1 = d - b[-1] * lam
+        k2 = rhs(psi + dt / 2 * k1)
+        k3 = rhs(psi + dt / 2 * k2)
+        k4 = rhs(psi + dt * k3)
+        psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        psi = psi - float(model.ell(psi)) * lam
+    return np.array(rows), np.array(b)
+
+
+@pytest.mark.parametrize("shape", [(2001,), (3, 2001)])
+def test_derivative_into_out_matches_plain_expressions(grid, shape):
+    f = 0.01 * np.random.default_rng(1).standard_normal(shape)
+    ref = reference_derivative(f, grid.dx)
+    out = np.full(shape, np.nan)
+    assert derivative(f, grid, out=out) is out
+    assert np.array_equal(out, ref)
+    assert np.array_equal(derivative(f, grid), ref)
+
+
+def test_evolve_psi_matches_plain_expressions_on_a_two_point_ell(grid):
+    # the buffered stages keep every operation of the plain stepper, in order
+    model = _points_model(grid)
+    h = 0.01 * grid.x * np.exp(-grid.x)
+    g0 = h - float(model.ell(h)) / float(model.ell(model.lam)) * model.lam
+    fol = evolve_psi(model, g0, horizon=0.5, dt=0.005)
+    psi, b = reference_evolve_psi(model, g0, 0.5, 0.005)
+    assert np.array_equal(fol.psi, psi)
+    assert np.array_equal(fol.psi_ell_deriv, b)
 
 
 def test_evolve_psi_rejections(grid, cir_model):
@@ -181,6 +238,34 @@ def test_simulate_state_schemes_and_errors(cir_model, foliation):
                        config=SimConfig(horizon=1.0, dt=0.005, n_paths=2))
     with pytest.raises(ConstraintViolated):
         SimConfig(horizon=0.5, dt=0.005, n_paths=2, scheme="euler_exact")
+
+
+def reference_simulate_state(model, foliation, x0, config):
+    """simulate_state's time loop as plain expressions: the (paths, n_t) values."""
+    a, dt, n = model.state_drift_slope, config.dt, config.n_steps
+    steps_per = round(dt / (foliation.times[1] - foliation.times[0]))
+    normals = path_normals(config.seed, config.n_paths, n)
+    x = np.full(config.n_paths, float(x0))
+    columns = [x]
+    for k in range(n):
+        b = foliation.psi_ell_deriv[k * steps_per]
+        diffusion = model.rho * np.sqrt(x) * (normals[:, k] * np.sqrt(dt))
+        if config.scheme == "full_truncation":
+            x = x + (b + a * x) * dt + diffusion
+        else:
+            x = (x + b * dt + diffusion) / (1.0 - a * dt)
+        x = np.maximum(x, 0.0)
+        columns.append(x)
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("dt", [0.005, 0.01])
+def test_simulate_state_matches_plain_expressions(cir_model, foliation, scheme, dt):
+    # dt = 0.01 reads every second step of the leaf's b(t)
+    cfg = SimConfig(horizon=0.5, dt=dt, n_paths=64, seed=5, scheme=scheme)
+    paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
+    assert np.array_equal(paths.values, reference_simulate_state(cir_model, foliation, 0.02, cfg))
 
 
 def test_reconstruct_identities(grid, cir_model, foliation):
@@ -405,6 +490,39 @@ def test_summarize_direct_builds_only_the_mean_curve(monkeypatch):
                         lambda self, coef: shapes.append(coef.shape) or curves(self, coef))
     summary = summarize_direct(model, h0, cfg, spec.weight, psi)
     assert shapes == [(2 * cfg.n_steps,)] and summary.foliation_residual > 0.0
+
+
+def test_a_paths_outputs_do_not_depend_on_the_path_count(grid, cir_model):
+    # 1100 and 2001 paths cross PATH_BLOCK and RECURSION_BLOCK edges that 200 does not
+    h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
+    x0 = float(cir_model.ell(h0))
+    fol = evolve_psi(cir_model, h0 - x0 * cir_model.lam, 0.5, 0.005)
+    heads = []
+    for n_paths in (200, 1100, 2001):
+        cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=12345)
+        paths = simulate_state(cir_model, fol, x0, cfg)
+        fdr = fdr_phi_values(fol, paths, cir_model)
+        direct = summarize_direct(cir_model, h0, cfg, Weight(), fol.psi[-1]).phis
+        heads.append([paths.values[:200], *(phis[name][:200] for phis in (fdr, direct)
+                                             for name in ("ell", "eval_at_1", "hw_norm"))])
+    for head in heads[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(heads[0], head))
+
+
+def test_summarize_direct_holds_two_basis_sized_arrays(grid, cir_model):
+    # the basis and one work array that holds its scaled derivative, then its
+    # projection; a run draws its normals once for both simulators, so they
+    # are drawn before tracing
+    n_paths = 2000
+    h0, cfg, psi = _sim_inputs(grid, cir_model, n_paths)
+    path_normals(cfg.seed, n_paths, cfg.n_steps)
+    tracemalloc.start()
+    try:
+        summarize_direct(cir_model, h0, cfg, Weight(), psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * (2 * cfg.n_steps * grid.n * 8)
 
 
 def test_summarize_direct_holds_no_ensemble(grid, cir_model):
