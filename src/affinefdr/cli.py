@@ -247,8 +247,8 @@ def _phi_table(phis: dict[str, np.ndarray]) -> tuple[str, np.ndarray]:
 
 def cmd_simulate(args) -> int:
     spec = parse_model_file(args.modelfile)
-    if spec.kind != "cir":
-        raise ModelFileError("simulate currently supports kind = cir only")
+    if spec.model is None:
+        raise ModelFileError("simulate needs a square-root model; this file has none")
     if spec.sim is None or spec.h0 is None:
         raise ModelFileError("model file needs a [sim] section with an h0 curve")
     model = spec.model
@@ -406,8 +406,9 @@ def main(argv=None) -> int:
     except _REJECTIONS as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
-    except (AffineFdrError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AffineFdrError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

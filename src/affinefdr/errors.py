@@ -56,9 +56,9 @@ class ConstraintViolated(AffineFdrError):
 class LeftBoundary(AffineFdrError):
     """The boundary trajectory exited the admissible region."""
 
-    def __init__(self, exit_time: float, message: str | None = None):
+    def __init__(self, exit_time: float):
         self.exit_time = exit_time
-        super().__init__(message or f"boundary trajectory exits at t={exit_time:.6g}")
+        super().__init__(f"boundary trajectory exits at t={exit_time:.6g}")
 
 
 class HorizonMismatch(AffineFdrError):

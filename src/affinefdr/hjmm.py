@@ -93,19 +93,18 @@ def shape_boundary_samples(grid: Grid, split: SplitSpace, n: int) -> list[np.nda
     return [split.project_g(0.05 * s) for s in shapes[:n]]
 
 
-def default_boundary_samples(grid: Grid, split: SplitSpace, n: int = 6,
-                             seed: int = 7) -> list[np.ndarray]:
+def default_boundary_samples(grid: Grid, split: SplitSpace, n: int = 6) -> list[np.ndarray]:
     """n smooth curves in G = ker ell whose short-end drift points inward.
 
     Every shape vanishes at x = 0 with strictly positive slope, so positive
     combinations stay strictly inside the boundary-drift condition; beyond
-    the named shapes, random positive mixtures are drawn.
+    the named shapes, random positive mixtures are drawn from seed 7.
     """
     x = grid.x
     shapes = np.array([x * np.exp(-a * x) for a in (0.5, 1.0, 1.5, 2.0, 3.0)]
                       + [np.sin(b * x) * np.exp(-x) for b in (0.5, 1.0, 2.0)])
     # made only for a mixture: importing numpy.random costs about 10 ms
-    rng = np.random.default_rng(seed) if n > len(shapes) else None
+    rng = np.random.default_rng(7) if n > len(shapes) else None
     out = []
     for i in range(n):
         s = shapes[i] if i < len(shapes) else \
@@ -114,17 +113,21 @@ def default_boundary_samples(grid: Grid, split: SplitSpace, n: int = 6,
     return out
 
 
-def ker_ell_split(grid: Grid, ell: PointCombo, lam: np.ndarray, subspace=()) -> SplitSpace:
-    """Split of V = <lam>+ (+) span(subspace) whose cone dual row is ell / ell(u),
-    with u = lam / |lam| the normed cone row.
+def ker_ell_split(grid: Grid, ell: PointCombo, cone, subspace=()) -> SplitSpace:
+    """The split of V = cone(cone curves) (+) span(subspace), from ell and V.
 
-    Without a subspace G = ker ell; subspace curves take their dual rows
-    from the orthogonal split.  Needs ell(lam) != 0.
+    With one cone generator u (normed), ell(u) != 0 and ell zero on every
+    subspace curve within 1e-9 |ell(u)|, G lies in ker ell: the cone dual
+    row is ell / ell(u), the subspace rows are the orthogonal split's.
+    Otherwise G falls back to the orthogonal complement of span V.
     """
-    basis = StateBasis(ConeBasis(lam.reshape(1, -1)),
-                       subspace=np.reshape(subspace, (len(subspace), grid.n)))
-    dual = ell.dual_vector(grid) / float(ell(basis.matrix[0]))
-    return SplitSpace(basis, np.vstack([dual, orthogonal_split(basis).dual[1:]]))
+    basis = StateBasis(ConeBasis(np.reshape(cone, (-1, grid.n))),
+                       subspace=np.reshape(subspace, (-1, grid.n)))
+    orth = orthogonal_split(basis)
+    on_u = float(ell(basis.matrix[0])) if basis.m == 1 else 0.0
+    if on_u == 0.0 or np.abs(ell(basis.subspace)).max(initial=0.0) > 1e-9 * abs(on_u):
+        return orth
+    return SplitSpace(basis, np.vstack([ell.dual_vector(grid) / on_u, orth.dual[1:]]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeBasis, StateBasis, orthogonal_split
 from .curves import SHORT_END, Grid, PointCombo, Weight, primitive
-from .errors import ModelFileError, NotInV
-from .hjmm import SquareRootModel, shape_boundary_samples
+from .errors import AffineFdrError, ModelFileError, NotInV
+from .hjmm import SquareRootModel, ker_ell_split, shape_boundary_samples
 from .simulate import SimConfig
 
 _EXPR_NAMES = {
@@ -102,6 +101,15 @@ def _parse_ell(spec: str, grid: Grid) -> PointCombo:
 
 
 KINDS = ("cir", "two_factor", "linear", "custom")
+# the keys some kind reads, per section; None: the section names its curves freely
+_SECTION_KEYS = {
+    "space": ("x_max", "dx", "weight_alpha"),
+    "model": ("kind", "rho", "gamma", "ell", "vol_amplitude", "vol_curve"),
+    "check": ("boundary_samples", "max_dim", "span_tol"),
+    "sim": ("horizon", "dt", "paths", "seed", "scheme", "h0"),
+    "cone": None,
+    "subspace": None,
+}
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,12 @@ def parse_model_text(text: str) -> ModelSpec:
         raise ModelFileError(f"parse error: {exc}") from exc
     if not cfg.has_section("model"):
         raise ModelFileError("missing [model] section")
+    for section in cfg.sections():
+        if section not in _SECTION_KEYS:
+            raise ModelFileError(f"[{section}]: unknown section")
+        for key in cfg.options(section):
+            if _SECTION_KEYS[section] is not None and key not in _SECTION_KEYS[section]:
+                raise ModelFileError(f"[{section}] {key}: unknown key")
 
     x_max = _get(cfg, "space", "x_max", float, 10.0)
     dx = _get(cfg, "space", "dx", float, 0.005)
@@ -187,8 +201,6 @@ def parse_model_text(text: str) -> ModelSpec:
                                  where="[model] vol_curve"),)
     if kind in ("linear", "custom") and not vol_curves:
         raise ModelFileError(f"[model] kind {kind!r} requires vol_curve")
-    if kind == "custom" and not cone_curves and not subspace_curves:
-        raise ModelFileError("[model] kind custom requires [cone] or [subspace] curves")
     if kind == "cir" and rho < 0:
         raise ModelFileError("[model] rho must be nonnegative")
 
@@ -219,19 +231,17 @@ def parse_model_text(text: str) -> ModelSpec:
             h0 = eval_curve(cfg.get("sim", "h0"), grid, params, where="[sim] h0")
 
     # the square-root model: cir draws n = boundary_samples boundary samples
-    # and two_factor always 2; custom builds the orthogonal split of its
-    # [cone] and [subspace] curves and draws min(n, 3) shape samples
+    # and two_factor always 2; custom splits its [cone] and [subspace] curves
+    # by ker_ell_split and draws min(n, 3) shape samples
     model = None
     if kind == "cir":
         model = SquareRootModel.cir(grid, rho, gamma, ell, n_samples, span_tol)
     elif kind == "two_factor":
         model = SquareRootModel.two_factor(grid, rho, gamma, span_tol)
     elif kind == "custom":
-        cone_rows = np.reshape(cone_curves, (-1, grid.n))
-        sub_rows = np.reshape(subspace_curves, (-1, grid.n))
         try:
-            split = orthogonal_split(StateBasis(ConeBasis(cone_rows), subspace=sub_rows))
-        except Exception as exc:
+            split = ker_ell_split(grid, ell, cone_curves, subspace_curves)
+        except (AffineFdrError, np.linalg.LinAlgError) as exc:
             raise ModelFileError(f"[cone]/[subspace]: {exc}") from exc
         lam = vol_curves[0]
         try:

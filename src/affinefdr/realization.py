@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 # numerical bands; the span band is the model's span_tol
 MEMBERSHIP_TOL = 1e-9  # band for cone-coordinate sign tests
 AFFINE_TOL = 1e-6      # relative residual for affine fits
+QE_TOL = 1e-3          # relative norm of a new direction in quasi_exp_subspace
 
 
 def fit_boundary_square_vol(model: SquareRootModel, g: np.ndarray) -> tuple[float, np.ndarray]:
@@ -179,12 +180,12 @@ def check_damir(model: SquareRootModel) -> bool:
 
 def quasi_exp_subspace(apply_a: Callable[[np.ndarray], np.ndarray],
                        sigma_vectors: Sequence[np.ndarray],
-                       max_dim: int = 20, tol: float = 1e-3) -> np.ndarray:
+                       max_dim: int = 20) -> np.ndarray:
     """Iterated-image subspace of the volatility vectors under the generator.
 
     Krylov-style: start from the volatility vectors, repeatedly apply the
     generator, orthonormalize, and stop once no new direction appears above
-    tol (relative).  Raises DimensionExceeded past max_dim, signalling that
+    QE_TOL (relative).  Raises DimensionExceeded past max_dim, signalling that
     the volatility is not quasi-exponential at this resolution.
     """
     basis: list[np.ndarray] = []
@@ -198,7 +199,7 @@ def quasi_exp_subspace(apply_a: Callable[[np.ndarray], np.ndarray],
             for q in basis:
                 w = w - np.dot(q, w) * q
         norm = np.linalg.norm(w)
-        if norm <= tol * norm0:
+        if norm <= QE_TOL * norm0:
             return False
         basis.append(w / norm)
         return True

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import realization as rz
-from .curves import Weight, central_stencil, derivative, one_sided_ends
+from .curves import Grid, Weight, central_stencil, derivative, one_sided_ends
 from .errors import (CflViolated, ConstraintViolated, GridMismatch, HorizonMismatch,
                      LeftBoundary, NotInInitialSet)
 from .hjmm import SquareRootModel
@@ -82,6 +82,12 @@ class Foliation:
         return float(self.times[-1])
 
 
+def _check_step(dt: float, grid: Grid) -> None:
+    """The CFL condition dt <= dx that both schemes need."""
+    if dt > grid.dx + 1e-12:
+        raise CflViolated(f"dt = {dt} exceeds dx = {grid.dx}")
+
+
 def _steps_per(dt: float, foliation: Foliation) -> int:
     """Foliation steps per time step dt."""
     return round(dt / (foliation.times[1] - foliation.times[0]))
@@ -97,10 +103,20 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
     the exit time.
 
     The right-hand side is the G-projection of the full drift: the
-    volatility-induced term rho^2 ell(psi) lam Lam vanishes identically on
-    ker ell, which the realizability checker verifies independently.
+    volatility-induced term rho^2 |ell(psi)| lam Lam vanishes identically on
+    ker ell, which the realizability checker verifies independently.  So the
+    leaf needs V = <lam>+ with ell(lam) = 1, split along G = ker ell, and the
+    sqrt_ell amplitude; any other model raises ConstraintViolated.  A step
+    dt above dx, the oracle's CFL bound, raises CflViolated before the first
+    stage: past about 2 dx the leaf goes unstable and would leave the boundary.
     """
     grid = model.grid
+    basis = model.split.v_basis
+    if not (basis.dim_v == basis.m == 1 and model.ell_vanishes_on_g
+            and model.amplitude == "sqrt_ell" and abs(float(model.ell(model.lam)) - 1.0) <= 1e-8):
+        raise ConstraintViolated("the leaf needs V = <lam>+ with ell(lam) = 1, a split "
+                                 "along G = ker ell and amplitude sqrt_ell")
+    _check_step(dt, grid)
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (grid.n,):
         raise GridMismatch("g0 is not sampled on the model grid")
@@ -207,8 +223,7 @@ def _validate_coefficient_reduction(model: SquareRootModel, foliation: Foliation
         for x in (0.0, 0.05, 0.4):
             h = psi + x * model.lam
             lhs = float(model.ell(derivative(h, model.grid))
-                        + model.rho ** 2 * abs(float(model.ell(h)))
-                        * float(model.ell(model.lam * model.lam_capital)))
+                        + model.amp_sq(h) * float(model.ell(model.lam * model.lam_capital)))
             rhs = foliation.psi_ell_deriv[k] + a * x
             worst = max(worst, abs(lhs - rhs))
     if worst > 1e-8:
@@ -288,16 +303,21 @@ class _FactoredOracle:
 
 
 def _factored_oracle(model: SquareRootModel, h0: np.ndarray, config: SimConfig) -> _FactoredOracle:
-    """Validate a direct run's inputs and precompute its fixed data."""
+    """Validate a direct run's inputs and precompute its fixed data.
+
+    The recursion's forcing a_k and b_k is that of the sqrt_ell amplitude, so
+    any other amplitude raises ConstraintViolated.
+    """
     grid = model.grid
+    if model.amplitude != "sqrt_ell":
+        raise ConstraintViolated("the direct oracle needs amplitude sqrt_ell")
     h0 = np.asarray(h0, dtype=float)
     if h0.shape != (grid.n,):
         raise GridMismatch("h0 is not sampled on the model grid")
     member, _ = rz.maximal_initial_membership(h0, model)
     if not member:
         raise NotInInitialSet("h0 fails the initial-set test")
-    if config.dt > grid.dx + 1e-12:
-        raise CflViolated(f"dt = {config.dt} exceeds dx = {grid.dx}")
+    _check_step(config.dt, grid)
     shift = round(config.dt / grid.dx)
     if abs(shift * grid.dx - config.dt) > 1e-12 or shift < 1:
         raise CflViolated("dt must be a positive integer multiple of dx")

@@ -237,6 +237,60 @@ def test_check_holds_the_benchmark_pins(capsys):
             assert leaf is value, (name, key)
 
 
+def riccati_expression():
+    """The Riccati lam as a model-file expression in x, rho and gamma."""
+    theta = "sqrt(gamma**2 + 2 * rho**2)"
+    e = f"(1 - exp(-{theta} * x))"
+    cap = f"(2 * {e} / (({theta} + gamma) * {e} + 2 * {theta} * exp(-{theta} * x)))"
+    return f"1 - rho**2 / 2 * {cap}**2 - gamma * {cap}"
+
+
+@pytest.fixture(scope="module")
+def custom_copies(tmp_path_factory):
+    """custom files with the V, ell and lam of two_factor and of cir; the
+    cir copy keeps cir.model's [sim] at 200 paths."""
+    out = tmp_path_factory.mktemp("custom")
+    ell = parse_model_file(model_path("two_factor.model")).model.ell
+    (_, x1), (a, b) = ell.nodes, ell.coeffs
+    two_factor = out / "two_factor.model"
+    two_factor.write_text(
+        "[model]\nkind = custom\nrho = 0.1\ngamma = 1.0\n"
+        f"ell = points: 0:{a!r}, {x1 * 0.005!r}:{b!r}\nvol_curve = exp(-gamma * x)\n"
+        "[cone]\nc1 = exp(-gamma * x)\n[subspace]\nu1 = exp(-2 * gamma * x)\n"
+        "[check]\nboundary_samples = 2\n")
+    lam = riccati_expression()
+    cir = out / "cir.model"
+    cir.write_text((MODELS / "cir.model").read_text()
+                   .replace("kind = cir", f"kind = custom\nvol_curve = {lam}")
+                   .replace("paths = 2000", "paths = 200") + f"\n[cone]\nc1 = {lam}\n")
+    return {"two_factor": str(two_factor), "cir": str(cir)}
+
+
+def booleans(checks, prefix=""):
+    """Every boolean leaf of a checks tree, by dotted key."""
+    out = {}
+    for key, value in checks.items():
+        if isinstance(value, dict):
+            out.update(booleans(value, f"{prefix}{key}."))
+        elif isinstance(value, bool):
+            out[prefix + key] = value
+    return out
+
+
+def test_check_custom_copies_get_their_presets_verdicts(capsys, custom_copies):
+    # the split, and with it every verdict, comes from ell and V, not from
+    # the kind name
+    def check(path):
+        rc = cli.main(["check", path, "--json"])
+        return rc, json.loads(capsys.readouterr().out)["checks"]
+
+    assert check(custom_copies["two_factor"]) == check(model_path("two_factor.model"))
+    # custom draws min(n, 3) boundary samples where cir draws n = 6
+    (rc, checks), (preset_rc, preset) = check(custom_copies["cir"]), check(model_path("cir.model"))
+    assert rc == preset_rc == 0
+    assert booleans(checks) == booleans(preset)
+
+
 def test_check_linear_builds_the_iterated_subspace_once(monkeypatch):
     spec = parse_model_file(model_path("linear_qe.model"))
     subspace, calls = rz.quasi_exp_subspace, []
@@ -449,6 +503,20 @@ def test_initial_set_needs_split_along_ker_ell(tmp_path, name):
     curve = tmp_path / "curve.csv"
     write_curve(curve, 2001, np.full(2001, 0.02))
     assert run_cli("initial-set", model_path(name), "--curve", str(curve)).returncode == 2
+
+
+@pytest.mark.parametrize("preset, level", [("two_factor", 0.5), ("two_factor", -0.5),
+                                           ("cir", 0.02), ("cir", 0.0)])
+def test_initial_set_custom_copies_get_their_presets_verdicts(capsys, tmp_path, custom_copies,
+                                                               preset, level):
+    curve = tmp_path / "curve.csv"
+    write_curve(curve, 2001, np.full(2001, level))
+    verdicts = []
+    for path in (custom_copies[preset], model_path(f"{preset}.model")):
+        rc = cli.main(["initial-set", path, "--curve", str(curve)])
+        verdicts.append((rc, capsys.readouterr().out.splitlines()[-1]))
+    assert verdicts[0] == verdicts[1] == ((0, "verdict: member") if level > 0
+                                          else (1, "verdict: non-member"))
 
 
 def test_initial_set_grid_mismatch(tmp_path):
@@ -670,6 +738,58 @@ def test_simulate_rejects_cfl_violation(fast_model, tmp_path):
     bad.write_text(text)
     res = run_cli("simulate", str(bad), "--out-dir", str(tmp_path / "o"))
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("dt, mode", [("0.0125", "both"), ("0.0125", "fdr"), ("0.01", "fdr")])
+def test_simulate_checks_the_step_before_the_leaf(fast_model, tmp_path, capsys, dt, mode):
+    # at 2.5 dx the leaf goes unstable and would exit the boundary (exit 1)
+    # before the oracle saw the step
+    bad = tmp_path / "cfl.model"
+    bad.write_text(Path(fast_model).read_text().replace("dt = 0.005", f"dt = {dt}"))
+    out = tmp_path / "o"
+    assert cli.main(["simulate", str(bad), "--mode", mode, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: dt = {dt} exceeds dx = 0.005\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_simulate_and_verify_the_custom_cir_copy(tmp_path, custom_copies):
+    out = tmp_path / "run"
+    assert cli.main(["simulate", custom_copies["cir"], "--mode", "both",
+                     "--out-dir", str(out)]) == 0
+    assert cli.main(["verify", str(out)]) == 0
+    verify = json.loads((out / "verify.json").read_text())
+    assert all(p["within_3se"] for p in verify["phis"].values())
+
+
+@pytest.mark.parametrize("mode, rc", [("direct", 0), ("fdr", 2), ("both", 2)])
+def test_simulate_two_factor_runs_the_direct_oracle_alone(tmp_path, capsys, mode, rc):
+    # the oracle is generic in lam, Lam, ell and rho; the leaf needs V = <lam>+
+    model = tmp_path / "two_factor_sim.model"
+    model.write_text((MODELS / "two_factor.model").read_text()
+                     + "\n[sim]\nhorizon = 0.5\ndt = 0.005\npaths = 50\nseed = 3\nh0 = 0.5\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", str(model), "--mode", mode, "--out-dir", str(out)]) == rc
+    assert (out / "manifest.json").exists() is (rc == 0)
+    if rc:
+        assert capsys.readouterr().err.startswith("error: the leaf needs V = <lam>+")
+
+
+def test_simulate_refuses_a_file_without_a_square_root_model(tmp_path, capsys):
+    model = tmp_path / "linear_sim.model"
+    model.write_text((MODELS / "linear_qe.model").read_text()
+                     + "\n[sim]\nhorizon = 0.5\nh0 = 0.02\n")
+    assert cli.main(["simulate", str(model), "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: simulate needs a square-root model; " \
+                                      "this file has none\n"
+
+
+def test_a_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 10^16 nodes: 8e16 bytes are more than a 64-bit Linux process can map,
+    # even with 5-level paging, so the allocation fails at once
+    model = tmp_path / "huge.model"
+    model.write_text((MODELS / "cir.model").read_text().replace("dx = 0.005", "dx = 1e-15"))
+    assert cli.main(["check", str(model)]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
 def test_simulate_builds_verify_json_without_reading_csvs(fast_model, tmp_path, monkeypatch):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from affinefdr import realization as rz
-from affinefdr.curves import Grid, derivative, primitive
+from affinefdr.cones import orthogonal_split
+from affinefdr.curves import SHORT_END, Grid, derivative, primitive
 from affinefdr.errors import ConstraintViolated, NotInV
-from affinefdr.hjmm import (SquareRootModel, build_s_operator, hjm_drift, riccati_capital,
-                            riccati_small)
+from affinefdr.hjmm import (SquareRootModel, build_s_operator, hjm_drift, ker_ell_split,
+                            riccati_capital, riccati_small)
 
 from conftest import riccati_rk4
 
@@ -161,3 +162,28 @@ def test_two_factor_initial_set(grid):
 def test_state_drift_slope_short_end(grid, cir_model):
     # for the short-end functional, ell(lam Lam) = 0 so the slope is -gamma
     assert cir_model.state_drift_slope == pytest.approx(-0.05, abs=1e-6)
+
+
+@pytest.mark.parametrize("case, along_ker_ell", [
+    ("one_cone", True), ("cone_and_subspace_in_ker_ell", True),
+    ("ell_nonzero_on_subspace", False), ("two_cones", False), ("ell_zero_on_cone", False),
+    ("subspace_only", False),
+])
+def test_ker_ell_split_falls_back_to_the_orthogonal_split(grid, case, along_ker_ell):
+    lam = np.exp(-grid.x)
+    cone, subspace = {
+        "one_cone": ((lam,), ()),
+        "cone_and_subspace_in_ker_ell": ((lam,), (grid.x * lam,)),
+        "ell_nonzero_on_subspace": ((lam,), (lam * lam,)),   # example64's V under h(0)
+        "two_cones": ((lam, lam * lam), ()),
+        "ell_zero_on_cone": ((grid.x * lam,), ()),
+        "subspace_only": ((), (lam,)),
+    }[case]
+    split = ker_ell_split(grid, SHORT_END, cone, subspace)
+    if along_ker_ell:
+        h = 0.02 + np.sin(grid.x)
+        assert abs(float(SHORT_END(split.project_g(h)))) <= 1e-15
+        assert np.array_equal(split.dual[0], SHORT_END.dual_vector(grid)
+                              / float(SHORT_END(split.v_basis.matrix[0])))
+    else:
+        assert np.array_equal(split.dual, orthogonal_split(split.v_basis).dual)

@@ -117,6 +117,9 @@ def test_eval_curve_rejects_complex_values(expr):
     (lambda t: t.replace("ell = short_end", "ell = points: nowhere"), "ell"),
     (lambda t: t.replace("ell = short_end", "ell = integral"), "ell"),
     (lambda t: t + "\nnot an ini line\n", "parse error"),
+    (lambda t: t + "\n[check]\nspan_tool = 1e-3\n", "[check] span_tool: unknown key"),
+    (lambda t: t.replace("gamma = 0.05", "gama = 0.05"), "[model] gama: unknown key"),
+    (lambda t: t + "\n[chek]\nmax_dim = 3\n", "[chek]: unknown section"),
 ])
 def test_error_diagnostics(mutate, fragment):
     with pytest.raises(ModelFileError) as exc:
@@ -143,6 +146,20 @@ def test_custom_model_data_built():
     sq = model.amp_sq(0.05 * np.ones(spec.grid.n)) * model.cc
     assert sq.shape == (2, 2)
     assert sq[0, 0] > 0.0 and abs(sq[1, 1]) < 1e-12
+
+
+def test_custom_split_follows_ell_and_v():
+    # example64's short-end ell is 1 on its subspace curve, so its split stays
+    # orthogonal; under two_factor's two-point ell, which vanishes there, the
+    # same file is split along ker ell as the preset is
+    text = parse_model_file(bundled("example64.model")).source_text
+    assert not parse_model_text(text).model.ell_vanishes_on_g
+    preset = parse_model_file(bundled("two_factor.model")).model
+    (_, x1), (a, b) = preset.ell.nodes, preset.ell.coeffs
+    model = parse_model_text(text.replace(
+        "ell = short_end", f"ell = points: 0:{a!r}, {x1 * 0.005!r}:{b!r}")).model
+    assert model.ell_vanishes_on_g
+    np.testing.assert_allclose(model.split.dual, preset.split.dual, rtol=1e-12, atol=0.0)
 
 
 def test_custom_vol_curve_must_lie_in_span():

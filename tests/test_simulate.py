@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from importlib import resources
 
@@ -6,8 +7,8 @@ import pytest
 
 from affinefdr import simulate
 from affinefdr.curves import Grid, PointCombo, Weight, derivative
-from affinefdr.errors import (CflViolated, ConstraintViolated, HorizonMismatch,
-                              LeftBoundary, NotInInitialSet)
+from affinefdr.errors import (AffineFdrError, CflViolated, ConstraintViolated,
+                              HorizonMismatch, LeftBoundary, NotInInitialSet)
 from affinefdr.hjmm import SquareRootModel, riccati_small
 from affinefdr.modelfile import parse_model_file
 from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, SCHEMES, Foliation, SimConfig,
@@ -151,6 +152,23 @@ def test_evolve_psi_rejections(grid, cir_model):
         evolve_psi(cir_model, bad - float(cir_model.ell(bad)) * cir_model.lam,
                    horizon=2.0, dt=0.005)
     assert 0.0 <= exc.value.exit_time <= 2.0
+    # the step is checked before any stage: at 2.5 dx the leaf would go
+    # unstable and leave the boundary
+    with pytest.raises(CflViolated, match=r"^dt = 0.0125 exceeds dx = 0.005$"):
+        evolve_psi(cir_model, 0.01 * grid.x * np.exp(-grid.x), horizon=0.5, dt=0.0125)
+
+
+@pytest.mark.parametrize("model", [
+    lambda grid, cir: SquareRootModel.two_factor(grid, 0.1, 1.0),
+    lambda grid, cir: dataclasses.replace(cir, amplitude="const"),
+    lambda grid, cir: dataclasses.replace(cir, lam=2 * cir.lam),
+], ids=["two_factor", "const", "ell_lam_2"])
+def test_evolve_psi_refuses_a_model_off_its_leaf(grid, cir_model, model):
+    # two_factor runs without complaint otherwise, and returns a leaf in
+    # ker ell rather than in its G
+    with pytest.raises(AffineFdrError, match="the leaf needs V = <lam>"):
+        evolve_psi(model(grid, cir_model), 0.01 * grid.x * np.exp(-grid.x),
+                   horizon=0.05, dt=0.005)
 
 
 def test_path_normals_counter_based():
@@ -307,6 +325,10 @@ def test_simulate_direct_rejections(grid, cir_model):
         summarize_direct(cir_model, h0, SimConfig(0.1, 0.01, 1))
     with pytest.raises(NotInInitialSet):
         summarize_direct(cir_model, -h0, SimConfig(0.1, 0.005, 1))
+    # the recursion's forcing is the sqrt_ell amplitude's
+    with pytest.raises(ConstraintViolated, match="amplitude sqrt_ell"):
+        summarize_direct(dataclasses.replace(cir_model, amplitude="const"), h0,
+                         SimConfig(0.1, 0.005, 1))
 
 
 def test_seed_determinism(grid, cir_model):
@@ -371,14 +393,15 @@ def _points_model(grid):
     return SquareRootModel.cir(grid, 0.1, 0.05, PointCombo.at(grid, (0.0, 1.0), (2.0, c2)))
 
 
-@pytest.mark.parametrize("case", ["short_end", "points", "high_rho", "mid_rho"])
+@pytest.mark.parametrize("case", ["short_end", "points", "high_rho", "mid_rho", "near_zero"])
 @pytest.mark.parametrize("n_paths", [1, 16])
 def test_simulate_direct_matches_dense_stepper(grid, cir_model, case, n_paths):
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     model = {"short_end": cir_model, "points": _points_model(grid),
              "high_rho": SquareRootModel.cir(grid, 0.3, 0.05),
-             "mid_rho": SquareRootModel.cir(grid, 0.2, 0.05)}[case]
-    if case == "high_rho":
+             "mid_rho": SquareRootModel.cir(grid, 0.2, 0.05),
+             "near_zero": SquareRootModel.cir(grid, 0.2, 0.05)}[case]
+    if case in ("high_rho", "near_zero"):
         h0 = 0.002 + 0.01 * grid.x * np.exp(-grid.x)
     if case == "mid_rho":
         h0 = 0.006 + 0.01 * grid.x * np.exp(-grid.x)
@@ -390,7 +413,11 @@ def test_simulate_direct_matches_dense_stepper(grid, cir_model, case, n_paths):
     assert abs(run.min_ell - ref_min_ell) <= 1e-14
     assert run.negative_short_rate == bool(ref_min_ell < -1e-3)
     for name, values in ensemble_phis(ref_curves, model).items():
-        np.testing.assert_allclose(run.phis[name], values, rtol=1e-12, atol=0.0, err_msg=name)
+        # near_zero's path 7 ends with ell = -8.0e-4, 3.0e-15 from the dense
+        # stepper's: 3.8e-12 relative, so its pointwise functionals take the
+        # curves' absolute bound
+        atol = 1e-14 if case == "near_zero" and name != "hw_norm" else 0.0
+        np.testing.assert_allclose(run.phis[name], values, rtol=1e-12, atol=atol, err_msg=name)
     if case == "high_rho":
         # ell turns negative, so the |ell| amplitudes are exercised
         assert ref_min_ell < 0.0
