@@ -20,7 +20,7 @@ from .hjmm import SquareRootModel, build_s_operator, hjm_drift, ker_ell_split
 from .realization import (RealizabilityReport, check_const_mod_k, check_damir,
                           check_thm_main2, compute_k, initial_set_coords,
                           maximal_initial_membership, quasi_exp_subspace)
-from .simulate import (DirectSummary, Foliation, SimConfig, StatePaths, evolve_psi,
-                       simulate_state, summarize_direct, verify_invariance)
+from .simulate import (DirectSummary, Foliation, SimConfig, evolve_psi, simulate_state,
+                       summarize_direct, verify_invariance)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -183,8 +183,11 @@ def cmd_initial_set(args) -> int:
     spec = parse_model_file(args.modelfile)
     h = _read_curve_csv(args.curve, spec.grid)
     model = spec.model
-    if model is None or not model.ell_vanishes_on_g:
-        raise ModelFileError(f"model kind {spec.kind!r} has no split along ker ell")
+    if model is None:
+        raise ModelFileError("initial-set needs a square-root model; this file has none")
+    if not model.ell_vanishes_on_g:
+        raise ModelFileError("initial-set needs a split along ker ell; this model's G does not "
+                             "lie in ker ell")
     member, on_boundary = rz.maximal_initial_membership(h, model)
     coords, drift = rz.initial_set_coords(h, model)
     print("state coordinates of h = " + ", ".join(f"{c:.10g}" for c in coords))
@@ -251,32 +254,23 @@ def cmd_simulate(args) -> int:
         raise ModelFileError("simulate needs a square-root model; this file has none")
     if spec.sim is None or spec.h0 is None:
         raise ModelFileError("model file needs a [sim] section with an h0 curve")
-    model = spec.model
-    config = spec.sim
-    h0 = spec.h0
-    member, _ = rz.maximal_initial_membership(h0, model)
-    if not member:
-        raise NotInInitialSet("h0 is not in the admissible initial set")
-
-    os.makedirs(args.out_dir, exist_ok=True)
+    model, config, h0 = spec.model, spec.sim, spec.h0
     x = model.grid.x
     arrays = {}   # .npy artifacts
     tables = {}   # CSV artifacts: name -> (header, rows)
     stats = {}    # direct_stats.csv: key -> value
 
-    # every numeric stage runs before the first write
+    # every numeric stage, each checking h0 itself, runs before the first write
     foliation = None
     if args.mode in ("fdr", "both"):
-        x0 = float(model.ell(h0))
-        g0 = h0 - x0 * model.lam
-        foliation = evolve_psi(model, g0, config.horizon, config.dt)
-        paths = simulate_state(model, foliation, x0, config)
+        foliation = evolve_psi(model, h0, config)
+        paths = simulate_state(model, foliation, config)
         arrays["psi.npy"] = foliation.psi
-        arrays["paths.npy"] = paths.values
+        arrays["paths.npy"] = paths
         fdr_phis = fdr_phi_values(foliation, paths, model, spec.weight)
         tables["fdr_phis.csv"] = _phi_table(fdr_phis)
         # the mean of r_T = psi(T) + X_T lam, without the (n_paths, n_x) ensemble
-        mean_curve = foliation.psi[-1] + paths.final.mean() * model.lam
+        mean_curve = foliation.psi[-1] + paths[:, -1].mean() * model.lam
         tables["fdr_mean_curve.csv"] = "x,value", np.column_stack([x, mean_curve])
 
     if args.mode in ("direct", "both"):
@@ -288,6 +282,7 @@ def cmd_simulate(args) -> int:
                  "negative_short_rate": float(run.negative_short_rate),
                  "foliation_residual": run.foliation_residual}
 
+    os.makedirs(args.out_dir, exist_ok=True)
     for name, values in arrays.items():
         np.save(os.path.join(args.out_dir, name), np.ascontiguousarray(values, dtype="<f8"),
                 allow_pickle=False)

@@ -110,6 +110,12 @@ _SECTION_KEYS = {
     "cone": None,
     "subspace": None,
 }
+# the keys a preset kind builds itself, per section; None: every key of the section
+_PRESET_KEYS = {
+    "cir": {"model": ("vol_amplitude", "vol_curve"), "cone": None, "subspace": None},
+    "two_factor": {"model": ("ell", "vol_amplitude", "vol_curve"), "cone": None,
+                   "subspace": None, "check": ("boundary_samples",)},
+}
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,10 @@ def parse_model_text(text: str) -> ModelSpec:
     kind = _get(cfg, "model", "kind", str, required=True).strip()
     if kind not in KINDS:
         raise ModelFileError(f"[model] kind must be one of {KINDS}, got {kind!r}")
+    for section, keys in _PRESET_KEYS.get(kind, {}).items():
+        for key in cfg.options(section) if cfg.has_section(section) else ():
+            if keys is None or key in keys:
+                raise ModelFileError(f"[{section}] {key}: kind {kind!r} builds this itself")
     rho = _get(cfg, "model", "rho", float, 0.0)
     gamma = _get(cfg, "model", "gamma", float, 0.0)
     params = {"rho": rho, "gamma": gamma}

@@ -71,15 +71,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Foliation:
-    """Deterministic boundary trajectory psi(t) in G = ker ell."""
+    """Deterministic boundary trajectory psi(t) in G = ker ell, one row per
+    time step of a run, and the state's start X_0."""
 
-    times: np.ndarray          # (n_t,)
-    psi: np.ndarray            # (n_t, n_x)
-    psi_ell_deriv: np.ndarray  # (n_t,), b(t) = ell(d/dx psi(t))
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
+    psi: np.ndarray            # (n_steps + 1, n_x)
+    psi_ell_deriv: np.ndarray  # (n_steps + 1,), b(t) = ell(d/dx psi(t))
+    x0: float
 
 
 def _check_step(dt: float, grid: Grid) -> None:
@@ -88,19 +85,30 @@ def _check_step(dt: float, grid: Grid) -> None:
         raise CflViolated(f"dt = {dt} exceeds dx = {grid.dx}")
 
 
-def _steps_per(dt: float, foliation: Foliation) -> int:
-    """Foliation steps per time step dt."""
-    return round(dt / (foliation.times[1] - foliation.times[0]))
+def _check_h0(model: SquareRootModel, h0: np.ndarray) -> np.ndarray:
+    """h0 as floats, once it is sampled on the model grid and lies in the
+    maximal initial set."""
+    h0 = np.asarray(h0, dtype=float)
+    if h0.shape != (model.grid.n,):
+        raise GridMismatch("h0 is not sampled on the model grid")
+    member, _ = rz.maximal_initial_membership(h0, model)
+    if not member:
+        raise NotInInitialSet("h0 is not in the admissible initial set")
+    return h0
 
 
-def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
-               dt: float) -> Foliation:
-    """Integrate d/dt psi = psi' - ell(psi') lam starting from g0 in ker ell.
+def evolve_psi(model: SquareRootModel, h0: np.ndarray, config: SimConfig) -> Foliation:
+    """Integrate d/dt psi = psi' - ell(psi') lam from the ker-ell part of h0.
 
-    Classical RK4 in time over fourth-order spatial stencils; each step is
-    re-projected onto ker ell so the constraint never drifts.  Raises
-    LeftBoundary as soon as b(t) = ell(psi') stops being positive, reporting
-    the exit time.
+    h0 must be sampled on the model grid and lie in the maximal initial set
+    (NotInInitialSet otherwise).  It splits as h0 = psi(0) + ell(h0) lam, and
+    the state starts at X_0 = max(ell(h0), 0): a member on the boundary may
+    read ell(h0) a rounding below 0, and psi(0) keeps that part.
+
+    Classical RK4 in time over fourth-order spatial stencils, config.n_steps
+    steps of config.dt; each step is re-projected onto ker ell so the
+    constraint never drifts.  Raises LeftBoundary as soon as b(t) =
+    ell(psi') stops being positive, reporting the exit time.
 
     The right-hand side is the G-projection of the full drift: the
     volatility-induced term rho^2 |ell(psi)| lam Lam vanishes identically on
@@ -110,23 +118,17 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
     dt above dx, the oracle's CFL bound, raises CflViolated before the first
     stage: past about 2 dx the leaf goes unstable and would leave the boundary.
     """
+    h0 = _check_h0(model, h0)
     grid = model.grid
     basis = model.split.v_basis
     if not (basis.dim_v == basis.m == 1 and model.ell_vanishes_on_g
             and model.amplitude == "sqrt_ell" and abs(float(model.ell(model.lam)) - 1.0) <= 1e-8):
         raise ConstraintViolated("the leaf needs V = <lam>+ with ell(lam) = 1, a split "
                                  "along G = ker ell and amplitude sqrt_ell")
+    n_steps, dt = config.n_steps, config.dt
     _check_step(dt, grid)
-    g0 = np.asarray(g0, dtype=float)
-    if g0.shape != (grid.n,):
-        raise GridMismatch("g0 is not sampled on the model grid")
-    if abs(float(model.ell(g0))) > 1e-8 * max(1.0, float(np.abs(g0).max())):
-        raise ConstraintViolated("g0 must lie in ker ell")
-    n_steps = round(horizon / dt)
-    if abs(n_steps * dt - horizon) > 1e-9:
-        raise ConstraintViolated("horizon must be an integer multiple of dt")
     lam, ell = model.lam, model.ell
-    times = np.linspace(0.0, horizon, n_steps + 1)
+    x0 = float(ell(h0))
     out = np.empty((n_steps + 1, grid.n))
     b = np.empty(n_steps + 1)
     # the four stages, the stage argument and a work row, reused every step
@@ -144,12 +146,12 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
         np.multiply(slope, step, out=arg)
         return np.add(psi, arg, out=arg)
 
-    out[0] = g0
+    out[0] = h0 - x0 * lam
     for k in range(n_steps + 1):
         psi = out[k]
         b[k] = rhs(psi, k1)   # k1, and b(t) from the same derivative
         if b[k] <= 0.0:
-            raise LeftBoundary(float(times[k]))
+            raise LeftBoundary(k * dt)
         if k == n_steps:
             break
         rhs(stage(psi, k1, dt / 2), k2)
@@ -162,17 +164,7 @@ def evolve_psi(model: SquareRootModel, g0: np.ndarray, horizon: float,
         acc *= dt / 6
         nxt = np.add(psi, acc, out=out[k + 1])
         nxt -= np.multiply(lam, float(ell(nxt)), out=work)
-    return Foliation(times, out, b)
-
-
-@dataclass(frozen=True)
-class StatePaths:
-    times: np.ndarray   # (n_t,)
-    values: np.ndarray  # (n_paths, n_t), cone coordinate of X
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.values[:, -1]
+    return Foliation(out, b, max(x0, 0.0))
 
 
 def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
@@ -217,7 +209,7 @@ def _validate_coefficient_reduction(model: SquareRootModel, foliation: Foliation
     """
     a = model.state_drift_slope
     worst = 0.0
-    idx = [0, len(foliation.times) // 2, len(foliation.times) - 1]
+    idx = [0, len(foliation.psi) // 2, len(foliation.psi) - 1]
     for k in idx:
         psi = foliation.psi[k]
         for x in (0.0, 0.05, 0.4):
@@ -232,33 +224,32 @@ def _validate_coefficient_reduction(model: SquareRootModel, foliation: Foliation
     return worst
 
 
-def simulate_state(model: SquareRootModel, foliation: Foliation, x0: float,
-                   config: SimConfig) -> StatePaths:
-    """Paths of dX = (b(t) + a X) dt + rho sqrt(X) dW, X_0 = x0 >= 0.
+def simulate_state(model: SquareRootModel, foliation: Foliation,
+                   config: SimConfig) -> np.ndarray:
+    """Paths (n_paths, n_steps + 1) of dX = (b(t) + a X) dt + rho sqrt(X) dW
+    from X_0 = foliation.x0 >= 0, one column per row of the leaf.
 
     Both schemes clamp the state at 0 after each step, so the drift and
     diffusion of full-truncation Euler read X >= 0 and every recorded value
     is nonnegative.  The drift-implicit variant solves the linear implicit
     step for the drift and truncates likewise.
     """
-    if x0 < 0:
+    if foliation.x0 < 0:
         raise ConstraintViolated("x0 must be nonnegative")
-    if config.horizon > foliation.horizon + 1e-12:
-        raise HorizonMismatch("foliation does not cover the requested horizon")
-    steps_per = _steps_per(config.dt, foliation)
-    if abs(steps_per * (foliation.times[1] - foliation.times[0]) - config.dt) > 1e-12:
-        raise HorizonMismatch("config.dt must be a multiple of the foliation step")
+    n, dt = config.n_steps, config.dt
+    if len(foliation.psi) != n + 1:
+        raise HorizonMismatch(f"the leaf has {len(foliation.psi)} rows, "
+                              f"the run's {n} steps need {n + 1}")
     _validate_coefficient_reduction(model, foliation)
     a = model.state_drift_slope
-    n, dt = config.n_steps, config.dt
     normals = path_normals(config.seed, config.n_paths, n) if model.rho > 0 \
         else np.zeros((config.n_paths, n))
-    x = np.full(config.n_paths, float(x0))
+    x = np.full(config.n_paths, float(foliation.x0))
     diffusion, work = np.empty((2, config.n_paths))
     values = np.empty((config.n_paths, n + 1))
     values[:, 0] = x
     for k in range(n):
-        b = foliation.psi_ell_deriv[k * steps_per]
+        b = foliation.psi_ell_deriv[k]
         # rho sqrt(x) (dW_k sqrt(dt)), scaling only this step's column
         np.sqrt(x, out=diffusion)
         diffusion *= model.rho
@@ -277,8 +268,7 @@ def simulate_state(model: SquareRootModel, foliation: Foliation, x0: float,
             x /= 1.0 - a * dt
         np.maximum(x, 0.0, out=x)
         values[:, k + 1] = x
-    times = np.linspace(0.0, config.horizon, n + 1)
-    return StatePaths(times, values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -308,15 +298,10 @@ def _factored_oracle(model: SquareRootModel, h0: np.ndarray, config: SimConfig) 
     The recursion's forcing a_k and b_k is that of the sqrt_ell amplitude, so
     any other amplitude raises ConstraintViolated.
     """
+    h0 = _check_h0(model, h0)
     grid = model.grid
     if model.amplitude != "sqrt_ell":
         raise ConstraintViolated("the direct oracle needs amplitude sqrt_ell")
-    h0 = np.asarray(h0, dtype=float)
-    if h0.shape != (grid.n,):
-        raise GridMismatch("h0 is not sampled on the model grid")
-    member, _ = rz.maximal_initial_membership(h0, model)
-    if not member:
-        raise NotInInitialSet("h0 fails the initial-set test")
     _check_step(config.dt, grid)
     shift = round(config.dt / grid.dx)
     if abs(shift * grid.dx - config.dt) > 1e-12 or shift < 1:
@@ -481,7 +466,7 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
         else float(np.sqrt(worst_sq)) / max(1.0, peak))
 
 
-def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: SquareRootModel,
+def fdr_phi_values(foliation: Foliation, paths: np.ndarray, model: SquareRootModel,
                   weight: Weight = Weight()) -> dict[str, np.ndarray]:
     """Per-path comparison functionals of r_T = psi(T) + X_T lam.
 
@@ -490,9 +475,8 @@ def fdr_phi_values(foliation: Foliation, paths: StatePaths, model: SquareRootMod
     quadrature.
     """
     grid = model.grid
-    psi = foliation.psi[(len(paths.times) - 1)
-                        * _steps_per(paths.times[1] - paths.times[0], foliation)]
-    x_final = paths.final
+    psi = foliation.psi[-1]
+    x_final = paths[:, -1]
     lam = model.lam
     ell = model.ell(psi) + x_final * model.ell(lam)
     i1 = grid.index_of(1.0)

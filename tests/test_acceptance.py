@@ -233,9 +233,8 @@ def big_run(grid, cir_model):
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=10_000, seed=2024)
     start = time.perf_counter()
-    foliation = evolve_psi(cir_model, h0 - 0.02 * cir_model.lam,
-                           horizon=0.5, dt=0.005)
-    paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
+    foliation = evolve_psi(cir_model, h0, cfg)
+    paths = simulate_state(cir_model, foliation, cfg)
     direct = summarize_direct(cir_model, h0, cfg)
     elapsed = time.perf_counter() - start
     return foliation, paths, direct, elapsed
@@ -247,28 +246,28 @@ def test_criterion_07_weak_agreement(cir_model, big_run):
     report = verify_invariance(fdr, direct.phis, direct.min_ell, 0.0)
     ell_ok = report["phis"]["ell"]["within_3se"]
     at1_ok = report["phis"]["eval_at_1"]["within_3se"]
-    pos_ok = bool(np.all(paths.values >= 0.0))
+    pos_ok = bool(np.all(paths >= 0.0))
     dir_ok = direct.min_ell >= -1e-3
     ok = ell_ok and at1_ok and pos_ok and dir_ok and elapsed < 120.0
     verdict(7, ok, f"10^4 paths: ell gap {report['phis']['ell']['weak_error']:.2e} "
                    f"({report['phis']['ell']['combined_se']:.2e} se), "
                    f"x=1 gap {report['phis']['eval_at_1']['weak_error']:.2e}, "
-                   f"min state {paths.values.min():.1e}, "
+                   f"min state {paths.min():.1e}, "
                    f"direct min ell {direct.min_ell:.1e}, {elapsed:.0f}s")
 
 
 def test_criterion_08_exact_identities(grid, cir_model, big_run):
     foliation, paths, _, _ = big_run
-    curves = foliation.psi[-1] + paths.final[:, None] * cir_model.lam
+    curves = foliation.psi[-1] + paths[:, -1, None] * cir_model.lam
     ell_gap = float(np.abs(np.asarray(cir_model.ell(curves))
-                           - paths.final).max())
+                           - paths[:, -1]).max())
     psi_gap = max(abs(float(cir_model.ell(p))) for p in foliation.psi)
     det = SquareRootModel.cir(grid, 0.0, 0.05)
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
-    fol0 = evolve_psi(det, h0 - 0.02 * det.lam, horizon=0.5, dt=0.005)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=1, seed=1)
-    p0 = simulate_state(det, fol0, x0=0.02, config=cfg)
-    r_fdr = fol0.psi[-1] + p0.final[0] * det.lam
+    fol0 = evolve_psi(det, h0, cfg)
+    p0 = simulate_state(det, fol0, cfg)
+    r_fdr = fol0.psi[-1] + p0[0, -1] * det.lam
     # at one path the mean curve is that path's final curve
     r_dir = summarize_direct(det, h0, cfg).mean_curve
     det_gap = float(np.abs(r_fdr - r_dir).max())

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -98,6 +99,31 @@ def test_riccati_unwritable_out_exits_2(tmp_path):
 def test_riccati_rejects_nonpositive_rho(tmp_path):
     res = run_cli("riccati", "--rho", "0", "--out", str(tmp_path / "r.csv"))
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["riccati", "--rho", "0.1", "--xmax", "0.005", "--dx", "0.005", "--out", "r.csv"],
+    ["check", "cir.model"],
+], ids=["riccati", "check-cir"])
+def test_a_two_node_grid_exits_2(tmp_path, argv):
+    # the one-sided end stencils read three nodes
+    text = (MODELS / "cir.model").read_text().replace("x_max = 10", "x_max = 0.005")
+    (tmp_path / "cir.model").write_text(text)
+    res = run_cli(*argv, cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.endswith("the grid has 2 nodes; it needs at least 3\n")
+    assert "Traceback" not in res.stderr
+
+
+def test_check_two_factor_refuses_keys_its_preset_builds(tmp_path):
+    # the preset's ell, lam, V and 2 samples would be checked in their place
+    model = tmp_path / "tf.model"
+    model.write_text((MODELS / "two_factor.model").read_text().replace(
+        "gamma = 1.0", "gamma = 1.0\nell = short_end\nvol_curve = 5*x")
+        + "boundary_samples = 9\n\n[cone]\nc = x\n")
+    res = run_cli("check", str(model))
+    assert res.returncode == 2
+    assert res.stderr == "error: [model] ell: kind 'two_factor' builds this itself\n"
 
 
 def test_riccati_rejects_infinite_dx(tmp_path, capsys):
@@ -498,11 +524,16 @@ def test_initial_set_matches_golden(tmp_path):
                                          "example64-refusal": 2, "linear_qe-refusal": 2}
 
 
-@pytest.mark.parametrize("name", ["linear_qe.model", "example64.model"])
-def test_initial_set_needs_split_along_ker_ell(tmp_path, name):
+@pytest.mark.parametrize("name, missing", [
+    ("linear_qe.model", "a square-root model; this file has none"),
+    ("example64.model", "a split along ker ell; this model's G does not lie in ker ell"),
+], ids=["linear_qe.model", "example64.model"])
+def test_initial_set_needs_split_along_ker_ell(tmp_path, name, missing):
     curve = tmp_path / "curve.csv"
     write_curve(curve, 2001, np.full(2001, 0.02))
-    assert run_cli("initial-set", model_path(name), "--curve", str(curve)).returncode == 2
+    res = run_cli("initial-set", model_path(name), "--curve", str(curve))
+    assert res.returncode == 2
+    assert res.stderr == f"error: initial-set needs {missing}\n"
 
 
 @pytest.mark.parametrize("preset, level", [("two_factor", 0.5), ("two_factor", -0.5),
@@ -643,14 +674,13 @@ def reference_simulate_csvs(modelfile, out, mode):
     written, arrays = {}, {}
     foliation = None
     if mode in ("fdr", "both"):
-        x0 = float(model.ell(h0))
-        foliation = evolve_psi(model, h0 - x0 * model.lam, config.horizon, config.dt)
-        paths = simulate_state(model, foliation, x0, config)
-        arrays = {"psi.npy": foliation.psi, "paths.npy": paths.values}
+        foliation = evolve_psi(model, h0, config)
+        paths = simulate_state(model, foliation, config)
+        arrays = {"psi.npy": foliation.psi, "paths.npy": paths}
         written["fdr_phis.csv"] = ("path,ell,eval_at_1,hw_norm",
                                    phi_rows(fdr_phi_values(foliation, paths, model,
                                                            spec.weight)))
-        mean = foliation.psi[-1] + paths.final.mean() * model.lam
+        mean = foliation.psi[-1] + paths[:, -1].mean() * model.lam
         written["fdr_mean_curve.csv"] = ("x,value", zip(x, mean.tolist()))
     if mode in ("direct", "both"):
         run = summarize_direct(model, h0, config, spec.weight,
@@ -730,6 +760,45 @@ def test_simulate_rejects_outside_initial_set(fast_model, tmp_path):
     bad.write_text(text)
     res = run_cli("simulate", str(bad), "--out-dir", str(tmp_path / "o"))
     assert res.returncode == 1
+    assert res.stderr == "rejected: h0 is not in the admissible initial set\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_simulators_take_model_h0_config():
+    assert list(inspect.signature(evolve_psi).parameters) == ["model", "h0", "config"]
+    assert list(inspect.signature(summarize_direct).parameters)[:3] == ["model", "h0", "config"]
+
+
+@pytest.mark.parametrize("mode, calls", [("fdr", 1), ("direct", 1), ("both", 2)])
+def test_simulate_leaves_h0_to_the_simulators(fast_model, tmp_path, monkeypatch, mode, calls):
+    # each simulator tests h0 for membership once; the CLI does not
+    membership, seen = rz.maximal_initial_membership, []
+    monkeypatch.setattr(rz, "maximal_initial_membership",
+                        lambda h, model: seen.append(1) or membership(h, model))
+    assert simulate_in_process(fast_model, tmp_path / "run", mode) == 0
+    assert len(seen) == calls
+
+
+def test_simulate_starts_a_boundary_h0_at_zero(fast_model, tmp_path, capsys):
+    # ell(h0) = -1e-12 lies within the initial-set test's tolerance
+    h0 = "-1e-12 + 0.01 * x * exp(-x)"
+    model = tmp_path / "edge.model"
+    model.write_text(Path(fast_model).read_text().replace(
+        "h0 = 0.02 + 0.01 * x * exp(-x)", f"h0 = {h0}"))
+    spec = parse_model_file(str(model))
+    curve = tmp_path / "h0.csv"
+    write_curve(curve, spec.grid.n, spec.h0)
+    assert cli.main(["initial-set", str(model), "--curve", str(curve)]) == 0
+    assert capsys.readouterr().out.endswith("verdict: boundary\n")
+    for mode in ("fdr", "both"):
+        out = tmp_path / mode
+        assert cli.main(["simulate", str(model), "--mode", mode, "--out-dir", str(out)]) == 0
+        paths = np.load(out / "paths.npy", allow_pickle=False)
+        assert np.all(paths[:, 0] == 0.0)
+        psi = np.load(out / "psi.npy", allow_pickle=False)
+        assert np.array_equal(psi[0], spec.h0 - float(spec.model.ell(spec.h0)) * spec.model.lam)
+    verify = json.loads((tmp_path / "both" / "verify.json").read_text())
+    assert verify["phis"]["ell"]["within_3se"]
 
 
 def test_simulate_rejects_cfl_violation(fast_model, tmp_path):

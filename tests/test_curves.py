@@ -14,6 +14,14 @@ def test_grid_properties():
         Grid(1.0, 0.3)
 
 
+def test_grid_needs_the_three_nodes_its_end_stencils_read():
+    assert Grid(0.01, 0.005).n == 3
+    assert np.array_equal(derivative(np.array([0.0, 1.0, 2.0]), Grid(0.01, 0.005)),
+                          np.full(3, 200.0))
+    with pytest.raises(GridMismatch, match="the grid has 2 nodes; it needs at least 3"):
+        Grid(0.005, 0.005)
+
+
 def test_derivative_orders():
     grid = Grid(2.0, 0.01)
     f = np.exp(grid.x)

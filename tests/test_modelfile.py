@@ -127,6 +127,34 @@ def test_error_diagnostics(mutate, fragment):
     assert fragment in str(exc.value)
 
 
+TWO_FACTOR = BASE.replace("kind = cir", "kind = two_factor").replace(
+    "gamma = 0.05", "gamma = 1.0").replace("ell = short_end\n", "")
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (BASE + "vol_curve = 5 * x\n", "[model] vol_curve: kind 'cir'"),
+    (BASE + "vol_amplitude = const\n", "[model] vol_amplitude: kind 'cir'"),
+    (BASE + "\n[cone]\nc = x\n", "[cone] c: kind 'cir'"),
+    (BASE + "\n[subspace]\ns = exp(-x)\n", "[subspace] s: kind 'cir'"),
+    (TWO_FACTOR + "vol_curve = 5 * x\n", "[model] vol_curve: kind 'two_factor'"),
+    (TWO_FACTOR + "vol_amplitude = const\n", "[model] vol_amplitude: kind 'two_factor'"),
+    (TWO_FACTOR + "\n[cone]\nc = x\n", "[cone] c: kind 'two_factor'"),
+    (TWO_FACTOR + "\n[subspace]\ns = exp(-x)\n", "[subspace] s: kind 'two_factor'"),
+    (TWO_FACTOR + "ell = short_end\n", "[model] ell: kind 'two_factor'"),
+    (TWO_FACTOR + "\n[check]\nboundary_samples = 9\n",
+     "[check] boundary_samples: kind 'two_factor'"),
+], ids=["cir-vol_curve", "cir-vol_amplitude", "cir-cone", "cir-subspace",
+        "two_factor-vol_curve", "two_factor-vol_amplitude", "two_factor-cone",
+        "two_factor-subspace", "two_factor-ell", "two_factor-boundary_samples"])
+def test_preset_kinds_refuse_the_keys_they_build(text, fragment):
+    # the preset builds these itself, so a value given for one would be ignored
+    parse_model_text(BASE)
+    parse_model_text(TWO_FACTOR)
+    with pytest.raises(ModelFileError) as exc:
+        parse_model_text(text)
+    assert str(exc.value) == fragment + " builds this itself"
+
+
 def test_missing_file():
     with pytest.raises(ModelFileError):
         parse_model_file("/nonexistent/path.model")

@@ -7,12 +7,12 @@ import pytest
 
 from affinefdr import simulate
 from affinefdr.curves import Grid, PointCombo, Weight, derivative
-from affinefdr.errors import (AffineFdrError, CflViolated, ConstraintViolated,
+from affinefdr.errors import (AffineFdrError, CflViolated, ConstraintViolated, GridMismatch,
                               HorizonMismatch, LeftBoundary, NotInInitialSet)
 from affinefdr.hjmm import SquareRootModel, riccati_small
 from affinefdr.modelfile import parse_model_file
 from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, SCHEMES, Foliation, SimConfig,
-                                StatePaths, _FactoredOracle, _factored_oracle, _held_windows,
+                                _FactoredOracle, _factored_oracle, _held_windows,
                                 _oracle_blocks, _shifted_basis, evolve_psi, fdr_phi_values,
                                 path_normals, simulate_state, summarize_direct,
                                 verify_invariance)
@@ -26,14 +26,20 @@ def g0(grid):
 
 
 @pytest.fixture(scope="module")
-def foliation(cir_model, g0):
-    return evolve_psi(cir_model, g0, horizon=0.5, dt=0.005)
+def h0(cir_model, g0):
+    # ell(g0) = 0, so h0 splits into the leaf's start g0 and X_0 = 0.02
+    return g0 + 0.02 * cir_model.lam
+
+
+@pytest.fixture(scope="module")
+def foliation(cir_model, h0):
+    return evolve_psi(cir_model, h0, SimConfig(horizon=0.5, dt=0.005, n_paths=1))
 
 
 def realized_curves(foliation, paths, model, step=-1):
     """r = psi + X lam for every path, at a step the leaf and the paths share."""
-    assert len(foliation.times) == len(paths.times)
-    return foliation.psi[step] + paths.values[:, step][:, None] * model.lam
+    assert len(foliation.psi) == paths.shape[1]
+    return foliation.psi[step] + paths[:, step][:, None] * model.lam
 
 
 def direct_curves(model, h0, config):
@@ -62,8 +68,9 @@ def ensemble_residual(curves, psi, lam):
     return float(np.linalg.norm(proj, axis=1).max() / scale)
 
 
-def test_evolve_psi_stays_in_kernel(cir_model, foliation, g0):
-    assert np.array_equal(foliation.psi[0], g0)
+def test_evolve_psi_stays_in_kernel(cir_model, foliation, h0):
+    assert foliation.x0 == 0.02
+    assert np.array_equal(foliation.psi[0], h0 - 0.02 * cir_model.lam)
     ell_vals = [float(cir_model.ell(p)) for p in foliation.psi]
     assert max(abs(v) for v in ell_vals) <= 1e-10
     assert np.all(foliation.psi_ell_deriv > 0.0)
@@ -71,8 +78,8 @@ def test_evolve_psi_stays_in_kernel(cir_model, foliation, g0):
 
 def test_evolve_psi_step_halving(cir_model, g0):
     # RK4 self-convergence: halving dt must reproduce the coarse solution
-    coarse = evolve_psi(cir_model, g0, horizon=0.2, dt=0.005)
-    fine = evolve_psi(cir_model, g0, horizon=0.2, dt=0.0025)
+    coarse = evolve_psi(cir_model, g0, SimConfig(horizon=0.2, dt=0.005, n_paths=1))
+    fine = evolve_psi(cir_model, g0, SimConfig(horizon=0.2, dt=0.0025, n_paths=1))
     assert np.abs(coarse.psi[-1] - fine.psi[-1]).max() <= 1e-6
 
 
@@ -81,8 +88,8 @@ def test_evolve_psi_differentiates_once_per_stage(cir_model, g0, monkeypatch):
     calls = []
     monkeypatch.setattr(simulate, "derivative", lambda values, grid, out=None:
                         calls.append(1) or derivative(values, grid, out=out))
-    fol = evolve_psi(cir_model, g0, horizon=0.05, dt=0.005)
-    n_steps = len(fol.times) - 1
+    fol = evolve_psi(cir_model, g0, SimConfig(horizon=0.05, dt=0.005, n_paths=1))
+    n_steps = len(fol.psi) - 1
     assert n_steps == 10 and len(calls) == 4 * n_steps + 1
 
 
@@ -135,27 +142,30 @@ def test_derivative_into_out_matches_plain_expressions(grid, shape):
 def test_evolve_psi_matches_plain_expressions_on_a_two_point_ell(grid):
     # the buffered stages keep every operation of the plain stepper, in order
     model = _points_model(grid)
-    h = 0.01 * grid.x * np.exp(-grid.x)
-    g0 = h - float(model.ell(h)) / float(model.ell(model.lam)) * model.lam
-    fol = evolve_psi(model, g0, horizon=0.5, dt=0.005)
-    psi, b = reference_evolve_psi(model, g0, 0.5, 0.005)
+    h = 0.02 + 0.01 * grid.x * np.exp(-grid.x)   # a member: ell(h) > 0
+    fol = evolve_psi(model, h, SimConfig(horizon=0.5, dt=0.005, n_paths=1))
+    psi, b = reference_evolve_psi(model, h - float(model.ell(h)) * model.lam, 0.5, 0.005)
     assert np.array_equal(fol.psi, psi)
     assert np.array_equal(fol.psi_ell_deriv, b)
 
 
 def test_evolve_psi_rejections(grid, cir_model):
-    with pytest.raises(ConstraintViolated):
-        evolve_psi(cir_model, np.full(grid.n, 0.01), horizon=0.1, dt=0.005)
+    cfg = SimConfig(horizon=0.1, dt=0.005, n_paths=1)
+    # h0 is checked before the leaf: ell(h0) < 0 puts it outside the initial set
+    with pytest.raises(NotInInitialSet):
+        evolve_psi(cir_model, np.full(grid.n, -0.01), cfg)
+    with pytest.raises(GridMismatch):
+        evolve_psi(cir_model, np.full(grid.n - 1, 0.01), cfg)
     # transported curve whose short-end slope turns negative exits the leaf
     bad = 0.01 * grid.x * np.exp(-grid.x) * np.cos(4.0 * grid.x)
     with pytest.raises(LeftBoundary) as exc:
-        evolve_psi(cir_model, bad - float(cir_model.ell(bad)) * cir_model.lam,
-                   horizon=2.0, dt=0.005)
+        evolve_psi(cir_model, bad, SimConfig(horizon=2.0, dt=0.005, n_paths=1))
     assert 0.0 <= exc.value.exit_time <= 2.0
     # the step is checked before any stage: at 2.5 dx the leaf would go
     # unstable and leave the boundary
     with pytest.raises(CflViolated, match=r"^dt = 0.0125 exceeds dx = 0.005$"):
-        evolve_psi(cir_model, 0.01 * grid.x * np.exp(-grid.x), horizon=0.5, dt=0.0125)
+        evolve_psi(cir_model, 0.01 * grid.x * np.exp(-grid.x),
+                   SimConfig(horizon=0.5, dt=0.0125, n_paths=1))
 
 
 @pytest.mark.parametrize("model", [
@@ -168,7 +178,7 @@ def test_evolve_psi_refuses_a_model_off_its_leaf(grid, cir_model, model):
     # ker ell rather than in its G
     with pytest.raises(AffineFdrError, match="the leaf needs V = <lam>"):
         evolve_psi(model(grid, cir_model), 0.01 * grid.x * np.exp(-grid.x),
-                   horizon=0.05, dt=0.005)
+                   SimConfig(horizon=0.05, dt=0.005, n_paths=1))
 
 
 def test_path_normals_counter_based():
@@ -210,9 +220,9 @@ def test_simulate_state_deterministic_oracle(cir_model, g0):
     # rho = 0 freezes the diffusion; compare against RK4 on dx = b(t) + a x
     det = SquareRootModel.cir(cir_model.grid, 0.0, 0.05)
     dt = 5e-5
-    fol0 = evolve_psi(det, g0, horizon=0.2, dt=dt)
     cfg = SimConfig(horizon=0.2, dt=dt, n_paths=1, seed=1)
-    paths = simulate_state(det, fol0, x0=0.02, config=cfg)
+    fol0 = evolve_psi(det, g0 + 0.02 * det.lam, cfg)
+    paths = simulate_state(det, fol0, cfg)
     a = det.state_drift_slope
     b = fol0.psi_ell_deriv
 
@@ -224,7 +234,7 @@ def test_simulate_state_deterministic_oracle(cir_model, g0):
         k3 = bm + a * (x + dt / 2 * k2)
         k4 = b[k + 1] + a * (x + dt * k3)
         x += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert abs(paths.final[0] - x) <= 1e-6
+    assert abs(paths[0, -1] - x) <= 1e-6
 
 
 def test_simulate_state_mean_against_closed_form(grid, cir_model):
@@ -232,41 +242,40 @@ def test_simulate_state_mean_against_closed_form(grid, cir_model):
     b_const = 0.012
     n_t = 101
     # psi = b x satisfies ell(psi) = 0 and ell(psi') = b for the short end
-    fol = Foliation(np.linspace(0.0, 0.5, n_t),
-                    np.tile(b_const * grid.x, (n_t, 1)),
-                    np.full(n_t, b_const))
+    fol = Foliation(np.tile(b_const * grid.x, (n_t, 1)), np.full(n_t, b_const), 0.05)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=4000, seed=3)
-    paths = simulate_state(cir_model, fol, x0=0.05, config=cfg)
+    paths = simulate_state(cir_model, fol, cfg)
     a = cir_model.state_drift_slope
     expect = 0.05 * np.exp(a * 0.5) + b_const * (np.exp(a * 0.5) - 1.0) / a
-    se = paths.final.std(ddof=1) / np.sqrt(cfg.n_paths)
-    assert abs(paths.final.mean() - expect) <= 3.0 * se + 5e-5
-    assert np.all(paths.values >= 0.0)
+    se = paths[:, -1].std(ddof=1) / np.sqrt(cfg.n_paths)
+    assert abs(paths[:, -1].mean() - expect) <= 3.0 * se + 5e-5
+    assert np.all(paths >= 0.0)
 
 
 def test_simulate_state_schemes_and_errors(cir_model, foliation):
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=16, seed=5,
                     scheme="drift_implicit")
-    paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
-    assert np.all(paths.values >= 0.0)
+    paths = simulate_state(cir_model, foliation, cfg)
+    assert np.all(paths >= 0.0)
+    # a hand-built leaf may start below 0
     with pytest.raises(ConstraintViolated):
-        simulate_state(cir_model, foliation, x0=-0.1, config=cfg)
-    with pytest.raises(HorizonMismatch):
-        simulate_state(cir_model, foliation, x0=0.0,
-                       config=SimConfig(horizon=1.0, dt=0.005, n_paths=2))
+        simulate_state(cir_model, dataclasses.replace(foliation, x0=-0.1), cfg)
+    # the leaf needs one row per step: 101 rows serve neither 200 steps nor 50
+    for horizon, dt in ((1.0, 0.005), (0.5, 0.01)):
+        with pytest.raises(HorizonMismatch, match="the leaf has 101 rows"):
+            simulate_state(cir_model, foliation, SimConfig(horizon=horizon, dt=dt, n_paths=2))
     with pytest.raises(ConstraintViolated):
         SimConfig(horizon=0.5, dt=0.005, n_paths=2, scheme="euler_exact")
 
 
-def reference_simulate_state(model, foliation, x0, config):
+def reference_simulate_state(model, foliation, config):
     """simulate_state's time loop as plain expressions: the (paths, n_t) values."""
     a, dt, n = model.state_drift_slope, config.dt, config.n_steps
-    steps_per = round(dt / (foliation.times[1] - foliation.times[0]))
     normals = path_normals(config.seed, config.n_paths, n)
-    x = np.full(config.n_paths, float(x0))
+    x = np.full(config.n_paths, float(foliation.x0))
     columns = [x]
     for k in range(n):
-        b = foliation.psi_ell_deriv[k * steps_per]
+        b = foliation.psi_ell_deriv[k]
         diffusion = model.rho * np.sqrt(x) * (normals[:, k] * np.sqrt(dt))
         if config.scheme == "full_truncation":
             x = x + (b + a * x) * dt + diffusion
@@ -280,30 +289,31 @@ def reference_simulate_state(model, foliation, x0, config):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("dt", [0.005, 0.01])
 def test_simulate_state_matches_plain_expressions(cir_model, foliation, scheme, dt):
-    # dt = 0.01 reads every second step of the leaf's b(t)
+    # dt = 0.01 runs on every second row of the 0.005 leaf
+    k = round(dt / 0.005)
+    leaf = Foliation(foliation.psi[::k], foliation.psi_ell_deriv[::k], foliation.x0)
     cfg = SimConfig(horizon=0.5, dt=dt, n_paths=64, seed=5, scheme=scheme)
-    paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
-    assert np.array_equal(paths.values, reference_simulate_state(cir_model, foliation, 0.02, cfg))
+    paths = simulate_state(cir_model, leaf, cfg)
+    assert np.array_equal(paths, reference_simulate_state(cir_model, leaf, cfg))
 
 
 def test_reconstruct_identities(grid, cir_model, foliation):
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=32, seed=9)
-    paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
+    paths = simulate_state(cir_model, foliation, cfg)
     curves = realized_curves(foliation, paths, cir_model)
     # ell(r) recovers the state coordinate exactly: ell is linear and
     # ell(psi) vanishes to rounding
     ell_r = np.array([float(cir_model.ell(c)) for c in curves])
-    assert np.abs(ell_r - paths.final).max() <= 1e-12
+    assert np.abs(ell_r - paths[:, -1]).max() <= 1e-12
     # identically zero state reproduces the leaf itself
-    zero = StatePaths(paths.times, np.zeros((1, len(paths.times))))
-    flat = realized_curves(foliation, zero, cir_model)
+    flat = realized_curves(foliation, np.zeros((1, paths.shape[1])), cir_model)
     assert np.abs(flat[0] - foliation.psi[-1]).max() <= 1e-12
     # time zero reproduces the initial curve
     first = realized_curves(foliation, paths, cir_model, step=0)
     h0 = foliation.psi[0] + 0.02 * cir_model.lam
     assert np.abs(first - h0[None, :]).max() <= 1e-12
     # the mean curve needs only psi(T) and the mean state
-    mean = foliation.psi[-1] + paths.final.mean() * cir_model.lam
+    mean = foliation.psi[-1] + paths[:, -1].mean() * cir_model.lam
     np.testing.assert_allclose(mean, curves.mean(axis=0), rtol=1e-12, atol=0.0)
 
 
@@ -341,7 +351,7 @@ def test_seed_determinism(grid, cir_model):
 
 def test_phi_values_consistency(grid, cir_model, foliation):
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=16, seed=2)
-    paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
+    paths = simulate_state(cir_model, foliation, cfg)
     curves = realized_curves(foliation, paths, cir_model)
     # the closed-form fdr functionals agree with direct evaluation of the
     # reconstructed curves
@@ -354,7 +364,7 @@ def test_phi_values_consistency(grid, cir_model, foliation):
 
 def test_verify_invariance_self_comparison(cir_model, foliation):
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=64, seed=4)
-    paths = simulate_state(cir_model, foliation, x0=0.02, config=cfg)
+    paths = simulate_state(cir_model, foliation, cfg)
     phis = fdr_phi_values(foliation, paths, cir_model)
     report = verify_invariance(phis, phis, direct_min_ell=0.0,
                                foliation_resid=0.0)
@@ -366,11 +376,16 @@ def test_strong_convergence_rho_zero(grid):
     # deterministic dynamics: halving dt should shrink the state error by
     # about the scheme order (first order for Euler drift handling)
     det = SquareRootModel.cir(grid, 0.0, 0.3)
-    g0 = 0.01 * grid.x * np.exp(-grid.x)
-    fol = evolve_psi(det, g0, horizon=0.4, dt=0.0025)
-    ref = simulate_state(det, fol, 0.02, SimConfig(0.4, 0.0025, 1)).final[0]
-    e1 = abs(simulate_state(det, fol, 0.02, SimConfig(0.4, 0.04, 1)).final[0] - ref)
-    e2 = abs(simulate_state(det, fol, 0.02, SimConfig(0.4, 0.02, 1)).final[0] - ref)
+    h0 = 0.01 * grid.x * np.exp(-grid.x) + 0.02 * det.lam
+    fol = evolve_psi(det, h0, SimConfig(0.4, 0.0025, 1))
+
+    def final(dt):
+        k = round(dt / 0.0025)   # the state steps on every k-th row of the leaf
+        leaf = Foliation(fol.psi[::k], fol.psi_ell_deriv[::k], fol.x0)
+        return simulate_state(det, leaf, SimConfig(0.4, dt, 1))[0, -1]
+
+    ref = final(0.0025)
+    e1, e2 = abs(final(0.04) - ref), abs(final(0.02) - ref)
     assert e1 / e2 >= 1.8
 
 
@@ -470,8 +485,7 @@ def test_shifted_basis_matches_gathered_reference_at_wider_shifts(grid, cir_mode
 def _sim_inputs(grid, model, n_paths, scale=1.0):
     h0 = scale * (0.02 + 0.01 * grid.x * np.exp(-grid.x))
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=12345)
-    x0 = float(model.ell(h0))
-    psi = evolve_psi(model, h0 - x0 * model.lam, cfg.horizon, cfg.dt).psi[-1]
+    psi = evolve_psi(model, h0, cfg).psi[-1]
     return h0, cfg, psi
 
 
@@ -509,8 +523,7 @@ def test_summarize_direct_builds_only_the_mean_curve(monkeypatch):
     # cir.model's curves stay below 1, so the residual's normalizer needs none
     spec = parse_model_file(resources.files("affinefdr") / "models" / "cir.model")
     model, cfg, h0 = spec.model, spec.sim, spec.h0
-    x0 = float(model.ell(h0))
-    psi = evolve_psi(model, h0 - x0 * model.lam, cfg.horizon, cfg.dt).psi[-1]
+    psi = evolve_psi(model, h0, cfg).psi[-1]
     shapes = []
     curves = _FactoredOracle.curves
     monkeypatch.setattr(_FactoredOracle, "curves",
@@ -522,15 +535,14 @@ def test_summarize_direct_builds_only_the_mean_curve(monkeypatch):
 def test_a_paths_outputs_do_not_depend_on_the_path_count(grid, cir_model):
     # 1100 and 2001 paths cross PATH_BLOCK and RECURSION_BLOCK edges that 200 does not
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
-    x0 = float(cir_model.ell(h0))
-    fol = evolve_psi(cir_model, h0 - x0 * cir_model.lam, 0.5, 0.005)
+    fol = evolve_psi(cir_model, h0, SimConfig(horizon=0.5, dt=0.005, n_paths=1))
     heads = []
     for n_paths in (200, 1100, 2001):
         cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=12345)
-        paths = simulate_state(cir_model, fol, x0, cfg)
+        paths = simulate_state(cir_model, fol, cfg)
         fdr = fdr_phi_values(fol, paths, cir_model)
         direct = summarize_direct(cir_model, h0, cfg, Weight(), fol.psi[-1]).phis
-        heads.append([paths.values[:200], *(phis[name][:200] for phis in (fdr, direct)
+        heads.append([paths[:200], *(phis[name][:200] for phis in (fdr, direct)
                                              for name in ("ell", "eval_at_1", "hw_norm"))])
     for head in heads[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(heads[0], head))
