@@ -10,6 +10,7 @@ a content hash of its inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -354,7 +355,10 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one.  Each subcommand NAME runs the function cmd_NAME ('-' read as '_')."""
     parser = argparse.ArgumentParser(
         prog="affinefdr",
         description="Affine realizations of HJM-type SPDEs: checks and simulation")
@@ -367,27 +371,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=float, default=10.0)
     p.add_argument("--dx", type=float, default=0.005)
     p.add_argument("--out", default="riccati.csv")
-    p.set_defaults(func=cmd_riccati)
 
     p = sub.add_parser("check", help="run the realizability checks")
     p.add_argument("modelfile")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("initial-set", help="test a curve for admissibility")
     p.add_argument("modelfile")
     p.add_argument("--curve", required=True)
-    p.set_defaults(func=cmd_initial_set)
 
     p = sub.add_parser("simulate", help="simulate through the realization")
     p.add_argument("modelfile")
     p.add_argument("--mode", choices=("fdr", "direct", "both"), default="both")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="re-verify a stored simulation run")
     p.add_argument("run_dir")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -396,8 +395,10 @@ _REJECTIONS = (NotInInitialSet, LeftBoundary)
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up on each call, so a rebound cmd_* is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except _REJECTIONS as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1

@@ -97,12 +97,14 @@ class StateBasis:
     """State space V = C + U: a cone span plus a complementary subspace.
 
     matrix stacks the normed cone generators and the subspace vectors
-    (dim_v rows); it is built once and read-only.
+    (dim_v rows); pinv is the pseudo-inverse of matrix.T.  Both come from
+    one SVD, are built once and are read-only.
     """
 
     cone: ConeBasis
     subspace: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    pinv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sub = _as_matrix(self.subspace, dim=self.cone.dim)
@@ -116,9 +118,14 @@ class StateBasis:
         full = np.vstack([normalize_basis(self.cone).generators, sub])
         full.flags.writeable = False
         object.__setattr__(self, "matrix", full)
+        u, sv, vt = np.linalg.svd(full, full_matrices=False)
         scale = max(np.linalg.norm(full, axis=1).max(), 1.0)
-        if np.linalg.matrix_rank(full, tol=DEFAULT_TOL * scale) < self.dim_v:
+        if np.count_nonzero(sv > DEFAULT_TOL * scale) < self.dim_v:
             raise DegenerateBasis("cone generators and subspace are linearly dependent")
+        # matrix = U diag(sv) Vt, so the pseudo-inverse of matrix.T is U diag(1/sv) Vt
+        pinv = (u / sv) @ vt
+        pinv.flags.writeable = False
+        object.__setattr__(self, "pinv", pinv)
 
     @property
     def m(self) -> int:
@@ -137,21 +144,26 @@ class StateBasis:
         return self.cone.dim
 
     def fit(self, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Least-squares coordinates in this basis, and the residual off span V.
+        """Least-squares coordinates in this basis, pinv @ curves, and the
+        residual off span V.
 
         curves is one ambient vector or vectors stacked as columns; the
         coordinates and residuals keep that layout.
         """
         curves = np.asarray(curves, dtype=float)
-        coords, *_ = np.linalg.lstsq(self.matrix.T, curves, rcond=None)
+        coords = self.pinv @ curves
         return coords, curves - self.matrix.T @ coords
 
     def off_span(self, curves: np.ndarray) -> np.ndarray:
-        """Relative residual off span V, |residual| / |curve| (0 for a zero
-        curve), of one curve or of each column."""
+        """Relative residual off span V of one curve or of each column."""
         curves = np.asarray(curves, dtype=float)
-        norms = np.linalg.norm(curves, axis=0)
-        return np.linalg.norm(self.fit(curves)[1], axis=0) / np.where(norms > 0, norms, 1.0)
+        return relative_norm(self.fit(curves)[1], curves)
+
+
+def relative_norm(resid: np.ndarray, curves: np.ndarray) -> np.ndarray:
+    """|resid| / |curve| of one vector or of each column, 0 for a zero curve."""
+    norms = np.linalg.norm(curves, axis=0)
+    return np.linalg.norm(resid, axis=0) / np.where(norms > 0, norms, 1.0)
 
 
 def coordinates(x: np.ndarray, basis: StateBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -243,7 +255,6 @@ class SplitSpace:
 
 
 def orthogonal_split(v_basis: StateBasis) -> SplitSpace:
-    """SplitSpace whose G is the ambient orthogonal complement of span V."""
-    B = v_basis.matrix
-    dual = np.linalg.solve(B @ B.T, B)
-    return SplitSpace(v_basis, dual)
+    """SplitSpace whose G is the ambient orthogonal complement of span V:
+    the dual rows are pinv, (B B^T)^-1 B for the basis rows B."""
+    return SplitSpace(v_basis, v_basis.pinv)

@@ -31,9 +31,10 @@ class Grid:
         n = round(self.x_max / self.dx)
         if abs(n * self.dx - self.x_max) > 1e-9 * self.x_max:
             raise GridMismatch("x_max must be an integer multiple of dx")
-        if n < 2:
-            # the one-sided end stencils read three nodes
-            raise GridMismatch(f"the grid has {n + 1} nodes; it needs at least 3")
+        if n < 4:
+            # the fourth-order central stencil reads five nodes; on fewer it
+            # applies at no node
+            raise GridMismatch(f"the grid has {n + 1} nodes; it needs at least 5")
 
     @property
     def n(self) -> int:

@@ -9,6 +9,7 @@ are verified on the supplied samples; the report says so explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import admissibility as adm
 from .admissibility import AffineSquareVol
-from .cones import membership_coords
+from .cones import membership_coords, relative_norm
 from .errors import AffineFdrError, DimensionExceeded, NotAffine, NotInDomain
 
 if TYPE_CHECKING:
@@ -27,6 +28,19 @@ if TYPE_CHECKING:
 MEMBERSHIP_TOL = 1e-9  # band for cone-coordinate sign tests
 AFFINE_TOL = 1e-6      # relative residual for affine fits
 QE_TOL = 1e-3          # relative norm of a new direction in quasi_exp_subspace
+
+
+@functools.lru_cache(maxsize=None)
+def _boundary_design(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The perturbations v (one per row) of a state space with d directions,
+    m of them cone edges; the design matrix [1, v_cone] of the affine fit;
+    and its pseudo-inverse.  All three are read-only."""
+    vs = np.vstack([np.zeros(d), *(t * e for e in np.eye(d) for t in (0.5, 1.0))])
+    design = np.hstack([np.ones((len(vs), 1)), vs[:, :m]])
+    out = vs, design, np.linalg.pinv(design)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def fit_boundary_square_vol(model: SquareRootModel, g: np.ndarray) -> tuple[float, np.ndarray]:
@@ -40,10 +54,9 @@ def fit_boundary_square_vol(model: SquareRootModel, g: np.ndarray) -> tuple[floa
     """
     basis = model.split.v_basis
     d, m = basis.dim_v, basis.m
-    vs = np.vstack([np.zeros(d), *(t * e for e in np.eye(d) for t in (0.5, 1.0))])
+    vs, design, design_pinv = _boundary_design(d, m)
     amp = np.array([model.amp_sq(g + v @ basis.matrix) for v in vs])
-    design = np.hstack([np.ones((len(vs), 1)), vs[:, :m]])
-    coef = np.linalg.lstsq(design, amp, rcond=None)[0]
+    coef = design_pinv @ amp
     entry = np.abs(model.cc).max(initial=0.0)
     resid = np.abs(design @ coef - amp).max() * entry
     scale = max(np.abs(amp).max() * entry, 1e-30)
@@ -100,6 +113,7 @@ def check_thm_main2(model: SquareRootModel) -> RealizabilityReport:
     direction.  One failing fit never aborts the report.
     """
     basis = model.split.v_basis
+    a_basis = model.apply_a(basis.matrix)  # the same for every sample
     results: list[ConditionResult] = []
     for idx, (g, fit) in enumerate(zip(model.boundary_samples, model.boundary_fits)):
         tag = f"g[{idx}]"
@@ -116,9 +130,9 @@ def check_thm_main2(model: SquareRootModel) -> RealizabilityReport:
                                        _detail(tag, par.witnesses)))
 
         beta1 = model.split.v_coords(model.apply_a(g) + s0 * model.s_cc)
-        images = (model.apply_a(basis.matrix) + np.multiply.outer(s, model.s_cc)).T
-        beta2 = basis.fit(images)[0]
-        off_v = basis.off_span(images)
+        images = (a_basis + np.multiply.outer(s, model.s_cc)).T
+        beta2, resid = basis.fit(images)
+        off_v = relative_norm(resid, images)
         found = {name: [] for name in ("cond-AR-1", "cond-AR-2", "cond-AR-3", "beta-inc-V")}
         for k in np.flatnonzero(off_v > model.span_tol):
             witness = ("off-V", int(k), float(off_v[k]), model.span_tol)

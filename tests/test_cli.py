@@ -106,13 +106,30 @@ def test_riccati_rejects_nonpositive_rho(tmp_path):
     ["check", "cir.model"],
 ], ids=["riccati", "check-cir"])
 def test_a_two_node_grid_exits_2(tmp_path, argv):
-    # the one-sided end stencils read three nodes
+    # the fourth-order central stencil reads five nodes
     text = (MODELS / "cir.model").read_text().replace("x_max = 10", "x_max = 0.005")
     (tmp_path / "cir.model").write_text(text)
     res = run_cli(*argv, cwd=tmp_path)
     assert res.returncode == 2
-    assert res.stderr.endswith("the grid has 2 nodes; it needs at least 3\n")
+    assert res.stderr.endswith("the grid has 2 nodes; it needs at least 5\n")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("name", ["cir", "linear_qe"])
+@pytest.mark.parametrize("x_max, nodes", [("0.01", 3), ("0.015", 4), ("0.02", 5)])
+def test_check_needs_a_grid_of_five_nodes(tmp_path, name, x_max, nodes):
+    # on 3 or 4 nodes the central stencil applies at no node, so no verdict
+    # can rest on the grid
+    model = tmp_path / f"{name}.model"
+    model.write_text((MODELS / f"{name}.model").read_text().replace("x_max = 10",
+                                                                    f"x_max = {x_max}"))
+    res = run_cli("check", str(model))
+    assert "Traceback" not in res.stderr
+    if nodes < 5:
+        assert res.returncode == 2
+        assert res.stderr.endswith(f"the grid has {nodes} nodes; it needs at least 5\n")
+    else:
+        assert res.returncode == 0, res.stderr
 
 
 def test_check_two_factor_refuses_keys_its_preset_builds(tmp_path):
@@ -124,6 +141,37 @@ def test_check_two_factor_refuses_keys_its_preset_builds(tmp_path):
     res = run_cli("check", str(model))
     assert res.returncode == 2
     assert res.stderr == "error: [model] ell: kind 'two_factor' builds this itself\n"
+
+
+def test_the_shared_parser_carries_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cir = model_path("cir.model")
+    assert cli.main(["check", cir, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "cir"
+    assert cli.main(["check", cir]) == 0
+    assert capsys.readouterr().out.startswith("model kind: cir\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert cli.main(["check", cir]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: affinefdr check")
+
+
+def test_main_runs_the_command_function_bound_at_call_time(monkeypatch):
+    cir = model_path("cir.model")
+    assert cli.main(["check", cir]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: calls.append(args.modelfile) or 7)
+    monkeypatch.setattr(cli, "cmd_initial_set", lambda args: calls.append(args.curve) or 8)
+    assert cli.main(["check", cir]) == 7
+    assert cli.main(["initial-set", cir, "--curve", "h.csv"]) == 8
+    assert calls == [cir, "h.csv"]
 
 
 def test_riccati_rejects_infinite_dx(tmp_path, capsys):
@@ -444,6 +492,31 @@ def test_check_norms_each_state_basis_once(monkeypatch):
     for name in ("cir.model", "two_factor.model", "example64.model", "linear_qe.model"):
         cli._run_checks(parse_model_file(model_path(name)))
     assert len(calls) == len(bases) == 3
+
+
+def test_no_least_squares_solve_on_the_check_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for name in ("cir", "two_factor", "example64", "linear_qe"):
+        cli._run_checks(parse_model_file(model_path(f"{name}.model")))
+    spec = parse_model_file(model_path("cir.model"))
+    assert rz.maximal_initial_membership(np.full(spec.grid.n, 0.02), spec.model) == (True, False)
+
+
+def test_check_thm_main2_applies_a_to_the_basis_once(monkeypatch):
+    spec = parse_model_file(model_path("cir.model"))
+    model = spec.model
+    model.boundary_fits, model.s_cc  # computed once per model, outside the count
+    derivative, calls = hjmm.derivative, []
+    monkeypatch.setattr(hjmm, "derivative",
+                        lambda h, grid: calls.append(np.shape(h)) or derivative(h, grid))
+    assert rz.check_thm_main2(model).overall
+    # A g per sample, and one A of the basis that every sample shares
+    n = len(model.boundary_samples)
+    assert n == 6 and len(calls) == n + 1 == 7
+    assert calls.count(model.split.v_basis.matrix.shape) == 1
 
 
 def write_curve(path, grid_n, values):

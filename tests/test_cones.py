@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from affinefdr.cones import (ConeBasis, StateBasis, cone_minus, coordinates, edges,
-                             inner_v, membership, normalize_basis, orthogonal_split)
+from affinefdr.cones import (DEFAULT_TOL, ConeBasis, StateBasis, cone_minus, coordinates,
+                             edges, inner_v, membership, normalize_basis, orthogonal_split)
 from affinefdr.errors import DegenerateBasis, NotAnEdge, NotInV
 
 
@@ -64,25 +64,70 @@ def test_fit_is_one_least_squares_solve_onto_span_v():
     rng = np.random.default_rng(3)
     basis = StateBasis(ConeBasis(rng.standard_normal((2, 7)) * [[3.0], [0.2]]),
                        subspace=rng.standard_normal((1, 7)))
-    assert not basis.matrix.flags.writeable
-    B = basis.matrix
+    assert not basis.matrix.flags.writeable and not basis.pinv.flags.writeable
+    B, P = basis.matrix, basis.pinv
+    np.testing.assert_allclose(P, np.linalg.pinv(B.T), rtol=0, atol=1e-12 * np.abs(P).max())
+    # fit is the one product pinv @ curves, and the residual what it leaves
     h = rng.standard_normal(7)
     coords, resid = basis.fit(h)
+    np.testing.assert_array_equal(coords, P @ h)
+    np.testing.assert_array_equal(resid, h - B.T @ (P @ h))
     ref, *_ = np.linalg.lstsq(B.T, h, rcond=None)
-    np.testing.assert_array_equal(coords, ref)
-    np.testing.assert_array_equal(resid, h - B.T @ ref)
+    np.testing.assert_allclose(coords, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     curves = rng.standard_normal((7, 4))
     coords, resid = basis.fit(curves)
-    ref, *_ = np.linalg.lstsq(B.T, curves, rcond=None)
     assert coords.shape == (3, 4) and resid.shape == (7, 4)
-    np.testing.assert_array_equal(coords, ref)
-    np.testing.assert_array_equal(resid, curves - B.T @ ref)
+    np.testing.assert_array_equal(coords, P @ curves)
+    np.testing.assert_array_equal(resid, curves - B.T @ (P @ curves))
+    ref, *_ = np.linalg.lstsq(B.T, curves, rcond=None)
+    np.testing.assert_allclose(coords, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    # the least-squares property: the residual is orthogonal to span V
+    assert np.abs(B @ resid).max() <= 1e-12 * np.abs(curves).max()
     # the basis rows themselves lie in V: unit coordinates, zero residual
     coords, resid = basis.fit(B.T)
     np.testing.assert_allclose(coords, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(resid, 0.0, atol=1e-12)
     x = B.T @ np.array([0.5, 1.5, -2.0])
     np.testing.assert_array_equal(basis.fit(x)[0], coordinates(x, basis))
+
+
+def _near_pair(eps):
+    """A cone edge e0 and the subspace vector e0 + eps e1 in R^5: the least
+    singular value of the pair is eps / sqrt(2) up to O(eps^2)."""
+    return StateBasis(ConeBasis(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])),
+                      subspace=np.array([[1.0, eps, 0.0, 0.0, 0.0]]))
+
+
+def test_state_basis_refuses_a_subspace_vector_in_the_cone_span():
+    with pytest.raises(DegenerateBasis,
+                       match="^cone generators and subspace are linearly dependent$"):
+        StateBasis(ConeBasis(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])),
+                   subspace=np.array([[3.0, -1.0, 0.0]]))
+    # the cut is DEFAULT_TOL times the largest row norm (at least 1): a least
+    # singular value of 0.7e-9 falls below it
+    with pytest.raises(DegenerateBasis, match="linearly dependent"):
+        _near_pair(1e-9)
+
+
+def test_state_basis_just_above_the_rank_cut_fits_like_lstsq():
+    basis = _near_pair(2e-9)
+    B = basis.matrix
+    least = np.linalg.svd(B, compute_uv=False)[-1]
+    assert DEFAULT_TOL < least < 2 * DEFAULT_TOL
+    rng = np.random.default_rng(11)
+    # curves with O(1) coordinates and a part off span V
+    off = np.vstack([np.zeros((2, 6)), rng.standard_normal((3, 6))])
+    curves = B.T @ rng.standard_normal((2, 6)) + off
+    coords, resid = basis.fit(curves)
+    ref, *_ = np.linalg.lstsq(B.T, curves, rcond=None)
+    np.testing.assert_allclose(coords, ref, rtol=1e-12)
+    norms = np.linalg.norm(curves, axis=0)
+    assert np.all(np.linalg.norm(B @ resid, axis=0) <= 1e-12 * norms)
+    assert np.all(np.linalg.norm(resid - off, axis=0) <= 1e-12 * norms)
+    # a generic curve has coordinates of size 1 / least; they still agree
+    h = rng.standard_normal(5)
+    ref, *_ = np.linalg.lstsq(B.T, h, rcond=None)
+    np.testing.assert_allclose(basis.fit(h)[0], ref, rtol=1e-12)
 
 
 def test_off_span_is_the_relative_residual_off_span_v():

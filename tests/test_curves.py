@@ -14,12 +14,16 @@ def test_grid_properties():
         Grid(1.0, 0.3)
 
 
-def test_grid_needs_the_three_nodes_its_end_stencils_read():
-    assert Grid(0.01, 0.005).n == 3
-    assert np.array_equal(derivative(np.array([0.0, 1.0, 2.0]), Grid(0.01, 0.005)),
-                          np.full(3, 200.0))
-    with pytest.raises(GridMismatch, match="the grid has 2 nodes; it needs at least 3"):
-        Grid(0.005, 0.005)
+def test_grid_needs_the_five_nodes_its_central_stencil_reads():
+    grid = Grid(0.02, 0.005)
+    assert grid.n == 5
+    # the fourth-order central stencil reaches the middle node: exact for a quartic
+    f = (grid.x / 0.02) ** 4
+    assert derivative(f, grid)[2] == pytest.approx(4 * 0.5 ** 3 / 0.02, rel=1e-12)
+    np.testing.assert_allclose(derivative(np.arange(5.0), grid), 200.0, rtol=1e-12)
+    for x_max, nodes in ((0.005, 2), (0.01, 3), (0.015, 4)):
+        with pytest.raises(GridMismatch, match=f"the grid has {nodes} nodes; it needs at least 5"):
+            Grid(x_max, 0.005)
 
 
 def test_derivative_orders():
