@@ -123,13 +123,8 @@ def _run_checks(spec: ModelSpec) -> dict:
                 "overall": a_sigma is not None}
     report = rz.check_thm_main2(model)
     checks = {"realizability": _condition_summary(report),
-              "check_damir": rz.check_damir(model)}
-    try:
-        checks["check_const_mod_k"] = rz.check_const_mod_k(model)
-    except AffineFdrError as exc:
-        # the squared volatility need not fit affinely over this split
-        checks["check_const_mod_k"] = False
-        checks["const_mod_k_detail"] = str(exc)
+              "check_damir": rz.check_damir(model),
+              "check_const_mod_k": rz.check_const_mod_k(model)}
     ok = report.overall and checks["check_const_mod_k"]
     if not checks["check_damir"]:
         basis = model.split.v_basis

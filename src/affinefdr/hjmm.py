@@ -118,16 +118,15 @@ def ker_ell_split(grid: Grid, ell: PointCombo, cone, subspace=()) -> SplitSpace:
 
     With one cone generator u (normed), ell(u) != 0 and ell zero on every
     subspace curve within 1e-9 |ell(u)|, G lies in ker ell: the cone dual
-    row is ell / ell(u), the subspace rows are the orthogonal split's.
+    row is ell / ell(u), the subspace rows are those of the basis's pinv.
     Otherwise G falls back to the orthogonal complement of span V.
     """
     basis = StateBasis(ConeBasis(np.reshape(cone, (-1, grid.n))),
                        subspace=np.reshape(subspace, (-1, grid.n)))
-    orth = orthogonal_split(basis)
     on_u = float(ell(basis.matrix[0])) if basis.m == 1 else 0.0
     if on_u == 0.0 or np.abs(ell(basis.subspace)).max(initial=0.0) > 1e-9 * abs(on_u):
-        return orth
-    return SplitSpace(basis, np.vstack([ell.dual_vector(grid) / on_u, orth.dual[1:]]))
+        return orthogonal_split(basis)
+    return SplitSpace(basis, np.vstack([ell.dual_vector(grid) / on_u, basis.pinv[1:]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +166,9 @@ class SquareRootModel:
     def cir(cls, grid: Grid, rho: float, gamma: float, ell: PointCombo = SHORT_END,
             n_samples: int = 6, span_tol: float = 1e-5) -> SquareRootModel:
         """The Riccati model on V = <lam>+ with G = ker ell and n default samples."""
-        if rho < 0 or gamma < 0:
-            raise ConstraintViolated("rho and gamma must be nonnegative")
+        for key, value in (("rho", rho), ("gamma", gamma)):
+            if value < 0:
+                raise ConstraintViolated(f"{key} must be nonnegative")
         if rho == 0 and gamma == 0:
             raise ConstraintViolated("rho and gamma cannot both vanish")
         lam = _read_only(riccati_small(grid.x, rho, gamma))
@@ -193,6 +193,10 @@ class SquareRootModel:
         if gamma <= 0:
             raise ConstraintViolated("gamma must be positive")
         x1 = round(np.log(2.0) / gamma / grid.dx) * grid.dx  # snap to the grid
+        if x1 == 0:
+            # the two points coincide, and the 2x2 system is singular
+            raise ConstraintViolated(f"gamma = {gamma:g} snaps x1 = ln 2 / gamma to node 0 "
+                                     f"at dx = {grid.dx:g}")
         l1 = np.exp(-gamma * x1)
         a = np.linalg.solve(np.array([[1.0, l1], [1.0, l1 * l1]]), np.array([1.0, 0.0]))
         ell = PointCombo.at(grid, (0.0, x1), (float(a[0]), float(a[1])))
@@ -201,7 +205,7 @@ class SquareRootModel:
         return cls(grid, ell, rho, lam, primitive(lam, grid), split,
                    tuple(shape_boundary_samples(grid, split, 2)), span_tol=span_tol)
 
-    @property
+    @functools.cached_property
     def state_drift_slope(self) -> float:
         """Coefficient a in the state equation dX = (b(t) + a X) dt + ...
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SHORT_END, Grid, PointCombo, Weight, primitive
-from .errors import AffineFdrError, ModelFileError, NotInV
+from .errors import AffineFdrError, ConstraintViolated, ModelFileError, NotInV
 from .hjmm import SquareRootModel, ker_ell_split, shape_boundary_samples
 from .simulate import SimConfig
 
@@ -174,6 +174,11 @@ def parse_model_text(text: str) -> ModelSpec:
         raise ModelFileError(f"[space] x_max, dx: {exc}") from exc
     if not 3.0 < alpha < np.inf:
         raise ModelFileError("[space] weight_alpha must be finite and exceed 3")
+    with np.errstate(over="ignore"):
+        top = np.float64(1.0 + grid.x_max) ** alpha   # the weight's largest value
+    if not np.isfinite(top):
+        raise ModelFileError(f"[space] weight_alpha = {alpha:g} overflows the weight "
+                             f"(1 + x)^alpha at x_max = {grid.x_max:g}")
     weight = Weight(alpha)
 
     kind = _get(cfg, "model", "kind", str, required=True).strip()
@@ -211,8 +216,6 @@ def parse_model_text(text: str) -> ModelSpec:
                                  where="[model] vol_curve"),)
     if kind in ("linear", "custom") and not vol_curves:
         raise ModelFileError(f"[model] kind {kind!r} requires vol_curve")
-    if kind == "cir" and rho < 0:
-        raise ModelFileError("[model] rho must be nonnegative")
 
     # every [check] default lives here, with or without the section
     n_samples = _get(cfg, "check", "boundary_samples", int, 6)
@@ -244,11 +247,15 @@ def parse_model_text(text: str) -> ModelSpec:
     # and two_factor always 2; custom splits its [cone] and [subspace] curves
     # by ker_ell_split and draws min(n, 3) shape samples
     model = None
-    if kind == "cir":
-        model = SquareRootModel.cir(grid, rho, gamma, ell, n_samples, span_tol)
-    elif kind == "two_factor":
-        model = SquareRootModel.two_factor(grid, rho, gamma, span_tol)
-    elif kind == "custom":
+    try:
+        if kind == "cir":
+            model = SquareRootModel.cir(grid, rho, gamma, ell, n_samples, span_tol)
+        elif kind == "two_factor":
+            model = SquareRootModel.two_factor(grid, rho, gamma, span_tol)
+    except ConstraintViolated as exc:
+        # each preset checks its own [model] values, in its constructor
+        raise ModelFileError(f"[model] {exc}") from exc
+    if kind == "custom":
         try:
             split = ker_ell_split(grid, ell, cone_curves, subspace_curves)
         except (AffineFdrError, np.linalg.LinAlgError) as exc:

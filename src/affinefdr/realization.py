@@ -168,12 +168,11 @@ def check_const_mod_k(model: SquareRootModel) -> bool:
     Every fitted T2[k] = s_k c c^T is a multiple of c c^T, which spans R.  So
     the check holds when K = R; when K is trivial, the T2 of all boundary
     samples must agree with the first's: |s_k - s_ref,k| |c c^T|_F within
-    span_tol max(1, max |s_ref| max |c c^T|).  A failed fit raises.
+    span_tol max(1, max |s_ref| max |c c^T|).  A failed fit makes it false.
     """
     fits = model.boundary_fits
-    for fit in fits:
-        if isinstance(fit, AffineFdrError):
-            raise fit
+    if any(isinstance(fit, AffineFdrError) for fit in fits):
+        return False
     if not fits or compute_k(model):
         return True
     ref = fits[0][1]

@@ -284,7 +284,6 @@ class _FactoredOracle:
     ell_basis: np.ndarray   # (2K,), ell of each basis row
     basis: np.ndarray       # (2K, n_x)
     tail: np.ndarray        # (n_x,), S^K h0
-    shift: int              # nodes per step of S
 
     def curves(self, coef: np.ndarray) -> np.ndarray:
         r = coef @ self.basis
@@ -296,41 +295,42 @@ def _factored_oracle(model: SquareRootModel, h0: np.ndarray, config: SimConfig) 
     """Validate a direct run's inputs and precompute its fixed data.
 
     The recursion's forcing a_k and b_k is that of the sqrt_ell amplitude, so
-    any other amplitude raises ConstraintViolated.
+    any other amplitude raises ConstraintViolated.  S moves one node per step,
+    so dt must equal dx: either side of it raises CflViolated.
     """
     h0 = _check_h0(model, h0)
     grid = model.grid
     if model.amplitude != "sqrt_ell":
         raise ConstraintViolated("the direct oracle needs amplitude sqrt_ell")
     _check_step(config.dt, grid)
-    shift = round(config.dt / grid.dx)
-    if abs(shift * grid.dx - config.dt) > 1e-12 or shift < 1:
-        raise CflViolated("dt must be a positive integer multiple of dx")
+    if config.dt < grid.dx - 1e-12:
+        raise CflViolated(f"the direct oracle needs dt = dx; dt = {config.dt} "
+                          f"is below dx = {grid.dx}")
 
     n = config.n_steps
-    basis = _shifted_basis(model, shift, n)
-    _, h0_rows = _held_windows(h0, shift, n)
+    basis = _shifted_basis(model, n)
+    _, h0_rows = _held_windows(h0, n)
     return _FactoredOracle(ell_h0=model.ell(h0_rows), ell_basis=model.ell(basis),
-                           basis=basis, tail=h0_rows[n].copy(), shift=shift)
+                           basis=basis, tail=h0_rows[n].copy())
 
 
-def _held_windows(f: np.ndarray, shift: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """f held at its last value for n shifts, and its windows S^0 f, ..., S^n f."""
-    held = np.concatenate([f, np.full(n * shift, f[-1])])
-    return held, sliding_window_view(held, len(f))[::shift]
+def _held_windows(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """f held at its last value for n nodes, and its windows S^0 f, ..., S^n f."""
+    held = np.concatenate([f, np.full(n, f[-1])])
+    return held, sliding_window_view(held, len(f))
 
 
-def _shifted_basis(model: SquareRootModel, shift: int, n: int, dx: float | None = None):
+def _shifted_basis(model: SquareRootModel, n: int, dx: float | None = None):
     """Rows S^(n-1) D, S^(n-1) L, ..., D, L with D = lam Lam and L = lam, or,
     given dx, derivative(row) entry for entry from one stencil pass per curve."""
     out = np.empty((2 * n, model.grid.n))
     # from the end back, each curve's rows take S^0, S^1, ...
     for rows, f in ((out[-2::-2], model.lam * model.lam_capital), (out[::-2], model.lam)):
-        held, windows = _held_windows(f, shift, n - 1)
+        held, windows = _held_windows(f, n - 1)
         if dx is None:
             rows[...] = windows
         else:
-            rows[:, 2:-2] = sliding_window_view(central_stencil(held, dx), len(f) - 4)[::shift]
+            rows[:, 2:-2] = sliding_window_view(central_stencil(held, dx), len(f) - 4)
             one_sided_ends(windows, dx, rows)
     return out
 
@@ -382,12 +382,11 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     """Method-of-lines run of dr = (d/dx r + alpha(r)) dt + sigma(r) dW, summarized.
 
     One explicit step is r_{k+1} = S r_k + a_k D + b_k L.  S is the exact
-    transport: a shift by dt/dx nodes that holds the right boundary value
-    (curves absorbed past x_max), so S^i f is a window of f held there.  The
-    CFL check (dt at most dx and an integer multiple of it) leaves a shift of
-    exactly one node.  The forcing is rank one along the fixed curves
-    D = lam Lam and L = lam, with per-path scalars a_k = rho^2 |ell(r_k)| dt
-    and b_k = rho sqrt|ell(r_k)| dW_k.  S is linear, so the steps unroll to
+    transport at dt = dx: a shift by one node that holds the right boundary
+    value (curves absorbed past x_max), so S^i f is a window of f held there.
+    The forcing is rank one along the fixed curves D = lam Lam and L = lam,
+    with per-path scalars a_k = rho^2 |ell(r_k)| dt and
+    b_k = rho sqrt|ell(r_k)| dW_k.  S is linear, so the steps unroll to
 
         r_K = S^K h0 + sum_j (a_j S^(K-1-j) D + b_j S^(K-1-j) L).
 
@@ -419,7 +418,7 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     # the Gram of w = sqrt(q) basis' is the symmetric product w w^T, whose
     # sums do not depend on the BLAS thread count; w's memory then holds the
     # projected basis, so at most two (2K, n_x) arrays are live
-    w = _shifted_basis(model, oracle.shift, config.n_steps, grid.dx)
+    w = _shifted_basis(model, config.n_steps, grid.dx)
     d_tail = derivative(oracle.tail, grid)
     cross, const = 2.0 * (w @ (q * d_tail)), float(d_tail @ (q * d_tail))
     w *= np.sqrt(q)

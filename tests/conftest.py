@@ -263,16 +263,16 @@ def brute_force_parallel(sqvol: AffineSquareVol, basis: StateBasis,
     return Verdict(ok=False, witnesses=((("sigma-inv", (v[i], eta[i]), float(abs(vals[i])))),))
 
 
-def gathered_oracle(model: SquareRootModel, h0: np.ndarray, shift: int, n: int):
+def gathered_oracle(model: SquareRootModel, h0: np.ndarray, n: int):
     """Reference fixed data of the direct scheme, gathered through an index array.
 
     Returns (basis, ell_basis, ell_h0, tail): row pair j of basis is
     S^(n-1-j) D, S^(n-1-j) L with D = lam Lam and L = lam, ell_h0[i] is
-    ell(S^i h0), and tail is S^n h0.
+    ell(S^i h0), and tail is S^n h0.  S moves one node per step.
     """
     grid = model.grid
-    # row i gathers S^i: node m reads node min(m + i shift, last)
-    idx = np.minimum(np.arange(grid.n) + shift * np.arange(n + 1)[:, None], grid.n - 1)
+    # row i gathers S^i: node m reads node min(m + i, last)
+    idx = np.minimum(np.arange(grid.n) + np.arange(n + 1)[:, None], grid.n - 1)
     basis = np.empty((2 * n, grid.n))
     basis[0::2] = (model.lam * model.lam_capital)[idx[n - 1::-1]]
     basis[1::2] = model.lam[idx[n - 1::-1]]

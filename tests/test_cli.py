@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -365,6 +366,24 @@ def test_check_custom_copies_get_their_presets_verdicts(capsys, custom_copies):
     assert booleans(checks) == booleans(preset)
 
 
+def test_check_custom_two_factor_copy_takes_its_verdict_from_the_sample_count(
+        tmp_path, capsys, custom_copies):
+    # two_factor draws 2 shape samples; a custom file draws min(n, 3) with
+    # n = 6 by default, and the third, x e^-2x projected into G, fails cond-AR-1
+    text = Path(custom_copies["two_factor"]).read_text()
+    assert text.endswith("[check]\nboundary_samples = 2\n")
+    default = tmp_path / "default_samples.model"
+    default.write_text(text.replace("[check]\nboundary_samples = 2\n", ""))
+    assert cli.main(["check", custom_copies["two_factor"], "--json"]) == 0
+    capsys.readouterr()
+    assert cli.main(["check", str(default), "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]["realizability"]
+    assert checks["cond-AR-1"]["n_samples"] == 3
+    assert [f.split(" > ")[0] for f in checks["cond-AR-1"]["failures"]] \
+        == ["g[2]: nu-1 0 3.470e-01"]
+    assert [name for name, c in checks.items() if not c["ok"]] == ["cond-AR-1"]
+
+
 def test_check_linear_builds_the_iterated_subspace_once(monkeypatch):
     spec = parse_model_file(model_path("linear_qe.model"))
     subspace, calls = rz.quasi_exp_subspace, []
@@ -468,11 +487,15 @@ def test_check_rejects_expression_beyond_arithmetic(tmp_path, expr):
     ("two_factor", "rho = 0.1", "rho = nan", "[model] rho"),
     ("two_factor", "gamma = 1.0", "gamma = nan", "[model] gamma"),
     ("example64", "rho = 0.2", "rho = nan", "[model] rho"),
+    ("two_factor", "gamma = 1.0", "gamma = 1000", "[model] gamma"),
+    ("cir", "weight_alpha = 4", "weight_alpha = 400", "[space] weight_alpha"),
+    ("cir", "gamma = 0.05", "gamma = -1", "[model] gamma"),
 ], ids=["samples-0", "samples-negative", "span-tol-nan", "alpha-nan", "dx-inf",
         "point-inf", "coeff-nan", "max-dim-0", "max-dim-negative", "dt-inf", "dt-nan",
         "horizon-nan", "horizon-inf", "seed-negative", "seed-2**64", "cir-rho-nan",
         "cir-gamma-nan", "cir-gamma-inf", "two_factor-rho-nan", "two_factor-gamma-nan",
-        "example64-rho-nan"])
+        "example64-rho-nan", "two_factor-gamma-past-dx", "alpha-overflow",
+        "cir-gamma-negative"])
 def test_check_rejects_out_of_range_model_values(tmp_path, capsys, name, old, new, where):
     text = (MODELS / f"{name}.model").read_text()
     assert old in text
@@ -503,6 +526,45 @@ def test_no_least_squares_solve_on_the_check_path(monkeypatch):
         cli._run_checks(parse_model_file(model_path(f"{name}.model")))
     spec = parse_model_file(model_path("cir.model"))
     assert rz.maximal_initial_membership(np.full(spec.grid.n, 0.02), spec.model) == (True, False)
+
+
+CHECK_ROUND = ("cir", "two_factor", "example64", "linear_qe")
+
+
+def test_check_path_does_not_import_numpy_random(tmp_path):
+    # importing numpy.random adds about 6 MB of resident memory to a fresh
+    # process; default_boundary_samples draws no mixture for the bundled models
+    curve = tmp_path / "h.csv"
+    write_curve(curve, 2001, np.full(2001, 0.02))
+    script = (
+        "import contextlib, io, sys\n"
+        "from affinefdr import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for name in {CHECK_ROUND!r}:\n"
+        f"        cli.main(['check', {str(MODELS)!r} + '/' + name + '.model', '--json'])\n"
+        f"    cli.main(['initial-set', {model_path('cir.model')!r}, '--curve', {str(curve)!r}])\n"
+        "print('numpy.random' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
+def test_check_round_allocates_little(capsys):
+    # a warm round of the four bundled models peaks near 0.4 MB of traced
+    # allocations, numpy buffers included
+    def check_round():
+        for name in CHECK_ROUND:
+            cli.main(["check", model_path(f"{name}.model"), "--json"])
+        capsys.readouterr()
+
+    check_round()
+    tracemalloc.start()
+    try:
+        check_round()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_check_thm_main2_applies_a_to_the_basis_once(monkeypatch):
@@ -892,6 +954,20 @@ def test_simulate_checks_the_step_before_the_leaf(fast_model, tmp_path, capsys, 
     assert cli.main(["simulate", str(bad), "--mode", mode, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: dt = {dt} exceeds dx = 0.005\n"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode, rc", [("both", 2), ("direct", 2), ("fdr", 0)])
+def test_simulate_refuses_a_step_below_dx_in_the_oracle(fast_model, tmp_path, capsys, mode, rc):
+    # S moves one node per step: the leaf runs at dx / 2, the oracle does not,
+    # and no stage writes before the oracle has refused the step
+    bad = tmp_path / "half.model"
+    bad.write_text(Path(fast_model).read_text().replace("dt = 0.005", "dt = 0.0025"))
+    out = tmp_path / "o"
+    assert cli.main(["simulate", str(bad), "--mode", mode, "--out-dir", str(out)]) == rc
+    assert out.exists() is (rc == 0)
+    if rc:
+        assert capsys.readouterr().err == ("error: the direct oracle needs dt = dx; "
+                                           "dt = 0.0025 is below dx = 0.005\n")
 
 
 def test_simulate_and_verify_the_custom_cir_copy(tmp_path, custom_copies):

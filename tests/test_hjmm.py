@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from affinefdr import cones, hjmm
 from affinefdr import realization as rz
 from affinefdr.cones import orthogonal_split
 from affinefdr.curves import SHORT_END, Grid, derivative, primitive
@@ -164,12 +165,24 @@ def test_state_drift_slope_short_end(grid, cir_model):
     assert cir_model.state_drift_slope == pytest.approx(-0.05, abs=1e-6)
 
 
+def test_state_drift_slope_differentiates_once_per_model(grid, monkeypatch):
+    model, calls = SquareRootModel.cir(grid, 0.1, 0.05), []
+    monkeypatch.setattr(hjmm, "derivative",
+                        lambda values, grid: calls.append(1) or derivative(values, grid))
+    assert model.state_drift_slope == model.state_drift_slope
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("case, along_ker_ell", [
     ("one_cone", True), ("cone_and_subspace_in_ker_ell", True),
     ("ell_nonzero_on_subspace", False), ("two_cones", False), ("ell_zero_on_cone", False),
     ("subspace_only", False),
 ])
-def test_ker_ell_split_falls_back_to_the_orthogonal_split(grid, case, along_ker_ell):
+def test_ker_ell_split_falls_back_to_the_orthogonal_split(grid, monkeypatch, case,
+                                                          along_ker_ell):
+    post_init, splits = cones.SplitSpace.__post_init__, []
+    monkeypatch.setattr(cones.SplitSpace, "__post_init__",
+                        lambda self: splits.append(1) or post_init(self))
     lam = np.exp(-grid.x)
     cone, subspace = {
         "one_cone": ((lam,), ()),
@@ -180,10 +193,12 @@ def test_ker_ell_split_falls_back_to_the_orthogonal_split(grid, case, along_ker_
         "subspace_only": ((), (lam,)),
     }[case]
     split = ker_ell_split(grid, SHORT_END, cone, subspace)
+    assert len(splits) == 1   # one split built and validated, on either branch
     if along_ker_ell:
         h = 0.02 + np.sin(grid.x)
         assert abs(float(SHORT_END(split.project_g(h)))) <= 1e-15
         assert np.array_equal(split.dual[0], SHORT_END.dual_vector(grid)
                               / float(SHORT_END(split.v_basis.matrix[0])))
+        assert np.array_equal(split.dual[1:], split.v_basis.pinv[1:])
     else:
         assert np.array_equal(split.dual, orthogonal_split(split.v_basis).dual)

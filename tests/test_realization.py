@@ -100,11 +100,15 @@ def test_const_mod_k_is_closed_form(grid, cir_model):
         model = dataclasses.replace(cir_model, boundary_samples=samples)
         assert rz.compute_k(model) == ()
         assert rz.check_const_mod_k(model) is agree
-    # K = R: every slope is a multiple of c c^T; a failed fit still raises
+    # K = R: every slope is a multiple of c c^T; a failed fit makes the check
+    # false, and check_thm_main2 reports that fit's error
     assert rz.check_const_mod_k(SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0))
-    example64 = resources.files("affinefdr") / "models" / "example64.model"
-    with pytest.raises(NotAffine):
-        rz.check_const_mod_k(parse_model_file(str(example64)).model)
+    example64 = parse_model_file(str(resources.files("affinefdr") / "models"
+                                     / "example64.model")).model
+    assert any(isinstance(fit, NotAffine) for fit in example64.boundary_fits)
+    assert rz.check_const_mod_k(example64) is False
+    failed = rz.check_thm_main2(example64).by_name("sigma-affine-parallel")
+    assert any(not c.ok and "max residual" in c.detail for c in failed)
 
 
 @pytest.mark.parametrize("name", ["cir", "two_factor"])

@@ -333,6 +333,10 @@ def test_simulate_direct_rejections(grid, cir_model):
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     with pytest.raises(CflViolated):
         summarize_direct(cir_model, h0, SimConfig(0.1, 0.01, 1))
+    # S moves one node per step, so a step below dx is refused as well
+    with pytest.raises(CflViolated, match=r"^the direct oracle needs dt = dx; "
+                                          r"dt = 0.0025 is below dx = 0.005$"):
+        summarize_direct(cir_model, h0, SimConfig(0.1, 0.0025, 1))
     with pytest.raises(NotInInitialSet):
         summarize_direct(cir_model, -h0, SimConfig(0.1, 0.005, 1))
     # the recursion's forcing is the sqrt_ell amplitude's
@@ -455,31 +459,30 @@ def test_factored_oracle_matches_gathered_reference(grid, cir_model, case):
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=1)
     oracle = _factored_oracle(model, h0, cfg)
-    basis, ell_basis, ell_h0, tail = gathered_oracle(model, h0, oracle.shift, cfg.n_steps)
+    basis, ell_basis, ell_h0, tail = gathered_oracle(model, h0, cfg.n_steps)
     assert np.array_equal(oracle.basis, basis)
     assert np.array_equal(oracle.ell_basis, ell_basis)
     assert np.array_equal(oracle.ell_h0, ell_h0)
     assert np.array_equal(oracle.tail, tail)
-    assert np.array_equal(_shifted_basis(model, oracle.shift, cfg.n_steps, grid.dx),
-                          derivative(basis, grid))
+    assert np.array_equal(_shifted_basis(model, cfg.n_steps, grid.dx), derivative(basis, grid))
     if case == "held_point":
         # the highest shifts read the point from the held region
-        assert grid.index_of(9.9) + oracle.shift * (cfg.n_steps - 1) > grid.n - 1
+        assert grid.index_of(9.9) + cfg.n_steps - 1 > grid.n - 1
 
 
-@pytest.mark.parametrize("shift,n", [(2, 40), (7, 300)])
-def test_shifted_basis_matches_gathered_reference_at_wider_shifts(grid, cir_model, shift, n):
-    # the CFL check admits a shift of one node only; the windows take any
-    # shift, and at (7, 300) the last rows lie wholly in the held region
+def test_shifted_basis_matches_gathered_reference_past_the_grid():
+    # 30 one-node shifts on a grid of 21 nodes: the last rows lie wholly in
+    # the held region
+    grid, n = Grid(1.0, 0.05), 30
+    model = SquareRootModel.cir(grid, 0.1, 0.05)
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
-    basis, _, ell_h0, tail = gathered_oracle(cir_model, h0, shift, n)
-    assert np.array_equal(_shifted_basis(cir_model, shift, n), basis)
-    assert np.array_equal(_shifted_basis(cir_model, shift, n, grid.dx), derivative(basis, grid))
-    _, h0_rows = _held_windows(h0, shift, n)
-    assert np.array_equal(cir_model.ell(h0_rows), ell_h0)
+    basis, _, ell_h0, tail = gathered_oracle(model, h0, n)
+    assert np.array_equal(_shifted_basis(model, n), basis)
+    assert np.array_equal(_shifted_basis(model, n, grid.dx), derivative(basis, grid))
+    _, h0_rows = _held_windows(h0, n)
+    assert np.array_equal(model.ell(h0_rows), ell_h0)
     assert np.array_equal(h0_rows[n], tail)
-    if shift == 7:
-        assert np.ptp(basis[0]) == 0.0 and np.ptp(h0_rows[n]) == 0.0
+    assert n > grid.n and np.ptp(basis[0]) == 0.0 and np.ptp(h0_rows[n]) == 0.0
 
 
 def _sim_inputs(grid, model, n_paths, scale=1.0):
