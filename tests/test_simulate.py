@@ -470,19 +470,27 @@ def test_factored_oracle_matches_gathered_reference(grid, cir_model, case):
         assert grid.index_of(9.9) + cfg.n_steps - 1 > grid.n - 1
 
 
-def test_shifted_basis_matches_gathered_reference_past_the_grid():
-    # 30 one-node shifts on a grid of 21 nodes: the last rows lie wholly in
-    # the held region
-    grid, n = Grid(1.0, 0.05), 30
-    model = SquareRootModel.cir(grid, 0.1, 0.05)
-    h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
+@pytest.mark.parametrize("shift,n", [(2, 40), (7, 300)])
+def test_shifted_basis_matches_gathered_reference_at_wider_shifts(grid, shift, n):
+    # S moves one node per step, so a shift of `shift` nodes of the fixture
+    # grid is one step on a grid `shift` times coarser (201 nodes here); at
+    # (7, 300) the last rows lie wholly in the held region
+    coarse = Grid(200 * shift * grid.dx, shift * grid.dx)
+    model = SquareRootModel.cir(coarse, 0.1, 0.05)
+    fine_h0 = (0.02 + 0.01 * grid.x * np.exp(-grid.x))[:200 * shift + 1]
+    h0 = fine_h0[::shift]
+    # each coarse window is every shift-th node of every shift-th fine window
+    assert np.array_equal(_held_windows(h0, n)[1],
+                          _held_windows(fine_h0, shift * n)[1][::shift, ::shift])
     basis, _, ell_h0, tail = gathered_oracle(model, h0, n)
     assert np.array_equal(_shifted_basis(model, n), basis)
-    assert np.array_equal(_shifted_basis(model, n, grid.dx), derivative(basis, grid))
+    assert np.array_equal(_shifted_basis(model, n, coarse.dx), derivative(basis, coarse))
     _, h0_rows = _held_windows(h0, n)
     assert np.array_equal(model.ell(h0_rows), ell_h0)
     assert np.array_equal(h0_rows[n], tail)
-    assert n > grid.n and np.ptp(basis[0]) == 0.0 and np.ptp(h0_rows[n]) == 0.0
+    assert (n > coarse.n) == (shift == 7)
+    if shift == 7:
+        assert np.ptp(basis[0]) == 0.0 and np.ptp(h0_rows[n]) == 0.0
 
 
 def _sim_inputs(grid, model, n_paths, scale=1.0):
