@@ -256,19 +256,9 @@ def cmd_simulate(args) -> int:
     tables = {}   # CSV artifacts: name -> (header, rows)
     stats = {}    # direct_stats.csv: key -> value
 
-    # every numeric stage, each checking h0 itself, runs before the first write
-    foliation = None
-    if args.mode in ("fdr", "both"):
-        foliation = evolve_psi(model, h0, config)
-        paths = simulate_state(model, foliation, config)
-        arrays["psi.npy"] = foliation.psi
-        arrays["paths.npy"] = paths
-        fdr_phis = fdr_phi_values(foliation, paths, model, spec.weight)
-        tables["fdr_phis.csv"] = _phi_table(fdr_phis)
-        # the mean of r_T = psi(T) + X_T lam, without the (n_paths, n_x) ensemble
-        mean_curve = foliation.psi[-1] + paths[:, -1].mean() * model.lam
-        tables["fdr_mean_curve.csv"] = "x,value", np.column_stack([x, mean_curve])
-
+    # every numeric stage, each checking h0 itself, runs before the first write;
+    # the oracle needs only psi(T), so its buffers go before the paths array exists
+    foliation = evolve_psi(model, h0, config) if args.mode != "direct" else None
     if args.mode in ("direct", "both"):
         run = summarize_direct(model, h0, config, spec.weight,
                                None if foliation is None else foliation.psi[-1])
@@ -277,6 +267,16 @@ def cmd_simulate(args) -> int:
         stats = {"min_ell": run.min_ell,
                  "negative_short_rate": float(run.negative_short_rate),
                  "foliation_residual": run.foliation_residual}
+
+    if foliation is not None:
+        paths = simulate_state(model, foliation, config)
+        arrays["psi.npy"] = foliation.psi
+        arrays["paths.npy"] = paths
+        fdr_phis = fdr_phi_values(foliation, paths, model, spec.weight)
+        tables["fdr_phis.csv"] = _phi_table(fdr_phis)
+        # the mean of r_T = psi(T) + X_T lam, without the (n_paths, n_x) ensemble
+        mean_curve = foliation.psi[-1] + paths[:, -1].mean() * model.lam
+        tables["fdr_mean_curve.csv"] = "x,value", np.column_stack([x, mean_curve])
 
     os.makedirs(args.out_dir, exist_ok=True)
     for name, values in arrays.items():

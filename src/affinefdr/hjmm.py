@@ -171,13 +171,16 @@ class SquareRootModel:
                 raise ConstraintViolated(f"{key} must be nonnegative")
         if rho == 0 and gamma == 0:
             raise ConstraintViolated("rho and gamma cannot both vanish")
-        lam = _read_only(riccati_small(grid.x, rho, gamma))
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
+            lam, lam_cap = (_read_only(f(grid.x, rho, gamma))
+                            for f in (riccati_small, riccati_capital))
+        if not np.isfinite([lam, lam_cap]).all():
+            raise ConstraintViolated(f"rho = {rho:g} and gamma = {gamma:g} overflow lam and Lam")
         if abs(ell(lam) - 1.0) > 1e-8:
             raise ConstraintViolated("functional must normalize lam to 1")
         split = ker_ell_split(grid, ell, lam)
-        return cls(grid, ell, rho, lam, _read_only(riccati_capital(grid.x, rho, gamma)),
-                   split, tuple(default_boundary_samples(grid, split, n_samples)),
-                   span_tol=span_tol)
+        return cls(grid, ell, rho, lam, lam_cap, split,
+                   tuple(default_boundary_samples(grid, split, n_samples)), span_tol=span_tol)
 
     @classmethod
     def two_factor(cls, grid: Grid, rho: float = 0.0, gamma: float = 1.0,
@@ -192,11 +195,15 @@ class SquareRootModel:
         """
         if gamma <= 0:
             raise ConstraintViolated("gamma must be positive")
-        x1 = round(np.log(2.0) / gamma / grid.dx) * grid.dx  # snap to the grid
-        if x1 == 0:
+        node = round(np.log(2.0) / gamma / grid.dx)   # x1 snapped to the grid
+        x1 = node * grid.dx
+        if node == 0:
             # the two points coincide, and the 2x2 system is singular
             raise ConstraintViolated(f"gamma = {gamma:g} snaps x1 = ln 2 / gamma to node 0 "
                                      f"at dx = {grid.dx:g}")
+        if node >= grid.n:
+            raise ConstraintViolated(f"gamma = {gamma:g} puts x1 = ln 2 / gamma = {x1:g} "
+                                     f"past x_max = {grid.x_max:g}")
         l1 = np.exp(-gamma * x1)
         a = np.linalg.solve(np.array([[1.0, l1], [1.0, l1 * l1]]), np.array([1.0, 0.0]))
         ell = PointCombo.at(grid, (0.0, x1), (float(a[0]), float(a[1])))

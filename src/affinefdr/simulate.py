@@ -11,9 +11,9 @@ block of RECURSION_BLOCK paths and reduces each slice of PATH_BLOCK rows to
 its functionals, coefficient sum (for the mean curve), min ell and foliation
 residual, without the slice's curves.  With the realization's mean curve
 taken as psi(T) + mean(X_T) lam, simulate holds no (paths, grid) array.
-The time loops step on buffers allocated once per run (per block in the
-oracle) and keep the plain expressions' operations in their order, so their
-results are those expressions' bits.
+The time loops step on buffers allocated once per run, the oracle's one
+(2K, n_x) array among them, and keep the plain expressions' operations in
+their order, so their results are those expressions' bits.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def simulate_state(model: SquareRootModel, foliation: Foliation,
     _validate_coefficient_reduction(model, foliation)
     a = model.state_drift_slope
     normals = path_normals(config.seed, config.n_paths, n) if model.rho > 0 \
-        else np.zeros((config.n_paths, n))
+        else np.broadcast_to(np.zeros((config.n_paths, 1)), (config.n_paths, n))
     x = np.full(config.n_paths, float(foliation.x0))
     diffusion, work = np.empty((2, config.n_paths))
     values = np.empty((config.n_paths, n + 1))
@@ -320,10 +320,10 @@ def _held_windows(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return held, sliding_window_view(held, len(f))
 
 
-def _shifted_basis(model: SquareRootModel, n: int, dx: float | None = None):
-    """Rows S^(n-1) D, S^(n-1) L, ..., D, L with D = lam Lam and L = lam, or,
-    given dx, derivative(row) entry for entry from one stencil pass per curve."""
-    out = np.empty((2 * n, model.grid.n))
+def _shifted_basis(model: SquareRootModel, n: int, dx: float | None = None, out=None):
+    """Rows S^(n-1) D, S^(n-1) L, ..., D, L with D = lam Lam and L = lam, or, given
+    dx, derivative(row) entry for entry from one stencil pass per curve; into out."""
+    out = np.empty((2 * n, model.grid.n)) if out is None else out
     # from the end back, each curve's rows take S^0, S^1, ...
     for rows, f in ((out[-2::-2], model.lam * model.lam_capital), (out[::-2], model.lam)):
         held, windows = _held_windows(f, n - 1)
@@ -339,15 +339,17 @@ def _oracle_blocks(model: SquareRootModel, oracle: _FactoredOracle, config: SimC
     """Run the recursion over blocks of RECURSION_BLOCK paths.
 
     Yields (first path, coefficient rows (m, 2K), ell(r_K) (m,), min ell(r_k)
-    of the block) per PATH_BLOCK slice; a block scales its slice of the normals.
+    of the block) per PATH_BLOCK slice.  Every block refills one coefficient
+    buffer, so a yielded slice is valid only until the generator advances.
     """
     n, dt, rho = config.n_steps, config.dt, model.rho
-    normals = path_normals(config.seed, config.n_paths, n) if rho > 0 else None
+    normals = path_normals(config.seed, config.n_paths, n) if rho > 0 \
+        else np.broadcast_to(np.zeros((config.n_paths, 1)), (config.n_paths, n))
+    # (a_j, b_j) per path and step; step k reads only the columns below k
+    buf = np.empty((min(RECURSION_BLOCK, config.n_paths), n, 2))
     for s in range(0, config.n_paths, RECURSION_BLOCK):
-        m = min(RECURSION_BLOCK, config.n_paths - s)
-        noise = normals[s:s + m] * np.sqrt(dt) if rho > 0 else np.zeros((m, n))
-        # fresh per block, as the slices yielded below view them
-        coef = np.zeros((m, n, 2))   # (a_j, b_j) per path and step
+        coef = buf[:config.n_paths - s]
+        m = len(coef)
         ell_r, mag, amp = np.empty((3, m))
         min_ell = np.inf
         for k in range(n + 1):
@@ -355,11 +357,12 @@ def _oracle_blocks(model: SquareRootModel, oracle: _FactoredOracle, config: SimC
             ell_r += oracle.ell_h0[k]
             min_ell = min(min_ell, float(ell_r.min()))
             if k < n:
-                # a_k = rho^2 |ell| dt and b_k = rho sqrt|ell| dW_k
+                # a_k = rho^2 |ell| dt and b_k = rho sqrt|ell| (dW_k sqrt(dt))
                 np.abs(ell_r, out=mag)
                 np.sqrt(mag, out=amp)
                 amp *= rho
-                np.multiply(amp, noise[:, k], out=coef[:, k, 1])
+                np.multiply(normals[s:s + m, k], np.sqrt(dt), out=coef[:, k, 1])
+                coef[:, k, 1] *= amp
                 mag *= rho ** 2
                 np.multiply(mag, dt, out=coef[:, k, 0])
         for t in range(0, m, PATH_BLOCK):
@@ -411,51 +414,56 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     built only when its max|r| bound exceeds 1; the normalizer stays exact.
     """
     oracle = _factored_oracle(model, h0, config)
-    grid = model.grid
+    grid, basis = model.grid, oracle.basis
+    nodes = [0, grid.index_of(1.0)]   # r(0) for hw_norm, and eval_at_1
+    cols = basis[:, nodes]
+    # the basis's memory then holds its projection, its scaled derivative and itself again
+    if psi is not None:
+        # max|r| of a block is at most tail_sup + max_p |coef_p| @ row_sup
+        row_sup = np.maximum(basis.max(axis=1), -basis.min(axis=1))
+        tail_sup = float(np.abs(oracle.tail).max())
+        # |P(coef @ basis + tail - psi)|^2 with P the projection orthogonal
+        # to lam, as a quadratic form in coef like the hw_norm integral
+        u = model.lam / np.linalg.norm(model.lam)
+        for row, v in zip(basis, basis @ u):
+            row -= v * u
+        e = oracle.tail - psi
+        e -= (e @ u) * u
+        res_gram, res_cross, res_const = basis @ basis.T, 2.0 * (basis @ e), float(e @ e)
     # trapezoid of r'^2 w with r' = coef @ basis' + tail'
     q = weight.values(grid) * grid.dx
     q[[0, -1]] /= 2.0
     # the Gram of w = sqrt(q) basis' is the symmetric product w w^T, whose
-    # sums do not depend on the BLAS thread count; w's memory then holds the
-    # projected basis, so at most two (2K, n_x) arrays are live
-    w = _shifted_basis(model, config.n_steps, grid.dx)
+    # sums do not depend on the BLAS thread count
+    w = _shifted_basis(model, config.n_steps, grid.dx, out=basis)
     d_tail = derivative(oracle.tail, grid)
     cross, const = 2.0 * (w @ (q * d_tail)), float(d_tail @ (q * d_tail))
     w *= np.sqrt(q)
     gram = w @ w.T
-    nodes = [0, grid.index_of(1.0)]   # r(0) for hw_norm, and eval_at_1
-    cols = oracle.basis[:, nodes]
-    if psi is not None:
-        # |P(coef @ basis + tail - psi)|^2 with P the projection orthogonal
-        # to lam, as a quadratic form in coef like the hw_norm integral
-        u = model.lam / np.linalg.norm(model.lam)
-        np.outer(oracle.basis @ u, u, out=w)
-        np.subtract(oracle.basis, w, out=w)
-        e = oracle.tail - psi
-        e -= (e @ u) * u
-        res_gram, res_cross, res_const = w @ w.T, 2.0 * (w @ e), float(e @ e)
-        # max|r| of a block is at most tail_sup + max_p |coef_p| @ row_sup
-        row_sup = np.abs(oracle.basis, out=w).max(axis=1)
-        tail_sup = float(np.abs(oracle.tail).max())
-    del w
+    _shifted_basis(model, config.n_steps, out=basis)
 
     ell, at1, norms = (np.empty(config.n_paths) for _ in range(3))
-    coef_sum = np.zeros(len(oracle.basis))
+    coef_sum = np.zeros(len(basis))
+    # a slice's quadratic forms and |coef| bound run in one work array
+    work = np.empty((PATH_BLOCK, len(basis)))
     min_ell, worst_sq, peak = np.inf, 0.0, 0.0
     for s, coef, ell_r, block_min in _oracle_blocks(model, oracle, config):
-        block = slice(s, s + len(coef))
+        block, tmp = slice(s, s + len(coef)), work[:len(coef)]
         ell[block] = ell_r
         head, at1[block] = (coef @ cols + oracle.tail[nodes]).T   # r(0), r(1)
-        norms[block] = np.sqrt(head ** 2 + np.einsum("pi,pi->p", coef @ gram + cross, coef)
-                               + const)
+        np.matmul(coef, gram, out=tmp)
+        tmp += cross
+        norms[block] = np.sqrt(head ** 2 + np.einsum("pi,pi->p", tmp, coef) + const)
         coef_sum += coef.sum(axis=0)
         min_ell = min(min_ell, block_min)
         if psi is not None:
-            dist_sq = np.einsum("pi,pi->p", coef @ res_gram + res_cross, coef) + res_const
+            np.matmul(coef, res_gram, out=tmp)
+            tmp += res_cross
+            dist_sq = np.einsum("pi,pi->p", tmp, coef) + res_const
             # starting from 0, this also clamps a square that rounding made negative
             worst_sq = max(worst_sq, float(dist_sq.max()))
             # the normalizer max(1, peak) needs max|r| only where it may exceed 1
-            if tail_sup + float((np.abs(coef) @ row_sup).max()) > 1.0:
+            if tail_sup + float((np.abs(coef, out=tmp) @ row_sup).max()) > 1.0:
                 peak = max(peak, float(np.abs(oracle.curves(coef)).max()))
     return DirectSummary(
         phis={"ell": ell, "eval_at_1": at1, "hw_norm": norms},

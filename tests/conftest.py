@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,17 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 # and turn warnings into errors, as pytest does in process
 os.environ["PYTHONWARNINGS"] = "error"
+
+
+def traced_peak(fn) -> int:
+    """The peak of the bytes traced by tracemalloc, numpy buffers included,
+    while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

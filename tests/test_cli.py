@@ -7,7 +7,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -21,6 +20,8 @@ from affinefdr.hjmm import SquareRootModel, riccati_capital, riccati_small
 from affinefdr.modelfile import parse_model_file
 from affinefdr.simulate import (evolve_psi, fdr_phi_values, simulate_state,
                                 summarize_direct)
+
+from conftest import traced_peak
 
 MODELS = resources.files("affinefdr") / "models"
 DATA = Path(__file__).parent / "data"
@@ -422,7 +423,8 @@ def test_check_two_factor_point_past_grid_end(tmp_path):
     far.write_text(text)
     res = run_cli("check", str(far))
     assert res.returncode == 2
-    assert res.stderr == "error: point 13.865 lies outside [0, 10]\n"
+    assert res.stderr == ("error: [model] gamma = 0.05 puts x1 = ln 2 / gamma = 13.865 "
+                          "past x_max = 10\n")
 
 
 @pytest.mark.parametrize("check_section", ["", "\n[check]\nspan_tol = 1e-5\n"],
@@ -490,12 +492,15 @@ def test_check_rejects_expression_beyond_arithmetic(tmp_path, expr):
     ("two_factor", "gamma = 1.0", "gamma = 1000", "[model] gamma"),
     ("cir", "weight_alpha = 4", "weight_alpha = 400", "[space] weight_alpha"),
     ("cir", "gamma = 0.05", "gamma = -1", "[model] gamma"),
+    # warnings are errors here, so these overflows are refused before numpy warns
+    ("cir", "gamma = 0.05", "gamma = 1e200", "[model] rho = 0.1 and gamma = 1e+200 overflow"),
+    ("cir", "rho = 0.1", "rho = 1e160", "[model] rho = 1e+160 and gamma = 0.05 overflow"),
 ], ids=["samples-0", "samples-negative", "span-tol-nan", "alpha-nan", "dx-inf",
         "point-inf", "coeff-nan", "max-dim-0", "max-dim-negative", "dt-inf", "dt-nan",
         "horizon-nan", "horizon-inf", "seed-negative", "seed-2**64", "cir-rho-nan",
         "cir-gamma-nan", "cir-gamma-inf", "two_factor-rho-nan", "two_factor-gamma-nan",
         "example64-rho-nan", "two_factor-gamma-past-dx", "alpha-overflow",
-        "cir-gamma-negative"])
+        "cir-gamma-negative", "cir-gamma-overflow", "cir-rho-overflow"])
 def test_check_rejects_out_of_range_model_values(tmp_path, capsys, name, old, new, where):
     text = (MODELS / f"{name}.model").read_text()
     assert old in text
@@ -558,13 +563,7 @@ def test_check_round_allocates_little(capsys):
         capsys.readouterr()
 
     check_round()
-    tracemalloc.start()
-    try:
-        check_round()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    assert traced_peak(check_round) < 2 * 2 ** 20
 
 
 def test_check_thm_main2_applies_a_to_the_basis_once(monkeypatch):

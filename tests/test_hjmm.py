@@ -148,6 +148,16 @@ def test_two_factor_functional_constraints(grid):
     assert float(model.ell(lam ** 2)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_presets_refuse_what_the_grid_cannot_hold(grid):
+    # warnings are errors here, so the overflow is refused before numpy warns
+    with pytest.raises(ConstraintViolated, match=r"^rho = 0.1 and gamma = 1e\+200 overflow"):
+        SquareRootModel.cir(grid, 0.1, 1e200)
+    with pytest.raises(ConstraintViolated, match=r"x1 = ln 2 / gamma = 13.865 past x_max = 10$"):
+        SquareRootModel.two_factor(grid, gamma=0.05)
+    # ln 2 / 0.0693 snaps to the last node
+    assert SquareRootModel.two_factor(grid, gamma=0.0693).ell.nodes[1] == grid.n - 1
+
+
 def test_two_factor_initial_set(grid):
     model = SquareRootModel.two_factor(grid, gamma=1.0)
     assert rz.maximal_initial_membership(np.full(grid.n, 0.5), model)[0]

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -17,7 +16,7 @@ from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, SCHEMES, Foliation,
                                 path_normals, simulate_state, summarize_direct,
                                 verify_invariance)
 
-from conftest import gathered_oracle
+from conftest import gathered_oracle, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +44,10 @@ def realized_curves(foliation, paths, model, step=-1):
 def direct_curves(model, h0, config):
     """The direct run's final curves, assembled block by block, and its min ell."""
     oracle = _factored_oracle(model, h0, config)
-    blocks = list(_oracle_blocks(model, oracle, config))
-    return (np.vstack([oracle.curves(coef) for _, coef, _, _ in blocks]),
-            min(block_min for *_, block_min in blocks))
+    # a yielded slice is valid only until the generator advances
+    curves, mins = zip(*((oracle.curves(coef), block_min)
+                         for _, coef, _, block_min in _oracle_blocks(model, oracle, config)))
+    return np.vstack(curves), min(mins)
 
 
 def ensemble_phis(curves, model, weight=Weight()):
@@ -559,29 +559,43 @@ def test_a_paths_outputs_do_not_depend_on_the_path_count(grid, cir_model):
         assert all(np.array_equal(a, b) for a, b in zip(heads[0], head))
 
 
-def test_summarize_direct_holds_two_basis_sized_arrays(grid, cir_model):
-    # the basis and one work array that holds its scaled derivative, then its
-    # projection; a run draws its normals once for both simulators, so they
-    # are drawn before tracing
-    n_paths = 2000
+@pytest.mark.parametrize("n_paths", [2000, 20000])
+def test_summarize_direct_holds_one_basis_sized_array(grid, cir_model, n_paths):
+    # the basis array, whose memory also holds its projection and scaled
+    # derivative, one coefficient buffer for every block and one slice work
+    # array; a run draws its normals once for both simulators, so they are
+    # drawn before tracing
     h0, cfg, psi = _sim_inputs(grid, cir_model, n_paths)
     path_normals(cfg.seed, n_paths, cfg.n_steps)
-    tracemalloc.start()
-    try:
-        summarize_direct(cir_model, h0, cfg, Weight(), psi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.75 * (2 * cfg.n_steps * grid.n * 8)
+    peak = traced_peak(lambda: summarize_direct(cir_model, h0, cfg, Weight(), psi))
+    assert peak < 2.1 * (2 * cfg.n_steps * grid.n * 8)
 
 
 def test_summarize_direct_holds_no_ensemble(grid, cir_model):
     n_paths = 2001
     h0, cfg, psi = _sim_inputs(grid, cir_model, n_paths)
-    tracemalloc.start()
-    try:
-        summarize_direct(cir_model, h0, cfg, Weight(), psi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: summarize_direct(cir_model, h0, cfg, Weight(), psi))
     assert peak < 0.5 * n_paths * grid.n * 8
+
+
+def test_simulate_state_without_noise_holds_no_normals_array(grid):
+    # rho = 0 steps one zero column, not a (paths, steps) array of zeros
+    det = SquareRootModel.cir(grid, 0.0, 0.3)
+    h0 = 0.01 * grid.x * np.exp(-grid.x) + 0.02 * det.lam
+    cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=20000)
+    fol = evolve_psi(det, h0, cfg)
+    peak = traced_peak(lambda: simulate_state(det, fol, cfg))
+    assert peak < 1.2 * (cfg.n_paths * (cfg.n_steps + 1) * 8)
+
+
+def test_direct_run_without_noise_reuses_its_buffers_across_blocks(grid):
+    # rho = 0 makes every path the one-path run; two blocks refill one buffer
+    det = SquareRootModel.cir(grid, 0.0, 0.3)
+    h0 = 0.01 * grid.x * np.exp(-grid.x) + 0.02 * det.lam
+    one, many = (SimConfig(horizon=0.5, dt=0.005, n_paths=n) for n in (1, RECURSION_BLOCK + 1))
+    psi = evolve_psi(det, h0, one).psi[-1]
+    ref, run = (summarize_direct(det, h0, cfg, Weight(), psi) for cfg in (one, many))
+    for name, values in run.phis.items():
+        assert np.array_equal(values, np.full(many.n_paths, ref.phis[name][0])), name
+    assert np.array_equal(run.mean_curve, ref.mean_curve)
+    assert (run.min_ell, run.foliation_residual) == (ref.min_ell, ref.foliation_residual)
