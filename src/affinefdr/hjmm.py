@@ -4,11 +4,11 @@ A model with an affine realization is fixed by a cone-plus-subspace state
 space V with its split V (+) G, a functional ell and a volatility
 sigma(h) = amp(h) lam with amp(h)^2 = rho^2 |ell(h)| or rho^2.
 SquareRootModel holds that description and is what every checker takes;
-SquareRootModel.cir and SquareRootModel.two_factor build the bundled kinds.
+a model file builds it from its [cone], [subspace], ell and vol_curve.
 
-In the cir model lam solves the pre-Riccati equation
-lam' + rho^2 lam Lam + gamma lam = 0 and Lam is its primitive, the solution
-of the scalar Riccati equation
+The volatility of the bundled cir model is the Riccati curve lam: it solves
+the pre-Riccati equation lam' + rho^2 lam Lam + gamma lam = 0, and Lam is
+its primitive, the solution of the scalar Riccati equation
 
     Lam' + (rho^2 / 2) Lam^2 + gamma Lam = 1,   Lam(0) = 0.
 
@@ -26,8 +26,8 @@ import numpy as np
 
 from . import realization as rz
 from .cones import ConeBasis, SplitSpace, StateBasis, orthogonal_split
-from .curves import SHORT_END, Grid, PointCombo, derivative, primitive
-from .errors import AffineFdrError, ConstraintViolated, NotInV
+from .curves import Grid, PointCombo, derivative, primitive
+from .errors import AffineFdrError, NotInV
 
 
 def riccati_capital(x, rho: float, gamma: float) -> np.ndarray:
@@ -86,31 +86,23 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def shape_boundary_samples(grid: Grid, split: SplitSpace, n: int) -> list[np.ndarray]:
-    """The first n of x e^-x, sin(x) e^-x/2 and x e^-2x, scaled by 0.05, in G."""
-    x = grid.x
-    shapes = [x * np.exp(-x), np.sin(x) * np.exp(-0.5 * x), x * np.exp(-2.0 * x)]
-    return [split.project_g(0.05 * s) for s in shapes[:n]]
-
-
 def default_boundary_samples(grid: Grid, split: SplitSpace, n: int = 6) -> list[np.ndarray]:
     """n smooth curves in G = ker ell whose short-end drift points inward.
 
     Every shape vanishes at x = 0 with strictly positive slope, so positive
-    combinations stay strictly inside the boundary-drift condition; beyond
-    the named shapes, random positive mixtures are drawn from seed 7.
+    combinations stay strictly inside the boundary-drift condition.  The
+    first n of x e^(-a x) and sin(b x) e^(-x) are built; beyond those named
+    shapes, random positive mixtures of all of them are drawn from seed 7.
     """
     x = grid.x
-    shapes = np.array([x * np.exp(-a * x) for a in (0.5, 1.0, 1.5, 2.0, 3.0)]
-                      + [np.sin(b * x) * np.exp(-x) for b in (0.5, 1.0, 2.0)])
-    # made only for a mixture: importing numpy.random costs about 10 ms
-    rng = np.random.default_rng(7) if n > len(shapes) else None
-    out = []
-    for i in range(n):
-        s = shapes[i] if i < len(shapes) else \
-            rng.uniform(0.2, 1.0, size=len(shapes)) @ shapes
-        out.append(split.project_g(0.05 * s / max(1.0, float(np.abs(s).max()))))
-    return out
+    shapes = [x * np.exp(-a * x) for a in (0.5, 1.0, 1.5, 2.0, 3.0)[:n]]
+    shapes += [np.sin(b * x) * np.exp(-x) for b in (0.5, 1.0, 2.0)[:n - len(shapes)]]
+    if n > len(shapes):
+        # imported only for a mixture: importing numpy.random costs about 10 ms
+        rng, table = np.random.default_rng(7), np.array(shapes)
+        shapes += [rng.uniform(0.2, 1.0, size=len(table)) @ table
+                   for _ in range(n - len(table))]
+    return [split.project_g(0.05 * s / max(1.0, float(np.abs(s).max()))) for s in shapes]
 
 
 def ker_ell_split(grid: Grid, ell: PointCombo, cone, subspace=()) -> SplitSpace:
@@ -134,10 +126,11 @@ class SquareRootModel:
     """Volatility sigma(h) = amp(h) lam on the state space of split.
 
     amp(h)^2 is rho^2 |ell(h)| for amplitude "sqrt_ell" and rho^2 for
-    "const"; lam_capital is the primitive of lam.  rho = 0 is accepted and
-    degenerates to a deterministic state process.  span_tol is the relative
-    residual band for "lies in span V", limited by the second-order boundary
-    stencils.  Raises NotInV when lam does not lie in the state space.
+    "const"; lam_capital is the primitive of lam, and both are made
+    read-only.  rho = 0 is accepted and degenerates to a deterministic state
+    process.  span_tol is the relative residual band for "lies in span V",
+    limited by the second-order boundary stencils.  Raises NotInV when lam
+    does not lie in the state space.
 
     The squared volatility is sigma^2(h) = amp_sq(h) cc, with the read-only
     cc = c c^T and c the state coordinates of lam.  The drift image
@@ -160,57 +153,9 @@ class SquareRootModel:
         coef, resid = self.split.v_basis.fit(self.lam)
         if np.linalg.norm(resid) > 1e-6 * max(1.0, np.linalg.norm(self.lam)):
             raise NotInV("volatility curve does not lie in the state space")
+        _read_only(self.lam)
+        _read_only(self.lam_capital)
         object.__setattr__(self, "cc", _read_only(np.outer(coef, coef)))
-
-    @classmethod
-    def cir(cls, grid: Grid, rho: float, gamma: float, ell: PointCombo = SHORT_END,
-            n_samples: int = 6, span_tol: float = 1e-5) -> SquareRootModel:
-        """The Riccati model on V = <lam>+ with G = ker ell and n default samples."""
-        for key, value in (("rho", rho), ("gamma", gamma)):
-            if value < 0:
-                raise ConstraintViolated(f"{key} must be nonnegative")
-        if rho == 0 and gamma == 0:
-            raise ConstraintViolated("rho and gamma cannot both vanish")
-        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
-            lam, lam_cap = (_read_only(f(grid.x, rho, gamma))
-                            for f in (riccati_small, riccati_capital))
-        if not np.isfinite([lam, lam_cap]).all():
-            raise ConstraintViolated(f"rho = {rho:g} and gamma = {gamma:g} overflow lam and Lam")
-        if abs(ell(lam) - 1.0) > 1e-8:
-            raise ConstraintViolated("functional must normalize lam to 1")
-        split = ker_ell_split(grid, ell, lam)
-        return cls(grid, ell, rho, lam, lam_cap, split,
-                   tuple(default_boundary_samples(grid, split, n_samples)), span_tol=span_tol)
-
-    @classmethod
-    def two_factor(cls, grid: Grid, rho: float = 0.0, gamma: float = 1.0,
-                   span_tol: float = 1e-5) -> SquareRootModel:
-        """The model on V = <lam>+ (+) <lam^2> with lam = exp(-gamma x).
-
-        The functional is a two-point combination at 0 and x1 = ln 2 / gamma,
-        snapped to the grid, with ell(lam) = 1 and ell(lam^2) = 0; with
-        gamma = 1 its coefficients are a = -1 at 0 and b = 4 at x1.  The
-        volatility loads the cone coordinate only and vanishes on the
-        boundary leaves.
-        """
-        if gamma <= 0:
-            raise ConstraintViolated("gamma must be positive")
-        node = round(np.log(2.0) / gamma / grid.dx)   # x1 snapped to the grid
-        x1 = node * grid.dx
-        if node == 0:
-            # the two points coincide, and the 2x2 system is singular
-            raise ConstraintViolated(f"gamma = {gamma:g} snaps x1 = ln 2 / gamma to node 0 "
-                                     f"at dx = {grid.dx:g}")
-        if node >= grid.n:
-            raise ConstraintViolated(f"gamma = {gamma:g} puts x1 = ln 2 / gamma = {x1:g} "
-                                     f"past x_max = {grid.x_max:g}")
-        l1 = np.exp(-gamma * x1)
-        a = np.linalg.solve(np.array([[1.0, l1], [1.0, l1 * l1]]), np.array([1.0, 0.0]))
-        ell = PointCombo.at(grid, (0.0, x1), (float(a[0]), float(a[1])))
-        lam = np.exp(-gamma * grid.x)
-        split = ker_ell_split(grid, ell, lam, subspace=(lam * lam,))
-        return cls(grid, ell, rho, lam, primitive(lam, grid), split,
-                   tuple(shape_boundary_samples(grid, split, 2)), span_tol=span_tol)
 
     @functools.cached_property
     def state_drift_slope(self) -> float:
@@ -253,7 +198,9 @@ class SquareRootModel:
             try:
                 fits.append(rz.fit_boundary_square_vol(self, g))
             except AffineFdrError as exc:
-                fits.append(exc)
+                # without its traceback, whose frames hold this list, the
+                # error is freed with the model and not by the cycle collector
+                fits.append(exc.with_traceback(None))
         return fits
 
     @property

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SHORT_END, Grid, PointCombo, Weight, primitive
-from .errors import AffineFdrError, ConstraintViolated, ModelFileError, NotInV
-from .hjmm import SquareRootModel, ker_ell_split, shape_boundary_samples
+from .errors import AffineFdrError, ModelFileError, NotInV
+from .hjmm import SquareRootModel, default_boundary_samples, ker_ell_split, riccati_small
 from .simulate import SimConfig
 
 _EXPR_NAMES = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
     "cos": np.cos, "tanh": np.tanh, "abs": np.abs, "pi": np.pi, "e": np.e,
+    "riccati": riccati_small,
 }
 
 
@@ -35,12 +36,14 @@ def eval_curve(expr: str, grid: Grid, params: dict[str, float],
                where: str = "curve") -> np.ndarray:
     """Evaluate a closed-form curve expression on the grid.
 
-    The namespace contains x, the model parameters, and a small set of
-    numpy functions; builtins are disabled.  The expression may hold only
+    The namespace contains x, the model parameters, a small set of numpy
+    functions and riccati(x, rho, gamma), the Riccati curve lam of
+    hjmm.riccati_small; builtins are disabled.  The expression may hold only
     int and float constants, those names, the operators + - * / ** and
     calls of those functions with positional arguments; anything else is
-    rejected before evaluation.  Every constant is evaluated as a float, so
-    no integer power is computed exactly and an overflow is an error.
+    rejected, in one walk of the syntax tree, before evaluation.  Every
+    constant is evaluated as a float, so no integer power is computed
+    exactly and an overflow is an error.
     """
     ns = dict(_EXPR_NAMES)
     ns.update(params)
@@ -50,15 +53,13 @@ def eval_curve(expr: str, grid: Grid, params: dict[str, float],
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and type(node.value) in (int, float):
                 node.value = float(node.value)
+            elif not (isinstance(node, _EXPR_NODES)
+                      or isinstance(node, ast.Name) and node.id in ns
+                      or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords):
+                raise ModelFileError(f"{where}: {type(node).__name__} is not allowed in {expr!r}")
     except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
         raise ModelFileError(f"{where}: cannot parse {expr!r}: {exc}") from exc
-    for node in ast.walk(tree):
-        if not (isinstance(node, _EXPR_NODES)
-                or isinstance(node, ast.Constant) and type(node.value) is float
-                or isinstance(node, ast.Name) and node.id in ns
-                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords):
-            raise ModelFileError(f"{where}: {type(node).__name__} is not allowed in {expr!r}")
     try:
         with np.errstate(all="ignore"):
             values = eval(compile(tree, "<curve>", "eval"),  # noqa: S307
@@ -100,7 +101,7 @@ def _parse_ell(spec: str, grid: Grid) -> PointCombo:
     raise ModelFileError(f"[model] ell: unknown spec {spec!r}")
 
 
-KINDS = ("cir", "two_factor", "linear", "custom")
+KINDS = ("linear", "custom")
 # the keys some kind reads, per section; None: the section names its curves freely
 _SECTION_KEYS = {
     "space": ("x_max", "dx", "weight_alpha"),
@@ -110,20 +111,14 @@ _SECTION_KEYS = {
     "cone": None,
     "subspace": None,
 }
-# the keys a preset kind builds itself, per section; None: every key of the section
-_PRESET_KEYS = {
-    "cir": {"model": ("vol_amplitude", "vol_curve"), "cone": None, "subspace": None},
-    "two_factor": {"model": ("ell", "vol_amplitude", "vol_curve"), "cone": None,
-                   "subspace": None, "check": ("boundary_samples",)},
-}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Parsed and validated content of a model file.
 
-    model is the square-root model of a cir, two_factor or custom file, built
-    once at parse, and None for linear; max_dim is [check] max_dim.
+    model is the square-root model of a custom file, built once at parse,
+    and None for linear; max_dim is [check] max_dim.
     """
 
     kind: str
@@ -184,25 +179,29 @@ def parse_model_text(text: str) -> ModelSpec:
     kind = _get(cfg, "model", "kind", str, required=True).strip()
     if kind not in KINDS:
         raise ModelFileError(f"[model] kind must be one of {KINDS}, got {kind!r}")
-    for section, keys in _PRESET_KEYS.get(kind, {}).items():
-        for key in cfg.options(section) if cfg.has_section(section) else ():
-            if keys is None or key in keys:
-                raise ModelFileError(f"[{section}] {key}: kind {kind!r} builds this itself")
     rho = _get(cfg, "model", "rho", float, 0.0)
     gamma = _get(cfg, "model", "gamma", float, 0.0)
     params = {"rho": rho, "gamma": gamma}
     for key, value in params.items():
         if not np.isfinite(value):
             raise ModelFileError(f"[model] {key} must be finite")
+    if rho < 0:
+        raise ModelFileError("[model] rho must be nonnegative")
     ell_spec = _get(cfg, "model", "ell", str, "short_end")
     ell = _parse_ell(ell_spec, grid)
+
+    curves = {}   # expression text -> its curve: each text is evaluated once
+
+    def curve(section: str, key: str) -> np.ndarray:
+        expr = cfg.get(section, key)
+        if expr not in curves:
+            curves[expr] = eval_curve(expr, grid, params, where=f"[{section}] {key}")
+        return curves[expr]
 
     def section_curves(section: str) -> tuple[np.ndarray, ...]:
         if not cfg.has_section(section):
             return ()
-        return tuple(eval_curve(cfg.get(section, key), grid, params,
-                                where=f"[{section}] {key}")
-                     for key in sorted(cfg.options(section)))
+        return tuple(curve(section, key) for key in sorted(cfg.options(section)))
 
     cone_curves = section_curves("cone")
     subspace_curves = section_curves("subspace")
@@ -210,12 +209,9 @@ def parse_model_text(text: str) -> ModelSpec:
     vol_amp = _get(cfg, "model", "vol_amplitude", str, "sqrt_ell").strip()
     if vol_amp not in ("sqrt_ell", "const"):
         raise ModelFileError(f"[model] vol_amplitude must be sqrt_ell or const, got {vol_amp!r}")
-    vol_curves = ()
-    if cfg.has_option("model", "vol_curve"):
-        vol_curves = (eval_curve(cfg.get("model", "vol_curve"), grid, params,
-                                 where="[model] vol_curve"),)
-    if kind in ("linear", "custom") and not vol_curves:
+    if not cfg.has_option("model", "vol_curve"):
         raise ModelFileError(f"[model] kind {kind!r} requires vol_curve")
+    vol_curves = (curve("model", "vol_curve"),)
 
     # every [check] default lives here, with or without the section
     n_samples = _get(cfg, "check", "boundary_samples", int, 6)
@@ -241,20 +237,11 @@ def parse_model_text(text: str) -> ModelSpec:
         except Exception as exc:
             raise ModelFileError(f"[sim]: {exc}") from exc
         if cfg.has_option("sim", "h0"):
-            h0 = eval_curve(cfg.get("sim", "h0"), grid, params, where="[sim] h0")
+            h0 = curve("sim", "h0")
 
-    # the square-root model: cir draws n = boundary_samples boundary samples
-    # and two_factor always 2; custom splits its [cone] and [subspace] curves
-    # by ker_ell_split and draws min(n, 3) shape samples
+    # the square-root model: the [cone] and [subspace] curves split by
+    # ker_ell_split, Lam the primitive of lam, and n = boundary_samples samples
     model = None
-    try:
-        if kind == "cir":
-            model = SquareRootModel.cir(grid, rho, gamma, ell, n_samples, span_tol)
-        elif kind == "two_factor":
-            model = SquareRootModel.two_factor(grid, rho, gamma, span_tol)
-    except ConstraintViolated as exc:
-        # each preset checks its own [model] values, in its constructor
-        raise ModelFileError(f"[model] {exc}") from exc
     if kind == "custom":
         try:
             split = ker_ell_split(grid, ell, cone_curves, subspace_curves)
@@ -263,7 +250,7 @@ def parse_model_text(text: str) -> ModelSpec:
         lam = vol_curves[0]
         try:
             model = SquareRootModel(grid, ell, rho, lam, primitive(lam, grid), split,
-                                    tuple(shape_boundary_samples(grid, split, n_samples)),
+                                    tuple(default_boundary_samples(grid, split, n_samples)),
                                     vol_amp, span_tol)
         except NotInV as exc:
             raise ModelFileError(f"[model] vol_curve: {exc}") from exc

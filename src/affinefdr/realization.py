@@ -117,10 +117,13 @@ def check_thm_main2(model: SquareRootModel) -> RealizabilityReport:
     results: list[ConditionResult] = []
     for idx, (g, fit) in enumerate(zip(model.boundary_samples, model.boundary_fits)):
         tag = f"g[{idx}]"
+        if isinstance(fit, AffineFdrError):
+            # reported, not raised: raising the model's stored error would
+            # tie it to this frame in a reference cycle
+            results.append(ConditionResult("sigma-affine-parallel", False, f"{tag}: {fit}"))
+            continue
+        s0, s = fit
         try:
-            if isinstance(fit, AffineFdrError):
-                raise fit
-            s0, s = fit
             par = adm.is_parallel(AffineSquareVol(s0 * model.cc, np.multiply.outer(s, model.cc)),
                                   basis, tol=MEMBERSHIP_TOL)
         except AffineFdrError as exc:

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -11,9 +12,11 @@ from affinefdr.cones import ConeBasis, StateBasis
 from affinefdr.curves import Grid, derivative
 from affinefdr.errors import DimensionMismatch
 from affinefdr.hjmm import SquareRootModel, default_boundary_samples, ker_ell_split
+from affinefdr.modelfile import parse_model_text
 
 # CLI subprocesses import the package from this checkout, installed or not
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
+MODELS = Path(_SRC) / "affinefdr" / "models"
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 # and turn warnings into errors, as pytest does in process
 os.environ["PYTHONWARNINGS"] = "error"
@@ -35,9 +38,24 @@ def grid():
     return Grid(10.0, 0.005)
 
 
+def model_text(name: str, **values) -> str:
+    """The text of the bundled NAME.model with each given `key = value` line
+    replaced, such as model_text("cir", rho=0.0, dx=0.01)."""
+    text = (MODELS / f"{name}.model").read_text(encoding="utf-8")
+    for key, value in values.items():
+        text, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert n == 1, f"{name}.model has {n} '{key} =' lines"
+    return text
+
+
+def bundled_model(name: str, **values) -> SquareRootModel:
+    """The square-root model of model_text(name, **values)."""
+    return parse_model_text(model_text(name, **values)).model
+
+
 @pytest.fixture(scope="session")
-def cir_model(grid):
-    return SquareRootModel.cir(grid, 0.1, 0.05)
+def cir_model():
+    return bundled_model("cir")
 
 
 def perturbed_cir_model(model, vol_curve, boundary_samples=None):

@@ -23,13 +23,13 @@ from affinefdr.admissibility import (AffineDrift, AffineSquareVol, VolMatrix,
 from affinefdr.cones import ConeBasis, StateBasis, cone_minus, edges, inner_v
 from affinefdr.curves import Grid, derivative
 from affinefdr.errors import DimensionExceeded
-from affinefdr.hjmm import (SquareRootModel, default_boundary_samples, hjm_drift,
+from affinefdr.hjmm import (default_boundary_samples, hjm_drift,
                             riccati_capital, riccati_small)
 from affinefdr.simulate import (SimConfig, evolve_psi, fdr_phi_values, simulate_state,
                                 summarize_direct, verify_invariance)
 
 from conftest import (admissible_drift_coeffs, brute_force_inward, brute_force_parallel,
-                      cir_membership, parallel_sqvol_coeffs, perturbed_cir_model,
+                      bundled_model, cir_membership, parallel_sqvol_coeffs, perturbed_cir_model,
                       random_state_basis, riccati_rk4, violate_drift_coeffs,
                       violate_sqvol_coeffs)
 
@@ -262,7 +262,7 @@ def test_criterion_08_exact_identities(grid, cir_model, big_run):
     ell_gap = float(np.abs(np.asarray(cir_model.ell(curves))
                            - paths[:, -1]).max())
     psi_gap = max(abs(float(cir_model.ell(p))) for p in foliation.psi)
-    det = SquareRootModel.cir(grid, 0.0, 0.05)
+    det = bundled_model("cir", rho=0.0)
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=1, seed=1)
     fol0 = evolve_psi(det, h0, cfg)
@@ -285,7 +285,7 @@ def test_criterion_09_quasi_exponential(grid):
         rz.quasi_exp_subspace(apply_a, [1.0 / (1.0 + grid.x)], max_dim=10)
     except DimensionExceeded:
         exceeded = True
-    model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
+    model = bundled_model("two_factor")
     seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)]
     a_sigma = rz.quasi_exp_subspace(apply_a, seeds)
     _, off_v = model.split.v_basis.fit(a_sigma.T)  # V = span(lam, lam^2)

@@ -134,24 +134,13 @@ def test_check_needs_a_grid_of_five_nodes(tmp_path, name, x_max, nodes):
         assert res.returncode == 0, res.stderr
 
 
-def test_check_two_factor_refuses_keys_its_preset_builds(tmp_path):
-    # the preset's ell, lam, V and 2 samples would be checked in their place
-    model = tmp_path / "tf.model"
-    model.write_text((MODELS / "two_factor.model").read_text().replace(
-        "gamma = 1.0", "gamma = 1.0\nell = short_end\nvol_curve = 5*x")
-        + "boundary_samples = 9\n\n[cone]\nc = x\n")
-    res = run_cli("check", str(model))
-    assert res.returncode == 2
-    assert res.stderr == "error: [model] ell: kind 'two_factor' builds this itself\n"
-
-
 def test_the_shared_parser_carries_no_state_between_calls(capsys):
     assert cli.build_parser() is cli.build_parser()
     cir = model_path("cir.model")
     assert cli.main(["check", cir, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["kind"] == "cir"
+    assert json.loads(capsys.readouterr().out)["kind"] == "custom"
     assert cli.main(["check", cir]) == 0
-    assert capsys.readouterr().out.startswith("model kind: cir\n")
+    assert capsys.readouterr().out.startswith("model kind: custom\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])
     assert exc.value.code == 2
@@ -313,75 +302,20 @@ def test_check_holds_the_benchmark_pins(capsys):
             assert leaf is value, (name, key)
 
 
-def riccati_expression():
-    """The Riccati lam as a model-file expression in x, rho and gamma."""
-    theta = "sqrt(gamma**2 + 2 * rho**2)"
-    e = f"(1 - exp(-{theta} * x))"
-    cap = f"(2 * {e} / (({theta} + gamma) * {e} + 2 * {theta} * exp(-{theta} * x)))"
-    return f"1 - rho**2 / 2 * {cap}**2 - gamma * {cap}"
-
-
-@pytest.fixture(scope="module")
-def custom_copies(tmp_path_factory):
-    """custom files with the V, ell and lam of two_factor and of cir; the
-    cir copy keeps cir.model's [sim] at 200 paths."""
-    out = tmp_path_factory.mktemp("custom")
-    ell = parse_model_file(model_path("two_factor.model")).model.ell
-    (_, x1), (a, b) = ell.nodes, ell.coeffs
-    two_factor = out / "two_factor.model"
-    two_factor.write_text(
-        "[model]\nkind = custom\nrho = 0.1\ngamma = 1.0\n"
-        f"ell = points: 0:{a!r}, {x1 * 0.005!r}:{b!r}\nvol_curve = exp(-gamma * x)\n"
-        "[cone]\nc1 = exp(-gamma * x)\n[subspace]\nu1 = exp(-2 * gamma * x)\n"
-        "[check]\nboundary_samples = 2\n")
-    lam = riccati_expression()
-    cir = out / "cir.model"
-    cir.write_text((MODELS / "cir.model").read_text()
-                   .replace("kind = cir", f"kind = custom\nvol_curve = {lam}")
-                   .replace("paths = 2000", "paths = 200") + f"\n[cone]\nc1 = {lam}\n")
-    return {"two_factor": str(two_factor), "cir": str(cir)}
-
-
-def booleans(checks, prefix=""):
-    """Every boolean leaf of a checks tree, by dotted key."""
-    out = {}
-    for key, value in checks.items():
-        if isinstance(value, dict):
-            out.update(booleans(value, f"{prefix}{key}."))
-        elif isinstance(value, bool):
-            out[prefix + key] = value
-    return out
-
-
-def test_check_custom_copies_get_their_presets_verdicts(capsys, custom_copies):
-    # the split, and with it every verdict, comes from ell and V, not from
-    # the kind name
-    def check(path):
-        rc = cli.main(["check", path, "--json"])
-        return rc, json.loads(capsys.readouterr().out)["checks"]
-
-    assert check(custom_copies["two_factor"]) == check(model_path("two_factor.model"))
-    # custom draws min(n, 3) boundary samples where cir draws n = 6
-    (rc, checks), (preset_rc, preset) = check(custom_copies["cir"]), check(model_path("cir.model"))
-    assert rc == preset_rc == 0
-    assert booleans(checks) == booleans(preset)
-
-
-def test_check_custom_two_factor_copy_takes_its_verdict_from_the_sample_count(
-        tmp_path, capsys, custom_copies):
-    # two_factor draws 2 shape samples; a custom file draws min(n, 3) with
-    # n = 6 by default, and the third, x e^-2x projected into G, fails cond-AR-1
-    text = Path(custom_copies["two_factor"]).read_text()
-    assert text.endswith("[check]\nboundary_samples = 2\n")
+def test_check_custom_two_factor_copy_takes_its_verdict_from_the_sample_count(tmp_path, capsys):
+    # two_factor.model draws 2 boundary samples; at the default 6 the third,
+    # fourth and fifth, x e^(-a x) for a = 1.5, 2 and 3 in G, fail cond-AR-1
+    text = (MODELS / "two_factor.model").read_text()
+    assert text.endswith("[check]\nboundary_samples = 2\nmax_dim = 20\n")
     default = tmp_path / "default_samples.model"
-    default.write_text(text.replace("[check]\nboundary_samples = 2\n", ""))
-    assert cli.main(["check", custom_copies["two_factor"], "--json"]) == 0
+    default.write_text(text.replace("boundary_samples = 2\n", ""))
+    assert cli.main(["check", model_path("two_factor.model"), "--json"]) == 0
     capsys.readouterr()
     assert cli.main(["check", str(default), "--json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]["realizability"]
-    assert checks["cond-AR-1"]["n_samples"] == 3
+    assert checks["cond-AR-1"]["n_samples"] == 6
     assert [f.split(" > ")[0] for f in checks["cond-AR-1"]["failures"]] \
-        == ["g[2]: nu-1 0 3.470e-01"]
+        == ["g[2]: nu-1 0 3.814e-02", "g[3]: nu-1 0 3.470e-01", "g[4]: nu-1 0 5.965e-01"]
     assert [name for name, c in checks.items() if not c["ok"]] == ["cond-AR-1"]
 
 
@@ -417,14 +351,13 @@ def test_check_cir_draws_all_requested_boundary_samples(tmp_path):
 
 
 def test_check_two_factor_point_past_grid_end(tmp_path):
-    # ln 2 / gamma = 13.86 puts the second point of ell beyond x_max = 10
-    text = (MODELS / "two_factor.model").read_text().replace("gamma = 1.0", "gamma = 0.05")
+    # ln 2 / 0.05 = 13.86 would put the second point of ell beyond x_max = 10
+    text = (MODELS / "two_factor.model").read_text().replace(" 0.695:", " 13.865:")
     far = tmp_path / "far.model"
     far.write_text(text)
     res = run_cli("check", str(far))
     assert res.returncode == 2
-    assert res.stderr == ("error: [model] gamma = 0.05 puts x1 = ln 2 / gamma = 13.865 "
-                          "past x_max = 10\n")
+    assert res.stderr == "error: point 13.865 lies outside [0, 10]\n"
 
 
 @pytest.mark.parametrize("check_section", ["", "\n[check]\nspan_tol = 1e-5\n"],
@@ -489,18 +422,26 @@ def test_check_rejects_expression_beyond_arithmetic(tmp_path, expr):
     ("two_factor", "rho = 0.1", "rho = nan", "[model] rho"),
     ("two_factor", "gamma = 1.0", "gamma = nan", "[model] gamma"),
     ("example64", "rho = 0.2", "rho = nan", "[model] rho"),
-    ("two_factor", "gamma = 1.0", "gamma = 1000", "[model] gamma"),
     ("cir", "weight_alpha = 4", "weight_alpha = 400", "[space] weight_alpha"),
-    ("cir", "gamma = 0.05", "gamma = -1", "[model] gamma"),
     # warnings are errors here, so these overflows are refused before numpy warns
-    ("cir", "gamma = 0.05", "gamma = 1e200", "[model] rho = 0.1 and gamma = 1e+200 overflow"),
-    ("cir", "rho = 0.1", "rho = 1e160", "[model] rho = 1e+160 and gamma = 0.05 overflow"),
+    ("cir", "gamma = 0.05", "gamma = 1e200",
+     "error: [cone] c1: expression 'riccati(x, rho, gamma)' is not a finite curve\n"),
+    ("cir", "rho = 0.1", "rho = 1e160",
+     "error: [cone] c1: expression 'riccati(x, rho, gamma)' is not a finite curve\n"),
+    # exp(-1e-320 x) and exp(-2e-320 x) are both the constant 1
+    ("two_factor", "gamma = 1.0", "gamma = 1e-320",
+     "error: [cone]/[subspace]: cone generators and subspace are linearly dependent\n"),
+    ("cir", "rho = 0.1", "rho = -0.1", "error: [model] rho must be nonnegative\n"),
+    ("two_factor", "rho = 0.1", "rho = -0.1", "error: [model] rho must be nonnegative\n"),
+    ("example64", "rho = 0.2", "rho = -0.2", "error: [model] rho must be nonnegative\n"),
+    ("linear_qe", "rho = 0.05", "rho = -0.05", "error: [model] rho must be nonnegative\n"),
 ], ids=["samples-0", "samples-negative", "span-tol-nan", "alpha-nan", "dx-inf",
         "point-inf", "coeff-nan", "max-dim-0", "max-dim-negative", "dt-inf", "dt-nan",
         "horizon-nan", "horizon-inf", "seed-negative", "seed-2**64", "cir-rho-nan",
         "cir-gamma-nan", "cir-gamma-inf", "two_factor-rho-nan", "two_factor-gamma-nan",
-        "example64-rho-nan", "two_factor-gamma-past-dx", "alpha-overflow",
-        "cir-gamma-negative", "cir-gamma-overflow", "cir-rho-overflow"])
+        "example64-rho-nan", "alpha-overflow", "cir-gamma-overflow", "cir-rho-overflow",
+        "two_factor-gamma-underflow", "cir-rho-negative", "two_factor-rho-negative",
+        "example64-rho-negative", "linear_qe-rho-negative"])
 def test_check_rejects_out_of_range_model_values(tmp_path, capsys, name, old, new, where):
     text = (MODELS / f"{name}.model").read_text()
     assert old in text
@@ -668,20 +609,6 @@ def test_initial_set_needs_split_along_ker_ell(tmp_path, name, missing):
     res = run_cli("initial-set", model_path(name), "--curve", str(curve))
     assert res.returncode == 2
     assert res.stderr == f"error: initial-set needs {missing}\n"
-
-
-@pytest.mark.parametrize("preset, level", [("two_factor", 0.5), ("two_factor", -0.5),
-                                           ("cir", 0.02), ("cir", 0.0)])
-def test_initial_set_custom_copies_get_their_presets_verdicts(capsys, tmp_path, custom_copies,
-                                                               preset, level):
-    curve = tmp_path / "curve.csv"
-    write_curve(curve, 2001, np.full(2001, level))
-    verdicts = []
-    for path in (custom_copies[preset], model_path(f"{preset}.model")):
-        rc = cli.main(["initial-set", path, "--curve", str(curve)])
-        verdicts.append((rc, capsys.readouterr().out.splitlines()[-1]))
-    assert verdicts[0] == verdicts[1] == ((0, "verdict: member") if level > 0
-                                          else (1, "verdict: non-member"))
 
 
 def test_initial_set_grid_mismatch(tmp_path):
@@ -969,15 +896,6 @@ def test_simulate_refuses_a_step_below_dx_in_the_oracle(fast_model, tmp_path, ca
                                            "dt = 0.0025 is below dx = 0.005\n")
 
 
-def test_simulate_and_verify_the_custom_cir_copy(tmp_path, custom_copies):
-    out = tmp_path / "run"
-    assert cli.main(["simulate", custom_copies["cir"], "--mode", "both",
-                     "--out-dir", str(out)]) == 0
-    assert cli.main(["verify", str(out)]) == 0
-    verify = json.loads((out / "verify.json").read_text())
-    assert all(p["within_3se"] for p in verify["phis"].values())
-
-
 @pytest.mark.parametrize("mode, rc", [("direct", 0), ("fdr", 2), ("both", 2)])
 def test_simulate_two_factor_runs_the_direct_oracle_alone(tmp_path, capsys, mode, rc):
     # the oracle is generic in lam, Lam, ell and rho; the leaf needs V = <lam>+
@@ -989,6 +907,16 @@ def test_simulate_two_factor_runs_the_direct_oracle_alone(tmp_path, capsys, mode
     assert (out / "manifest.json").exists() is (rc == 0)
     if rc:
         assert capsys.readouterr().err.startswith("error: the leaf needs V = <lam>+")
+
+
+def test_simulate_refuses_a_negative_rho(fast_model, tmp_path, capsys):
+    # the checks read rho^2, and the state paths would draw no noise
+    bad = tmp_path / "negative_rho.model"
+    bad.write_text(Path(fast_model).read_text().replace("rho = 0.1", "rho = -0.1"))
+    out = tmp_path / "run"
+    assert cli.main(["simulate", str(bad), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [model] rho must be nonnegative\n"
+    assert not out.exists()
 
 
 def test_simulate_refuses_a_file_without_a_square_root_model(tmp_path, capsys):

@@ -5,11 +5,11 @@ from affinefdr import cones, hjmm
 from affinefdr import realization as rz
 from affinefdr.cones import orthogonal_split
 from affinefdr.curves import SHORT_END, Grid, derivative, primitive
-from affinefdr.errors import ConstraintViolated, NotInV
+from affinefdr.errors import GridMismatch, ModelFileError, NotInV
 from affinefdr.hjmm import (SquareRootModel, build_s_operator, hjm_drift, ker_ell_split,
                             riccati_capital, riccati_small)
 
-from conftest import riccati_rk4
+from conftest import bundled_model, riccati_rk4
 
 
 def test_riccati_boundary_values(grid):
@@ -83,21 +83,27 @@ def test_s_operator_reproduces_hjm_drift(grid):
 def test_cir_model_invariants(grid, cir_model):
     assert float(cir_model.ell(cir_model.lam)) == pytest.approx(1.0, abs=1e-8)
     assert cir_model.lam_capital[0] == 0.0
-    with pytest.raises(ConstraintViolated):
-        SquareRootModel.cir(grid, 0.0, 0.0)
-    # rho = 0 accepted: deterministic degeneration
-    SquareRootModel.cir(grid, 0.0, 0.05)
+    # rho = 0 is accepted, a deterministic degeneration, and with gamma = 0
+    # as well lam is the constant 1
+    assert bundled_model("cir", rho=0.0).rho == 0.0
+    assert np.array_equal(bundled_model("cir", rho=0.0, gamma=0.0).lam, np.ones(grid.n))
 
 
-def test_cir_riccati_curves_cached_read_only(grid):
-    model = SquareRootModel.cir(grid, 0.1, 0.05)
-    assert model.lam is model.lam and model.lam_capital is model.lam_capital
-    assert np.array_equal(model.lam, riccati_small(grid.x, 0.1, 0.05))
-    assert np.array_equal(model.lam_capital, riccati_capital(grid.x, 0.1, 0.05))
-    with pytest.raises(ValueError):
-        model.lam[0] = 0.0
-    with pytest.raises(ValueError):
-        model.lam_capital[0] = 1.0
+def test_cir_riccati_curves_cached_read_only(grid, cir_model):
+    assert cir_model.lam is cir_model.lam and cir_model.lam_capital is cir_model.lam_capital
+    assert np.array_equal(cir_model.lam, riccati_small(grid.x, 0.1, 0.05))
+    # Lam is the trapezoid primitive of lam, 3.1e-8 from the closed form at most
+    assert np.array_equal(cir_model.lam_capital, primitive(cir_model.lam, grid))
+    assert np.abs(cir_model.lam_capital - riccati_capital(grid.x, 0.1, 0.05)).max() <= 5e-8
+    vol = np.exp(-grid.x)
+    direct = SquareRootModel(grid, cir_model.ell, 0.1, vol, primitive(vol, grid),
+                             ker_ell_split(grid, cir_model.ell, vol))
+    # every square-root model holds its lam and Lam read-only
+    for model in (cir_model, bundled_model("example64"), direct):
+        with pytest.raises(ValueError):
+            model.lam[0] = 0.0
+        with pytest.raises(ValueError):
+            model.lam_capital[0] = 1.0
 
 
 def test_sigma_cir_values(grid, cir_model):
@@ -142,7 +148,7 @@ def test_cir_initial_set_examples(grid, cir_model):
 
 
 def test_two_factor_functional_constraints(grid):
-    model = SquareRootModel.two_factor(grid, gamma=1.0)
+    model = bundled_model("two_factor")
     lam = model.lam
     assert float(model.ell(lam)) == pytest.approx(1.0, abs=1e-12)
     assert float(model.ell(lam ** 2)) == pytest.approx(0.0, abs=1e-12)
@@ -150,16 +156,17 @@ def test_two_factor_functional_constraints(grid):
 
 def test_presets_refuse_what_the_grid_cannot_hold(grid):
     # warnings are errors here, so the overflow is refused before numpy warns
-    with pytest.raises(ConstraintViolated, match=r"^rho = 0.1 and gamma = 1e\+200 overflow"):
-        SquareRootModel.cir(grid, 0.1, 1e200)
-    with pytest.raises(ConstraintViolated, match=r"x1 = ln 2 / gamma = 13.865 past x_max = 10$"):
-        SquareRootModel.two_factor(grid, gamma=0.05)
-    # ln 2 / 0.0693 snaps to the last node
-    assert SquareRootModel.two_factor(grid, gamma=0.0693).ell.nodes[1] == grid.n - 1
+    with pytest.raises(ModelFileError, match=r"^\[cone\] c1: expression "
+                       r"'riccati\(x, rho, gamma\)' is not a finite curve$"):
+        bundled_model("cir", gamma=1e200)
+    with pytest.raises(GridMismatch, match=r"^point 13.865 lies outside \[0, 10\]$"):
+        bundled_model("two_factor", ell="points: 0:-1, 13.865:4")
+    # a point within half a step of x_max snaps to the last node
+    assert bundled_model("two_factor", ell="points: 0:-1, 10.002:4").ell.nodes[1] == grid.n - 1
 
 
 def test_two_factor_initial_set(grid):
-    model = SquareRootModel.two_factor(grid, gamma=1.0)
+    model = bundled_model("two_factor")
     assert rz.maximal_initial_membership(np.full(grid.n, 0.5), model)[0]
     assert not rz.maximal_initial_membership(np.zeros(grid.n), model)[0]
     # verdict invariant under adding g with ell(g) = 0 and ell(g' + g) = 0
@@ -176,7 +183,7 @@ def test_state_drift_slope_short_end(grid, cir_model):
 
 
 def test_state_drift_slope_differentiates_once_per_model(grid, monkeypatch):
-    model, calls = SquareRootModel.cir(grid, 0.1, 0.05), []
+    model, calls = bundled_model("cir"), []
     monkeypatch.setattr(hjmm, "derivative",
                         lambda values, grid: calls.append(1) or derivative(values, grid))
     assert model.state_drift_slope == model.state_drift_slope

@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from affinefdr import hjmm, modelfile
 from affinefdr.curves import SHORT_END, PointCombo
 from affinefdr.errors import GridMismatch, ModelFileError
 from affinefdr.hjmm import riccati_small
@@ -17,10 +19,14 @@ dx = 0.005
 weight_alpha = 4
 
 [model]
-kind = cir
+kind = custom
 rho = 0.1
 gamma = 0.05
 ell = short_end
+vol_curve = riccati(x, rho, gamma)
+
+[cone]
+c1 = riccati(x, rho, gamma)
 """
 
 
@@ -29,8 +35,8 @@ def bundled(name):
 
 
 @pytest.mark.parametrize("name, kind", [
-    ("cir.model", "cir"),
-    ("two_factor.model", "two_factor"),
+    ("cir.model", "custom"),
+    ("two_factor.model", "custom"),
     ("example64.model", "custom"),
     ("linear_qe.model", "linear"),
 ])
@@ -45,7 +51,45 @@ def test_cir_spec_builds_model():
     model = spec.model
     assert model.rho == 0.1 and np.array_equal(model.lam, riccati_small(spec.grid.x, 0.1, 0.05))
     assert model.ell == SHORT_END
-    assert parse_model_text(BASE.replace("kind = cir", "kind = linear\nvol_curve = 1")).model is None
+    # the cone curve has vol_curve's text, so both are one array
+    assert model.split.v_basis.m == 1 and model.lam is spec.vol_curves[0]
+    assert parse_model_text(BASE.replace("kind = custom", "kind = linear")).model is None
+
+
+def test_parse_evaluates_each_expression_text_once(monkeypatch):
+    texts, evaluate = [], modelfile.eval_curve
+    monkeypatch.setattr(modelfile, "eval_curve",
+                        lambda expr, *args, **kw: texts.append(expr) or evaluate(expr, *args, **kw))
+    for name, distinct in (("cir", ["riccati(x, rho, gamma)", "0.02 + 0.01 * x * exp(-x)"]),
+                           ("two_factor", ["exp(-gamma * x)", "exp(-2 * gamma * x)"]),
+                           ("example64", ["exp(-gamma * x)", "exp(-2 * gamma * x)"])):
+        texts.clear()
+        spec = parse_model_file(bundled(f"{name}.model"))
+        assert texts == distinct, name
+        assert spec.model.lam is spec.vol_curves[0]
+
+
+def test_eval_curve_walks_the_syntax_tree_once(monkeypatch):
+    grid = parse_model_text(BASE).grid
+    walk, walks = ast.walk, []
+    monkeypatch.setattr(ast, "walk", lambda node: walks.append(1) or walk(node))
+    eval_curve("riccati(x, rho, gamma) + 2 ** -x", grid, {"rho": 0.1, "gamma": 0.05})
+    assert len(walks) == 1
+
+
+def test_default_boundary_samples_builds_only_the_shapes_it_returns(monkeypatch):
+    model = parse_model_text(BASE).model
+    six = hjmm.default_boundary_samples(model.grid, model.split, 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.sin called")
+
+    # the first 5 shapes are x e^(-a x); sin(b x) e^(-x) follow
+    monkeypatch.setattr(np, "sin", refuse)
+    five = hjmm.default_boundary_samples(model.grid, model.split, 5)
+    assert all(np.array_equal(a, b) for a, b in zip(five, six[:5]))
+    with pytest.raises(AssertionError, match="np.sin called"):
+        hjmm.default_boundary_samples(model.grid, model.split, 6)
 
 
 def test_sim_section_parsed():
@@ -90,6 +134,10 @@ def test_eval_curve_restricted_namespace():
     spec = parse_model_text(BASE)
     curve = eval_curve("exp(-gamma * x)", spec.grid, {"gamma": 0.5}, "[t] k")
     assert np.allclose(curve, np.exp(-0.5 * spec.grid.x))
+    curve = eval_curve("riccati(x, rho, gamma)", spec.grid, {"rho": 0.1, "gamma": 0.05})
+    assert np.array_equal(curve, riccati_small(spec.grid.x, 0.1, 0.05))
+    with pytest.raises(ModelFileError, match="Call is not allowed"):
+        eval_curve("riccati(x, rho=0.1, gamma=0.05)", spec.grid, {}, "[t] k")
     with pytest.raises(ModelFileError):
         eval_curve("__import__('os')", spec.grid, {}, "[t] k")
     with pytest.raises(ModelFileError):
@@ -110,7 +158,7 @@ def test_eval_curve_rejects_complex_values(expr):
 
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda t: t.replace("[model]\n", "[m]\n"), "missing [model]"),
-    (lambda t: t.replace("kind = cir", "kind = vasicek"), "kind"),
+    (lambda t: t.replace("kind = custom", "kind = vasicek"), "kind"),
     (lambda t: t.replace("rho = 0.1", "rho = fast"), "rho"),
     (lambda t: t.replace("rho = 0.1", "rho = -0.1"), "rho"),
     (lambda t: t.replace("weight_alpha = 4", "weight_alpha = 2"), "weight_alpha"),
@@ -127,43 +175,17 @@ def test_error_diagnostics(mutate, fragment):
     assert fragment in str(exc.value)
 
 
-TWO_FACTOR = BASE.replace("kind = cir", "kind = two_factor").replace(
-    "gamma = 0.05", "gamma = 1.0").replace("ell = short_end\n", "")
-
-
-@pytest.mark.parametrize("text, fragment", [
-    (BASE + "vol_curve = 5 * x\n", "[model] vol_curve: kind 'cir'"),
-    (BASE + "vol_amplitude = const\n", "[model] vol_amplitude: kind 'cir'"),
-    (BASE + "\n[cone]\nc = x\n", "[cone] c: kind 'cir'"),
-    (BASE + "\n[subspace]\ns = exp(-x)\n", "[subspace] s: kind 'cir'"),
-    (TWO_FACTOR + "vol_curve = 5 * x\n", "[model] vol_curve: kind 'two_factor'"),
-    (TWO_FACTOR + "vol_amplitude = const\n", "[model] vol_amplitude: kind 'two_factor'"),
-    (TWO_FACTOR + "\n[cone]\nc = x\n", "[cone] c: kind 'two_factor'"),
-    (TWO_FACTOR + "\n[subspace]\ns = exp(-x)\n", "[subspace] s: kind 'two_factor'"),
-    (TWO_FACTOR + "ell = short_end\n", "[model] ell: kind 'two_factor'"),
-    (TWO_FACTOR + "\n[check]\nboundary_samples = 9\n",
-     "[check] boundary_samples: kind 'two_factor'"),
-], ids=["cir-vol_curve", "cir-vol_amplitude", "cir-cone", "cir-subspace",
-        "two_factor-vol_curve", "two_factor-vol_amplitude", "two_factor-cone",
-        "two_factor-subspace", "two_factor-ell", "two_factor-boundary_samples"])
-def test_preset_kinds_refuse_the_keys_they_build(text, fragment):
-    # the preset builds these itself, so a value given for one would be ignored
-    parse_model_text(BASE)
-    parse_model_text(TWO_FACTOR)
-    with pytest.raises(ModelFileError) as exc:
-        parse_model_text(text)
-    assert str(exc.value) == fragment + " builds this itself"
-
-
 def test_missing_file():
     with pytest.raises(ModelFileError):
         parse_model_file("/nonexistent/path.model")
 
 
 def test_custom_requires_geometry():
-    text = BASE.replace("kind = cir", "kind = custom")
-    with pytest.raises(ModelFileError):
-        parse_model_text(text)
+    without_vol_curve = BASE.replace("vol_curve = riccati(x, rho, gamma)\n", "")
+    with pytest.raises(ModelFileError, match=r"^\[model\] kind 'custom' requires vol_curve$"):
+        parse_model_text(without_vol_curve)
+    with pytest.raises(ModelFileError, match=r"^\[cone\]/\[subspace\]: "):
+        parse_model_text(BASE.split("[cone]")[0])
 
 
 def test_custom_model_data_built():
@@ -179,15 +201,15 @@ def test_custom_model_data_built():
 def test_custom_split_follows_ell_and_v():
     # example64's short-end ell is 1 on its subspace curve, so its split stays
     # orthogonal; under two_factor's two-point ell, which vanishes there, the
-    # same file is split along ker ell as the preset is
+    # same file is split along ker ell as two_factor.model is
     text = parse_model_file(bundled("example64.model")).source_text
     assert not parse_model_text(text).model.ell_vanishes_on_g
-    preset = parse_model_file(bundled("two_factor.model")).model
-    (_, x1), (a, b) = preset.ell.nodes, preset.ell.coeffs
+    two_factor = parse_model_file(bundled("two_factor.model")).model
+    (_, x1), (a, b) = two_factor.ell.nodes, two_factor.ell.coeffs
     model = parse_model_text(text.replace(
         "ell = short_end", f"ell = points: 0:{a!r}, {x1 * 0.005!r}:{b!r}")).model
     assert model.ell_vanishes_on_g
-    np.testing.assert_allclose(model.split.dual, preset.split.dual, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(model.split.dual, two_factor.split.dual, rtol=1e-12, atol=0.0)
 
 
 def test_custom_vol_curve_must_lie_in_span():

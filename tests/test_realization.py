@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import re
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -11,11 +13,10 @@ from affinefdr import realization as rz
 from affinefdr.cones import ConeBasis, SplitSpace, StateBasis, orthogonal_split
 from affinefdr.curves import SHORT_END, Grid, derivative, primitive
 from affinefdr.errors import DimensionExceeded, NotAffine
-from affinefdr.hjmm import (SquareRootModel, default_boundary_samples, hjm_drift,
-                            ker_ell_split, shape_boundary_samples)
+from affinefdr.hjmm import SquareRootModel, default_boundary_samples, hjm_drift, ker_ell_split
 from affinefdr.modelfile import parse_model_file
 
-from conftest import cir_membership, perturbed_cir_model, two_factor_membership
+from conftest import bundled_model, cir_membership, perturbed_cir_model, two_factor_membership
 
 DATA = Path(__file__).parent / "data"
 
@@ -43,13 +44,14 @@ def test_negated_cir_samples_fail_only_cond_ar1(grid, cir_model):
 
 
 def _const_vol_on_exp_cone(grid, subspace):
-    """Constant volatility e^-x on the cone <e^-x>+ plus a one-curve subspace."""
+    """Constant volatility e^-x on the cone <e^-x>+ plus a one-curve subspace,
+    checked on x e^-x and sin(x) e^(-x/2), scaled by 0.05, in G."""
     x = grid.x
     basis = StateBasis(ConeBasis(np.exp(-x).reshape(1, -1)), subspace=subspace.reshape(1, -1))
     split = orthogonal_split(basis)
+    samples = [split.project_g(0.05 * s) for s in (x * np.exp(-x), np.sin(x) * np.exp(-0.5 * x))]
     return rz.check_thm_main2(SquareRootModel(
-        grid, SHORT_END, 0.1, np.exp(-x), primitive(np.exp(-x), grid), split,
-        shape_boundary_samples(grid, split, 2), "const"))
+        grid, SHORT_END, 0.1, np.exp(-x), primitive(np.exp(-x), grid), split, samples, "const"))
 
 
 def test_subspace_leaking_into_cone_fails_cond_ar3(grid):
@@ -76,7 +78,7 @@ def test_failed_condition_lists_every_violation(grid):
 
 
 def test_two_factor_fixture_passes(grid):
-    model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
+    model = bundled_model("two_factor")
     report = rz.check_thm_main2(model)
     assert report.overall, report.failed()
 
@@ -102,13 +104,30 @@ def test_const_mod_k_is_closed_form(grid, cir_model):
         assert rz.check_const_mod_k(model) is agree
     # K = R: every slope is a multiple of c c^T; a failed fit makes the check
     # false, and check_thm_main2 reports that fit's error
-    assert rz.check_const_mod_k(SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0))
+    assert rz.check_const_mod_k(bundled_model("two_factor"))
     example64 = parse_model_file(str(resources.files("affinefdr") / "models"
                                      / "example64.model")).model
     assert any(isinstance(fit, NotAffine) for fit in example64.boundary_fits)
     assert rz.check_const_mod_k(example64) is False
     failed = rz.check_thm_main2(example64).by_name("sigma-affine-parallel")
     assert any(not c.ok and "max residual" in c.detail for c in failed)
+
+
+def test_a_failed_fit_leaves_no_reference_cycle():
+    # example64's fits fail; its model must be freed by reference counting,
+    # since arrays held in a cycle wait for the cycle collector
+    model = parse_model_file(str(resources.files("affinefdr") / "models"
+                                 / "example64.model")).model
+    gc.collect()
+    gc.disable()
+    try:
+        assert not rz.check_thm_main2(model).overall
+        assert any(isinstance(fit, NotAffine) for fit in model.boundary_fits)
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["cir", "two_factor"])
@@ -127,7 +146,7 @@ def test_boundary_fit_is_the_slope_of_amp_sq(name):
 
 def test_k_is_r_where_s_maps_the_volatility_direction_into_v(grid, cir_model):
     example64 = resources.files("affinefdr") / "models" / "example64.model"
-    for model in (SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0),
+    for model in (bundled_model("two_factor"),
                   parse_model_file(str(example64)).model):
         (r,) = model.r_basis
         assert np.linalg.norm(r) == pytest.approx(1.0, rel=1e-15)
@@ -142,7 +161,7 @@ def test_r_is_empty_where_sigma_sq_vanishes(grid, tmp_path):
     example64 = resources.files("affinefdr") / "models" / "example64.model"
     zero_ell = tmp_path / "zero_ell.model"
     zero_ell.write_text(example64.read_text().replace("ell = short_end", "ell = points: 0:0"))
-    for model in (SquareRootModel.cir(grid, 0.0, 0.05), parse_model_file(str(zero_ell)).model):
+    for model in (bundled_model("cir", rho=0.0), parse_model_file(str(zero_ell)).model):
         assert model.r_basis == []
         assert rz.compute_k(model) == ()
         assert rz.check_damir(model)
@@ -167,7 +186,7 @@ def test_quasi_exp_dimensions(grid):
 
 
 def test_quasi_exp_two_factor_span(grid):
-    model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
+    model = bundled_model("two_factor")
     seeds = [model.lam, hjm_drift(model.rho * model.lam, grid)]
     a_sigma = rz.quasi_exp_subspace(lambda h: derivative(h, grid), seeds)
     assert len(a_sigma) == 2
@@ -189,7 +208,7 @@ def test_maximal_initial_membership_against_cir(grid, cir_model):
 
 
 def test_maximal_initial_membership_against_two_factor(grid):
-    model = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
+    model = bundled_model("two_factor")
     rng = np.random.default_rng(22)
     x = grid.x
     verdicts = set()
@@ -244,13 +263,13 @@ def _sweep_verdicts(grid, cir_model):
                 model = perturbed_cir_model(cir_model, pert, gs)
                 out[f"cir/{shape}/{eps:g}/{variant}"] = \
                     _failing_per_sample(rz.check_thm_main2(model), len(gs))
-    tf = SquareRootModel.two_factor(grid, rho=0.1, gamma=1.0)
+    tf = bundled_model("two_factor")
     cone = ConeBasis(tf.lam.reshape(1, -1))
     for eps in (0.0, 1e-7, 1e-6, 3e-6, 1e-5, 1e-4, 1e-2, 1.0):
         basis = StateBasis(cone, subspace=(tf.lam ** 2 + eps * shapes["xexp"]).reshape(1, -1))
         rows = np.vstack([tf.ell.dual_vector(grid), orthogonal_split(basis).dual[1]])
         split = SplitSpace(basis, np.linalg.solve(rows @ basis.matrix.T, rows))
-        samples = shape_boundary_samples(grid, split, 2)
+        samples = default_boundary_samples(grid, split, 2)
         for amplitude in ("sqrt_ell", "const"):
             model = dataclasses.replace(tf, split=split, boundary_samples=samples,
                                         amplitude=amplitude)

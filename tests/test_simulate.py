@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from affinefdr import simulate
-from affinefdr.curves import Grid, PointCombo, Weight, derivative
+from affinefdr.curves import Grid, Weight, derivative
 from affinefdr.errors import (AffineFdrError, CflViolated, ConstraintViolated, GridMismatch,
                               HorizonMismatch, LeftBoundary, NotInInitialSet)
-from affinefdr.hjmm import SquareRootModel, riccati_small
+from affinefdr.hjmm import riccati_capital, riccati_small
 from affinefdr.modelfile import parse_model_file
 from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, SCHEMES, Foliation, SimConfig,
                                 _FactoredOracle, _factored_oracle, _held_windows,
@@ -16,7 +16,7 @@ from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, SCHEMES, Foliation,
                                 path_normals, simulate_state, summarize_direct,
                                 verify_invariance)
 
-from conftest import gathered_oracle, traced_peak
+from conftest import bundled_model, gathered_oracle, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ def test_derivative_into_out_matches_plain_expressions(grid, shape):
 
 def test_evolve_psi_matches_plain_expressions_on_a_two_point_ell(grid):
     # the buffered stages keep every operation of the plain stepper, in order
-    model = _points_model(grid)
+    model = _points_model()
     h = 0.02 + 0.01 * grid.x * np.exp(-grid.x)   # a member: ell(h) > 0
     fol = evolve_psi(model, h, SimConfig(horizon=0.5, dt=0.005, n_paths=1))
     psi, b = reference_evolve_psi(model, h - float(model.ell(h)) * model.lam, 0.5, 0.005)
@@ -169,7 +169,7 @@ def test_evolve_psi_rejections(grid, cir_model):
 
 
 @pytest.mark.parametrize("model", [
-    lambda grid, cir: SquareRootModel.two_factor(grid, 0.1, 1.0),
+    lambda grid, cir: bundled_model("two_factor"),
     lambda grid, cir: dataclasses.replace(cir, amplitude="const"),
     lambda grid, cir: dataclasses.replace(cir, lam=2 * cir.lam),
 ], ids=["two_factor", "const", "ell_lam_2"])
@@ -218,7 +218,7 @@ def test_path_normals_shared_and_read_only():
 
 def test_simulate_state_deterministic_oracle(cir_model, g0):
     # rho = 0 freezes the diffusion; compare against RK4 on dx = b(t) + a x
-    det = SquareRootModel.cir(cir_model.grid, 0.0, 0.05)
+    det = bundled_model("cir", rho=0.0)
     dt = 5e-5
     cfg = SimConfig(horizon=0.2, dt=dt, n_paths=1, seed=1)
     fol0 = evolve_psi(det, g0 + 0.02 * det.lam, cfg)
@@ -318,7 +318,7 @@ def test_reconstruct_identities(grid, cir_model, foliation):
 
 
 def test_simulate_direct_pure_transport(grid):
-    det = SquareRootModel.cir(grid, 0.0, 0.3)
+    det = bundled_model("cir", rho=0.0, gamma=0.3)
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.1, dt=0.005, n_paths=1, seed=0)
     run = summarize_direct(det, h0, cfg)
@@ -379,7 +379,7 @@ def test_verify_invariance_self_comparison(cir_model, foliation):
 def test_strong_convergence_rho_zero(grid):
     # deterministic dynamics: halving dt should shrink the state error by
     # about the scheme order (first order for Euler drift handling)
-    det = SquareRootModel.cir(grid, 0.0, 0.3)
+    det = bundled_model("cir", rho=0.0, gamma=0.3)
     h0 = 0.01 * grid.x * np.exp(-grid.x) + 0.02 * det.lam
     fol = evolve_psi(det, h0, SimConfig(0.4, 0.0025, 1))
 
@@ -407,19 +407,22 @@ def dense_direct(model, h0, config):
     return r, min_ell
 
 
-def _points_model(grid):
+def _points_model():
     c2 = -1.0 / float(riccati_small(np.array([1.0]), 0.1, 0.05)[0])
-    return SquareRootModel.cir(grid, 0.1, 0.05, PointCombo.at(grid, (0.0, 1.0), (2.0, c2)))
+    return bundled_model("cir", ell=f"points: 0:2, 1:{c2!r}")
 
 
 @pytest.mark.parametrize("case", ["short_end", "points", "high_rho", "mid_rho", "near_zero"])
 @pytest.mark.parametrize("n_paths", [1, 16])
 def test_simulate_direct_matches_dense_stepper(grid, cir_model, case, n_paths):
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
-    model = {"short_end": cir_model, "points": _points_model(grid),
-             "high_rho": SquareRootModel.cir(grid, 0.3, 0.05),
-             "mid_rho": SquareRootModel.cir(grid, 0.2, 0.05),
-             "near_zero": SquareRootModel.cir(grid, 0.2, 0.05)}[case]
+    model = {"short_end": cir_model, "points": _points_model(),
+             "high_rho": bundled_model("cir", rho=0.3),
+             "mid_rho": bundled_model("cir", rho=0.2),
+             "near_zero": bundled_model("cir", rho=0.2)}[case]
+    # the closed-form Lam: under the trapezoid primitive, a 16-path ell of
+    # 9e-7 lands 6.7e-12 relative from the dense stepper's
+    model = dataclasses.replace(model, lam_capital=riccati_capital(grid.x, model.rho, 0.05))
     if case in ("high_rho", "near_zero"):
         h0 = 0.002 + 0.01 * grid.x * np.exp(-grid.x)
     if case == "mid_rho":
@@ -447,15 +450,15 @@ def test_simulate_direct_matches_dense_stepper(grid, cir_model, case, n_paths):
         assert -1e-2 < ref_min_ell < -1e-3 and run.negative_short_rate
 
 
-def _held_point_model(grid):
+def _held_point_model():
     # ell reads x = 9.9, which S^i moves into the held region once i > 20
     c2 = 0.5 / float(riccati_small(np.array([9.9]), 0.1, 0.05)[0])
-    return SquareRootModel.cir(grid, 0.1, 0.05, PointCombo.at(grid, (0.0, 9.9), (0.5, c2)))
+    return bundled_model("cir", ell=f"points: 0:0.5, 9.9:{c2!r}")
 
 
 @pytest.mark.parametrize("case", ["short_end", "held_point"])
 def test_factored_oracle_matches_gathered_reference(grid, cir_model, case):
-    model = cir_model if case == "short_end" else _held_point_model(grid)
+    model = cir_model if case == "short_end" else _held_point_model()
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=1)
     oracle = _factored_oracle(model, h0, cfg)
@@ -476,7 +479,7 @@ def test_shifted_basis_matches_gathered_reference_at_wider_shifts(grid, shift, n
     # grid is one step on a grid `shift` times coarser (201 nodes here); at
     # (7, 300) the last rows lie wholly in the held region
     coarse = Grid(200 * shift * grid.dx, shift * grid.dx)
-    model = SquareRootModel.cir(coarse, 0.1, 0.05)
+    model = bundled_model("cir", x_max=repr(coarse.x_max), dx=repr(coarse.dx))
     fine_h0 = (0.02 + 0.01 * grid.x * np.exp(-grid.x))[:200 * shift + 1]
     h0 = fine_h0[::shift]
     # each coarse window is every shift-th node of every shift-th fine window
@@ -505,7 +508,7 @@ def _sim_inputs(grid, model, n_paths, scale=1.0):
                                           ("short_end", 2001), ("points", PATH_BLOCK + 1),
                                           ("large_h0", PATH_BLOCK + 1)])
 def test_summarize_direct_matches_materialized_ensemble(grid, cir_model, case, n_paths):
-    model = {"short_end": cir_model, "points": _points_model(grid),
+    model = {"short_end": cir_model, "points": _points_model(),
              "large_h0": cir_model}[case]
     h0, cfg, psi = _sim_inputs(grid, model, n_paths, scale=60.0 if case == "large_h0" else 1.0)
     weight = Weight(3.0)
@@ -580,7 +583,7 @@ def test_summarize_direct_holds_no_ensemble(grid, cir_model):
 
 def test_simulate_state_without_noise_holds_no_normals_array(grid):
     # rho = 0 steps one zero column, not a (paths, steps) array of zeros
-    det = SquareRootModel.cir(grid, 0.0, 0.3)
+    det = bundled_model("cir", rho=0.0, gamma=0.3)
     h0 = 0.01 * grid.x * np.exp(-grid.x) + 0.02 * det.lam
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=20000)
     fol = evolve_psi(det, h0, cfg)
@@ -590,7 +593,7 @@ def test_simulate_state_without_noise_holds_no_normals_array(grid):
 
 def test_direct_run_without_noise_reuses_its_buffers_across_blocks(grid):
     # rho = 0 makes every path the one-path run; two blocks refill one buffer
-    det = SquareRootModel.cir(grid, 0.0, 0.3)
+    det = bundled_model("cir", rho=0.0, gamma=0.3)
     h0 = 0.01 * grid.x * np.exp(-grid.x) + 0.02 * det.lam
     one, many = (SimConfig(horizon=0.5, dt=0.005, n_paths=n) for n in (1, RECURSION_BLOCK + 1))
     psi = evolve_psi(det, h0, one).psi[-1]
