@@ -112,7 +112,8 @@ def _quasi_exp(apply_a, seeds, max_dim: int) -> tuple[np.ndarray | None, dict]:
 def _run_checks(spec: ModelSpec) -> dict:
     """The checks chosen by the model: a linear file (constant sigma) needs a
     quasi-exponential sigma alone; a square-root model runs check_thm_main2,
-    check_damir and check_const_mod_k.  check_damir gates nothing: where it
+    check_damir and check_const_mod_k, and reports whether its split runs
+    along ker ell (ell_vanishes_on_g).  check_damir gates nothing: where it
     fails, S maps c c^T into V, so V must be the quasi-exponential span of
     lam and its drift curve S(c c^T)."""
     model = spec.model
@@ -122,7 +123,8 @@ def _run_checks(spec: ModelSpec) -> dict:
         return {"quasi_exponential": a_sigma is not None, **checks,
                 "overall": a_sigma is not None}
     report = rz.check_thm_main2(model)
-    checks = {"realizability": _condition_summary(report),
+    checks = {"ell_vanishes_on_g": model.ell_vanishes_on_g,
+              "realizability": _condition_summary(report),
               "check_damir": rz.check_damir(model),
               "check_const_mod_k": rz.check_const_mod_k(model)}
     ok = report.overall and checks["check_const_mod_k"]
@@ -163,12 +165,17 @@ def cmd_check(args) -> int:
 
 def _read_curve_csv(path: str, grid: Grid) -> np.ndarray:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            # loadtxt warns of a table without rows, which is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ModelFileError(f"{path}: malformed curve CSV: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2:
+    if not len(data):
+        raise ModelFileError(f"{path}: no rows")
+    if data.shape[1] != 2:
         raise ModelFileError(f"{path}: expected two columns x,value")
     if data.shape[0] != grid.n or not np.all(np.abs(data[:, 0] - grid.x) <= 1e-9):
         raise GridMismatch(f"{path}: curve x-column does not match the model grid")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SHORT_END, Grid, PointCombo, Weight, primitive
-from .errors import AffineFdrError, ModelFileError, NotInV
+from .errors import AffineFdrError, GridMismatch, ModelFileError, NotInV
 from .hjmm import SquareRootModel, default_boundary_samples, ker_ell_split, riccati_small
 from .simulate import SimConfig
 
@@ -97,7 +97,10 @@ def _parse_ell(spec: str, grid: Grid) -> PointCombo:
                 raise ModelFileError(f"[model] ell: bad point entry {item!r}") from exc
         if not points:
             raise ModelFileError("[model] ell: no points given")
-        return PointCombo.at(grid, points, coeffs)
+        try:
+            return PointCombo.at(grid, points, coeffs)
+        except GridMismatch as exc:   # a point past either end of the grid
+            raise ModelFileError(f"[model] ell: {exc}") from exc
     raise ModelFileError(f"[model] ell: unknown spec {spec!r}")
 
 

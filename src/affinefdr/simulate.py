@@ -11,9 +11,11 @@ block of RECURSION_BLOCK paths and reduces each slice of PATH_BLOCK rows to
 its functionals, coefficient sum (for the mean curve), min ell and foliation
 residual, without the slice's curves.  With the realization's mean curve
 taken as psi(T) + mean(X_T) lam, simulate holds no (paths, grid) array.
-The time loops step on buffers allocated once per run, the oracle's one
-(2K, n_x) array among them, and keep the plain expressions' operations in
-their order, so their results are those expressions' bits.
+The oracle's one (2K, n_x) array, its basis, lives only while its Gram
+matrices are built; the curves it still needs are multiplied by column
+chunks of the basis gathered from the held curves.  The time loops step on
+buffers allocated once per run and keep the plain expressions' operations
+in their order, so their results are those expressions' bits.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ SCHEMES = ("full_truncation", "drift_implicit")
 # The direct oracle's recursion runs per block of RECURSION_BLOCK paths, wide
 # to share out its per-step overhead (its rows do not depend on the width).
 # Its products run per slice of PATH_BLOCK rows, so temporaries stay a few MB
-# and each BLAS call keeps one shape, and so each artifact byte is kept.
+# and each BLAS call keeps one shape, and so each artifact byte is kept.  Curves
+# are multiplied by PATH_BLOCK columns of the basis at a time; for the mean row
+# and a full slice, that keeps the bits of the whole basis's product.
 PATH_BLOCK = 256
 RECURSION_BLOCK = 1024   # a multiple of PATH_BLOCK
 # A direct run reports negative_short_rate when some ell(r_k) falls below
@@ -278,22 +282,44 @@ class _FactoredOracle:
     A path's coefficient row is (a_0, b_0, ..., a_(K-1), b_(K-1)), and row
     pair j of the basis is S^(K-1-j) D, S^(K-1-j) L.  So ell(r_k) is
     ell_h0[k] plus the first 2k coefficients against ell_basis[2(K-k):].
+    The basis itself is not kept: its rows are windows of D and L held past
+    x_max, and curves gathers it from them PATH_BLOCK columns at a time.
     """
 
     ell_h0: np.ndarray      # (K+1,), ell(S^i h0)
     ell_basis: np.ndarray   # (2K,), ell of each basis row
-    basis: np.ndarray       # (2K, n_x)
+    windows: tuple[np.ndarray, np.ndarray]   # (K, n_x) views S^0 f, ..., S^(K-1) f
+                                             # of D and of L held past x_max
     tail: np.ndarray        # (n_x,), S^K h0
 
     def curves(self, coef: np.ndarray) -> np.ndarray:
-        r = coef @ self.basis
+        """coef @ basis + tail, multiplied by C-contiguous chunks of PATH_BLOCK
+        basis columns (see PATH_BLOCK)."""
+        n_rows, n_x = len(self.ell_basis), len(self.tail)
+        r = np.empty(coef.shape[:-1] + (n_x,))
+        chunk = np.empty(n_rows * PATH_BLOCK)
+        for c in range(0, n_x, PATH_BLOCK):
+            cols = slice(c, c + PATH_BLOCK)
+            part = chunk[:n_rows * len(self.tail[cols])].reshape(n_rows, -1)
+            # from the end back, each curve's rows take S^0, S^1, ...
+            for rows, windows in zip((part[-2::-2], part[::-2]), self.windows):
+                rows[...] = windows[:, cols]
+            r[..., cols] = coef @ part
         r += self.tail
         return r
 
+    def sup(self, coef: np.ndarray) -> float:
+        """max|r| over curves(coef), without a second array of them."""
+        r = self.curves(coef)
+        return max(float(r.max()), float(-r.min()))
 
-def _factored_oracle(model: SquareRootModel, h0: np.ndarray, config: SimConfig) -> _FactoredOracle:
+
+def _factored_oracle(model: SquareRootModel, h0: np.ndarray,
+                     config: SimConfig) -> tuple[_FactoredOracle, np.ndarray]:
     """Validate a direct run's inputs and precompute its fixed data.
 
+    Returns the oracle and the (2K, n_x) basis it was built from; the oracle
+    keeps no reference to the basis, so the caller decides how long it lives.
     The recursion's forcing a_k and b_k is that of the sqrt_ell amplitude, so
     any other amplitude raises ConstraintViolated.  S moves one node per step,
     so dt must equal dx: either side of it raises CflViolated.
@@ -310,8 +336,10 @@ def _factored_oracle(model: SquareRootModel, h0: np.ndarray, config: SimConfig) 
     n = config.n_steps
     basis = _shifted_basis(model, n)
     _, h0_rows = _held_windows(h0, n)
-    return _FactoredOracle(ell_h0=model.ell(h0_rows), ell_basis=model.ell(basis),
-                           basis=basis, tail=h0_rows[n].copy())
+    oracle = _FactoredOracle(ell_h0=model.ell(h0_rows), ell_basis=model.ell(basis),
+                             windows=tuple(w for _, w in _forcing_windows(model, n)),
+                             tail=h0_rows[n].copy())
+    return oracle, basis
 
 
 def _held_windows(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,17 +348,21 @@ def _held_windows(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return held, sliding_window_view(held, len(f))
 
 
+def _forcing_windows(model: SquareRootModel, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_held_windows of D = lam Lam and of L = lam, with windows S^0, ..., S^(n-1)."""
+    return [_held_windows(f, n - 1) for f in (model.lam * model.lam_capital, model.lam)]
+
+
 def _shifted_basis(model: SquareRootModel, n: int, dx: float | None = None, out=None):
     """Rows S^(n-1) D, S^(n-1) L, ..., D, L with D = lam Lam and L = lam, or, given
     dx, derivative(row) entry for entry from one stencil pass per curve; into out."""
     out = np.empty((2 * n, model.grid.n)) if out is None else out
     # from the end back, each curve's rows take S^0, S^1, ...
-    for rows, f in ((out[-2::-2], model.lam * model.lam_capital), (out[::-2], model.lam)):
-        held, windows = _held_windows(f, n - 1)
+    for rows, (held, windows) in zip((out[-2::-2], out[::-2]), _forcing_windows(model, n)):
         if dx is None:
             rows[...] = windows
         else:
-            rows[:, 2:-2] = sliding_window_view(central_stencil(held, dx), len(f) - 4)
+            rows[:, 2:-2] = sliding_window_view(central_stencil(held, dx), out.shape[1] - 4)
             one_sided_ends(windows, dx, rows)
     return out
 
@@ -412,12 +444,21 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     form in the row of the Gram matrix of P basis, a cross vector against
     P(S^K h0 - psi), and that vector's squared norm.  A slice's curves are
     built only when its max|r| bound exceeds 1; the normalizer stays exact.
+
+    The (2K, n_x) basis lives only while the Gram matrices are built: its
+    memory holds the basis (for ell_basis, the two columns and the row
+    bounds), then its projection P basis (for the residual's Gram and cross
+    vector), then its scaled derivative (for hw_norm's).  Each Gram is one
+    product w w^T on the whole array.  The basis is released before the
+    recursion allocates its coefficient buffer, and the curves (the mean
+    curve, and a slice's when the normalizer needs them) are multiplied by
+    column chunks of it gathered from the held windows of D and L.
     """
-    oracle = _factored_oracle(model, h0, config)
-    grid, basis = model.grid, oracle.basis
+    oracle, basis = _factored_oracle(model, h0, config)
+    grid = model.grid
     nodes = [0, grid.index_of(1.0)]   # r(0) for hw_norm, and eval_at_1
     cols = basis[:, nodes]
-    # the basis's memory then holds its projection, its scaled derivative and itself again
+    # the basis's memory then holds its projection and its scaled derivative
     if psi is not None:
         # max|r| of a block is at most tail_sup + max_p |coef_p| @ row_sup
         row_sup = np.maximum(basis.max(axis=1), -basis.min(axis=1))
@@ -425,8 +466,8 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
         # |P(coef @ basis + tail - psi)|^2 with P the projection orthogonal
         # to lam, as a quadratic form in coef like the hw_norm integral
         u = model.lam / np.linalg.norm(model.lam)
-        for row, v in zip(basis, basis @ u):
-            row -= v * u
+        for i, v in enumerate(basis @ u):
+            basis[i] -= v * u
         e = oracle.tail - psi
         e -= (e @ u) * u
         res_gram, res_cross, res_const = basis @ basis.T, 2.0 * (basis @ e), float(e @ e)
@@ -440,12 +481,13 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     cross, const = 2.0 * (w @ (q * d_tail)), float(d_tail @ (q * d_tail))
     w *= np.sqrt(q)
     gram = w @ w.T
-    _shifted_basis(model, config.n_steps, out=basis)
+    # the recursion's buffer and the curves' chunks replace the basis
+    del basis, w
 
     ell, at1, norms = (np.empty(config.n_paths) for _ in range(3))
-    coef_sum = np.zeros(len(basis))
+    coef_sum = np.zeros(len(oracle.ell_basis))
     # a slice's quadratic forms and |coef| bound run in one work array
-    work = np.empty((PATH_BLOCK, len(basis)))
+    work = np.empty((PATH_BLOCK, len(coef_sum)))
     min_ell, worst_sq, peak = np.inf, 0.0, 0.0
     for s, coef, ell_r, block_min in _oracle_blocks(model, oracle, config):
         block, tmp = slice(s, s + len(coef)), work[:len(coef)]
@@ -464,7 +506,9 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
             worst_sq = max(worst_sq, float(dist_sq.max()))
             # the normalizer max(1, peak) needs max|r| only where it may exceed 1
             if tail_sup + float((np.abs(coef, out=tmp) @ row_sup).max()) > 1.0:
-                peak = max(peak, float(np.abs(oracle.curves(coef)).max()))
+                peak = max(peak, oracle.sup(coef))
+    # the last slice's views would keep the recursion buffer alive
+    del coef, ell_r, tmp, work
     return DirectSummary(
         phis={"ell": ell, "eval_at_1": at1, "hw_norm": norms},
         mean_curve=oracle.curves(coef_sum / config.n_paths),

@@ -21,7 +21,7 @@ from affinefdr.modelfile import parse_model_file
 from affinefdr.simulate import (evolve_psi, fdr_phi_values, simulate_state,
                                 summarize_direct)
 
-from conftest import traced_peak
+from conftest import model_text, traced_peak
 
 MODELS = resources.files("affinefdr") / "models"
 DATA = Path(__file__).parent / "data"
@@ -266,9 +266,25 @@ def test_check_square_root_key_set(capsys, name):
     cli.main(["check", model_path(f"{name}.model"), "--json"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert {"realizability", "check_damir", "check_const_mod_k"} <= set(checks)
+    # example64's G is the orthogonal complement of V, which ell does not vanish on
+    assert checks["ell_vanishes_on_g"] is (name != "example64")
     # the quasi-exponential test runs exactly where K is nontrivial
     qe_keys = {"a_sigma_dim", "a_sigma_in_v"}
     assert qe_keys & set(checks) == (set() if checks["check_damir"] else qe_keys)
+
+
+def test_check_reports_the_orthogonal_split_fallback(tmp_path):
+    # at dx = 0.01 the point 0.695 of two_factor's ell is no node, so ell
+    # snaps to 0.7 and no longer vanishes on the subspace curve: the split
+    # falls back to the orthogonal complement of V, and the report says so
+    coarse = tmp_path / "coarse.model"
+    coarse.write_text(model_text("two_factor", dx=0.01))
+    res = run_cli("check", str(coarse), "--json")
+    checks = json.loads(res.stdout)["checks"]
+    assert checks["ell_vanishes_on_g"] is False
+    assert res.returncode == 1 and checks["overall"] is False
+    linear = run_cli("check", model_path("linear_qe.model"), "--json")
+    assert "ell_vanishes_on_g" not in json.loads(linear.stdout)["checks"]
 
 
 def test_check_nontrivial_k_needs_a_quasi_exponential_lam(tmp_path):
@@ -357,7 +373,7 @@ def test_check_two_factor_point_past_grid_end(tmp_path):
     far.write_text(text)
     res = run_cli("check", str(far))
     assert res.returncode == 2
-    assert res.stderr == "error: point 13.865 lies outside [0, 10]\n"
+    assert res.stderr == "error: [model] ell: point 13.865 lies outside [0, 10]\n"
 
 
 @pytest.mark.parametrize("check_section", ["", "\n[check]\nspan_tol = 1e-5\n"],
@@ -618,6 +634,18 @@ def test_initial_set_grid_mismatch(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("rows, message", [
+    (0, "no rows"), (1, "curve x-column does not match the model grid")],
+    ids=["header-only", "one-row"])
+def test_initial_set_refuses_a_curve_of_no_row_or_one_row(tmp_path, rows, message):
+    curve = tmp_path / "curve.csv"
+    write_curve(curve, rows, np.full(rows, 0.02))
+    res = run_cli("initial-set", model_path("cir.model"), "--curve", str(curve))
+    assert res.returncode == 2
+    # no numpy warning ahead of the message
+    assert res.stderr == f"error: {curve}: {message}\n"
+
+
 def test_initial_set_rejects_a_nan_in_the_x_column(tmp_path):
     curve = tmp_path / "nan_x.csv"
     write_curve(curve, 2001, np.full(2001, 0.02))
@@ -677,12 +705,15 @@ def test_simulate_manifest_across_blocks_matches_golden(tmp_path):
         (DATA / "manifest_cir_1100_both.json").read_bytes()
 
 
-@pytest.mark.parametrize("paths", [200, 1100])
-def test_simulate_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, paths):
-    # the models of both manifest goldens; the thread count is read per process
+@pytest.mark.parametrize("paths,h0", [(200, None), (1100, None),
+                                      (1100, "60 * (0.02 + 0.01 * x * exp(-x))")],
+                         ids=["200", "1100", "1100-large_h0"])
+def test_simulate_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, paths, h0):
+    # the models of both manifest goldens, and one whose h0, scaled 60 times,
+    # takes every slice's residual normalizer through the oracle's curves;
+    # the thread count is read per process
     model = tmp_path / "cir.model"
-    model.write_text((MODELS / "cir.model").read_text().replace("paths = 2000",
-                                                                f"paths = {paths}"))
+    model.write_text(model_text("cir", paths=paths, **({"h0": h0} if h0 else {})))
     runs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"

@@ -5,7 +5,7 @@ from affinefdr import cones, hjmm
 from affinefdr import realization as rz
 from affinefdr.cones import orthogonal_split
 from affinefdr.curves import SHORT_END, Grid, derivative, primitive
-from affinefdr.errors import GridMismatch, ModelFileError, NotInV
+from affinefdr.errors import ModelFileError, NotInV
 from affinefdr.hjmm import (SquareRootModel, build_s_operator, hjm_drift, ker_ell_split,
                             riccati_capital, riccati_small)
 
@@ -159,7 +159,8 @@ def test_presets_refuse_what_the_grid_cannot_hold(grid):
     with pytest.raises(ModelFileError, match=r"^\[cone\] c1: expression "
                        r"'riccati\(x, rho, gamma\)' is not a finite curve$"):
         bundled_model("cir", gamma=1e200)
-    with pytest.raises(GridMismatch, match=r"^point 13.865 lies outside \[0, 10\]$"):
+    with pytest.raises(ModelFileError,
+                       match=r"^\[model\] ell: point 13.865 lies outside \[0, 10\]$"):
         bundled_model("two_factor", ell="points: 0:-1, 13.865:4")
     # a point within half a step of x_max snaps to the last node
     assert bundled_model("two_factor", ell="points: 0:-1, 10.002:4").ell.nodes[1] == grid.n - 1

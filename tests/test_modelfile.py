@@ -7,7 +7,7 @@ import pytest
 
 from affinefdr import hjmm, modelfile
 from affinefdr.curves import SHORT_END, PointCombo
-from affinefdr.errors import GridMismatch, ModelFileError
+from affinefdr.errors import ModelFileError
 from affinefdr.hjmm import riccati_small
 from affinefdr.modelfile import ModelSpec, eval_curve, parse_model_file, parse_model_text
 from importlib import resources
@@ -113,7 +113,7 @@ def test_point_combo_ell():
 
 def test_point_ell_beyond_grid_end():
     text = BASE.replace("ell = short_end", "ell = points: 0:1, 12:-0.5")
-    with pytest.raises(GridMismatch, match=r"^point 12.0 lies outside \[0, 10\]$"):
+    with pytest.raises(ModelFileError, match=r"^\[model\] ell: point 12.0 lies outside \[0, 10\]$"):
         parse_model_text(text)
 
 

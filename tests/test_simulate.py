@@ -42,10 +42,11 @@ def realized_curves(foliation, paths, model, step=-1):
 
 
 def direct_curves(model, h0, config):
-    """The direct run's final curves, assembled block by block, and its min ell."""
-    oracle = _factored_oracle(model, h0, config)
+    """The direct run's final curves, each block's rows times the whole basis
+    plus S^K h0, and its min ell."""
+    oracle, basis = _factored_oracle(model, h0, config)
     # a yielded slice is valid only until the generator advances
-    curves, mins = zip(*((oracle.curves(coef), block_min)
+    curves, mins = zip(*((coef @ basis + oracle.tail, block_min)
                          for _, coef, _, block_min in _oracle_blocks(model, oracle, config)))
     return np.vstack(curves), min(mins)
 
@@ -461,13 +462,22 @@ def test_factored_oracle_matches_gathered_reference(grid, cir_model, case):
     model = cir_model if case == "short_end" else _held_point_model()
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=1)
-    oracle = _factored_oracle(model, h0, cfg)
+    oracle, built = _factored_oracle(model, h0, cfg)
     basis, ell_basis, ell_h0, tail = gathered_oracle(model, h0, cfg.n_steps)
-    assert np.array_equal(oracle.basis, basis)
+    assert np.array_equal(_shifted_basis(model, cfg.n_steps), basis)
+    assert np.array_equal(built, basis)
     assert np.array_equal(oracle.ell_basis, ell_basis)
     assert np.array_equal(oracle.ell_h0, ell_h0)
     assert np.array_equal(oracle.tail, tail)
     assert np.array_equal(_shifted_basis(model, cfg.n_steps, grid.dx), derivative(basis, grid))
+    # the oracle holds no basis; its curves gather column chunks of it, and
+    # for the mean row and a full slice they keep the whole product's bits
+    held = [oracle.ell_h0, oracle.ell_basis, *oracle.windows, oracle.tail]
+    assert not any(np.shares_memory(built, a) for a in held)
+    coef = 1e-3 * np.random.default_rng(5).standard_normal((PATH_BLOCK, len(basis)))
+    for rows in (coef, coef.mean(axis=0)):
+        assert np.array_equal(oracle.curves(rows), rows @ basis + tail)
+    assert oracle.sup(coef) == float(np.abs(coef @ basis + tail).max())
     if case == "held_point":
         # the highest shifts read the point from the held region
         assert grid.index_of(9.9) + cfg.n_steps - 1 > grid.n - 1
@@ -498,7 +508,7 @@ def test_shifted_basis_matches_gathered_reference_at_wider_shifts(grid, shift, n
 
 def _sim_inputs(grid, model, n_paths, scale=1.0):
     h0 = scale * (0.02 + 0.01 * grid.x * np.exp(-grid.x))
-    cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=n_paths, seed=12345)
+    cfg = SimConfig(horizon=0.5, dt=grid.dx, n_paths=n_paths, seed=12345)
     psi = evolve_psi(model, h0, cfg).psi[-1]
     return h0, cfg, psi
 
@@ -538,12 +548,15 @@ def test_summarize_direct_builds_only_the_mean_curve(monkeypatch):
     spec = parse_model_file(resources.files("affinefdr") / "models" / "cir.model")
     model, cfg, h0 = spec.model, spec.sim, spec.h0
     psi = evolve_psi(model, h0, cfg).psi[-1]
-    shapes = []
+    rows = []
     curves = _FactoredOracle.curves
     monkeypatch.setattr(_FactoredOracle, "curves",
-                        lambda self, coef: shapes.append(coef.shape) or curves(self, coef))
+                        lambda self, coef: rows.append(coef.copy()) or curves(self, coef))
     summary = summarize_direct(model, h0, cfg, spec.weight, psi)
-    assert shapes == [(2 * cfg.n_steps,)] and summary.foliation_residual > 0.0
+    assert [r.shape for r in rows] == [(2 * cfg.n_steps,)] and summary.foliation_residual > 0.0
+    # the mean row times the whole basis, bit for bit
+    oracle, basis = _factored_oracle(model, h0, cfg)
+    assert np.array_equal(summary.mean_curve, rows[0] @ basis + oracle.tail)
 
 
 def test_a_paths_outputs_do_not_depend_on_the_path_count(grid, cir_model):
@@ -562,16 +575,27 @@ def test_a_paths_outputs_do_not_depend_on_the_path_count(grid, cir_model):
         assert all(np.array_equal(a, b) for a, b in zip(heads[0], head))
 
 
-@pytest.mark.parametrize("n_paths", [2000, 20000])
-def test_summarize_direct_holds_one_basis_sized_array(grid, cir_model, n_paths):
+@pytest.mark.parametrize("dx,n_paths,scale,bound", [
+    (0.005, 2000, 1.0, 1.35), (0.005, 20000, 1.0, 1.35), (0.0025, 2000, 1.0, 1.35),
+    (0.005, 2000, 60.0, 3.0)], ids=["2000", "20000", "dx0.0025", "large_h0"])
+def test_summarize_direct_holds_its_basis_only_for_the_grams(monkeypatch, dx, n_paths,
+                                                             scale, bound):
     # the basis array, whose memory also holds its projection and scaled
-    # derivative, one coefficient buffer for every block and one slice work
-    # array; a run draws its normals once for both simulators, so they are
-    # drawn before tracing
-    h0, cfg, psi = _sim_inputs(grid, cir_model, n_paths)
+    # derivative, lives only while the Grams are built; then one coefficient
+    # buffer for every block, one slice work array and, where the normalizer
+    # needs them (large_h0: 1.3 basis sizes here), one slice's curves.  A run
+    # draws its normals once for both simulators, so they are drawn before tracing
+    grid = Grid(10.0, dx)
+    model = bundled_model("cir", dx=repr(dx))
+    h0, cfg, psi = _sim_inputs(grid, model, n_paths, scale)
     path_normals(cfg.seed, n_paths, cfg.n_steps)
-    peak = traced_peak(lambda: summarize_direct(cir_model, h0, cfg, Weight(), psi))
-    assert peak < 2.1 * (2 * cfg.n_steps * grid.n * 8)
+    sups = []
+    sup = _FactoredOracle.sup
+    monkeypatch.setattr(_FactoredOracle, "sup",
+                        lambda self, coef: sups.append(len(coef)) or sup(self, coef))
+    peak = traced_peak(lambda: summarize_direct(model, h0, cfg, Weight(), psi))
+    assert peak < bound * (2 * cfg.n_steps * grid.n * 8)
+    assert sum(sups) == (n_paths if scale > 1.0 else 0)
 
 
 def test_summarize_direct_holds_no_ensemble(grid, cir_model):
