@@ -21,11 +21,11 @@ import numpy as np
 
 from . import __version__
 from . import realization as rz
-from .curves import Grid, derivative
+from .curves import DEFAULT_DX, DEFAULT_X_MAX, Grid, Weight, derivative
 from .errors import (AffineFdrError, ConstraintViolated, GridMismatch, LeftBoundary,
                      MalformedArtifact, MissingArtifacts, ModelFileError, NotInInitialSet)
 from .hjmm import riccati_capital, riccati_small
-from .modelfile import ModelSpec, parse_model_file
+from .modelfile import ModelSpec, parse_model_file, require_finite_norm
 from .simulate import (evolve_psi, fdr_phi_values, simulate_state, summarize_direct,
                        verify_invariance)
 
@@ -163,7 +163,7 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- initial-set
 
-def _read_curve_csv(path: str, grid: Grid) -> np.ndarray:
+def _read_curve_csv(path: str, grid: Grid, weight: Weight) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             # loadtxt warns of a table without rows, which is refused below
@@ -179,12 +179,12 @@ def _read_curve_csv(path: str, grid: Grid) -> np.ndarray:
         raise ModelFileError(f"{path}: expected two columns x,value")
     if data.shape[0] != grid.n or not np.all(np.abs(data[:, 0] - grid.x) <= 1e-9):
         raise GridMismatch(f"{path}: curve x-column does not match the model grid")
-    return data[:, 1]
+    return require_finite_norm(data[:, 1], grid, weight, path)
 
 
 def cmd_initial_set(args) -> int:
     spec = parse_model_file(args.modelfile)
-    h = _read_curve_csv(args.curve, spec.grid)
+    h = _read_curve_csv(args.curve, spec.grid, spec.weight)
     model = spec.model
     if model is None:
         raise ModelFileError("initial-set needs a square-root model; this file has none")
@@ -370,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("riccati", help="tabulate the Riccati curve pair")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--xmax", type=float, default=10.0)
-    p.add_argument("--dx", type=float, default=0.005)
+    p.add_argument("--xmax", type=float, default=DEFAULT_X_MAX)
+    p.add_argument("--dx", type=float, default=DEFAULT_DX)
     p.add_argument("--out", default="riccati.csv")
 
     p = sub.add_parser("check", help="run the realizability checks")

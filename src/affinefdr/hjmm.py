@@ -86,7 +86,7 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def default_boundary_samples(grid: Grid, split: SplitSpace, n: int = 6) -> list[np.ndarray]:
+def default_boundary_samples(grid: Grid, split: SplitSpace, n: int) -> list[np.ndarray]:
     """n smooth curves in G = ker ell whose short-end drift points inward.
 
     Every shape vanishes at x = 0 with strictly positive slope, so positive

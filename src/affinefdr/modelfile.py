@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SHORT_END, Grid, PointCombo, Weight, primitive
+from .curves import (DEFAULT_DX, DEFAULT_X_MAX, SHORT_END, Grid, PointCombo, Weight, hw_norm,
+                     primitive)
 from .errors import AffineFdrError, GridMismatch, ModelFileError, NotInV
 from .hjmm import SquareRootModel, default_boundary_samples, ker_ell_split, riccati_small
 from .simulate import SimConfig
@@ -76,6 +77,14 @@ def eval_curve(expr: str, grid: Grid, params: dict[str, float],
     return values
 
 
+def require_finite_norm(values: np.ndarray, grid: Grid, weight: Weight, where: str) -> np.ndarray:
+    """values, once its H_w norm, computed without numpy warnings, is finite."""
+    with np.errstate(all="ignore"):
+        if not np.isfinite(hw_norm(values, grid, weight)):
+            raise ModelFileError(f"{where}: the curve's H_w norm is not finite")
+    return values
+
+
 def _parse_ell(spec: str, grid: Grid) -> PointCombo:
     spec = spec.strip()
     if spec == "short_end":
@@ -110,7 +119,7 @@ _SECTION_KEYS = {
     "space": ("x_max", "dx", "weight_alpha"),
     "model": ("kind", "rho", "gamma", "ell", "vol_amplitude", "vol_curve"),
     "check": ("boundary_samples", "max_dim", "span_tol"),
-    "sim": ("horizon", "dt", "paths", "seed", "scheme", "h0"),
+    "sim": ("horizon", "dt", "paths", "seed", "h0"),
     "cone": None,
     "subspace": None,
 }
@@ -163,9 +172,9 @@ def parse_model_text(text: str) -> ModelSpec:
             if _SECTION_KEYS[section] is not None and key not in _SECTION_KEYS[section]:
                 raise ModelFileError(f"[{section}] {key}: unknown key")
 
-    x_max = _get(cfg, "space", "x_max", float, 10.0)
-    dx = _get(cfg, "space", "dx", float, 0.005)
-    alpha = _get(cfg, "space", "weight_alpha", float, 4.0)
+    x_max = _get(cfg, "space", "x_max", float, DEFAULT_X_MAX)
+    dx = _get(cfg, "space", "dx", float, DEFAULT_DX)
+    alpha = _get(cfg, "space", "weight_alpha", float, Weight.alpha)
     try:
         grid = Grid(x_max, dx)
     except Exception as exc:
@@ -234,13 +243,12 @@ def parse_model_text(text: str) -> ModelSpec:
         dt = _get(cfg, "sim", "dt", float, grid.dx)
         n_paths = _get(cfg, "sim", "paths", int, 1000)
         seed = _get(cfg, "sim", "seed", int, 0)
-        scheme = _get(cfg, "sim", "scheme", str, "full_truncation").strip()
         try:
-            sim = SimConfig(horizon, dt, n_paths, seed, scheme)
+            sim = SimConfig(horizon, dt, n_paths, seed)
         except Exception as exc:
             raise ModelFileError(f"[sim]: {exc}") from exc
         if cfg.has_option("sim", "h0"):
-            h0 = curve("sim", "h0")
+            h0 = require_finite_norm(curve("sim", "h0"), grid, weight, "[sim] h0")
 
     # the square-root model: the [cone] and [subspace] curves split by
     # ker_ell_split, Lam the primitive of lam, and n = boundary_samples samples

@@ -1,19 +1,18 @@
 """Simulation through the affine realization, and a direct SPDE oracle.
 
 The realization evolves the boundary curve psi by a deterministic transport
-ODE on ker ell and the scalar state X by a time-inhomogeneous square-root
-SDE; curves are reconstructed as r = psi + X lam.  The direct oracle
-discretizes the full SPDE by method of lines with exact index-shift
-transport, evaluated in factored form as shifted rank-one sums, so the
-statistics of the two runs can be compared.  Its shifted curves are windows
-of three curves held past x_max.  summarize_direct runs the recursion per
-block of RECURSION_BLOCK paths and reduces each slice of PATH_BLOCK rows to
-its functionals, coefficient sum (for the mean curve), min ell and foliation
-residual, without the slice's curves.  With the realization's mean curve
-taken as psi(T) + mean(X_T) lam, simulate holds no (paths, grid) array.
-The oracle's one (2K, n_x) array, its basis, lives only while its Gram
-matrices are built; the curves it still needs are multiplied by column
-chunks of the basis gathered from the held curves.  The time loops step on
+ODE on ker ell and the scalar state X, a time-inhomogeneous square-root SDE,
+by full-truncation Euler; curves are reconstructed as r = psi + X lam.  The
+direct oracle discretizes the full SPDE by method of lines with exact
+index-shift transport, evaluated in factored form as shifted rank-one sums,
+so the statistics of the two runs can be compared.  Its shifted curves are
+windows of three curves held past x_max, from which one method writes its
+basis, a column range of it or its derivative.  summarize_direct runs the
+recursion per block of RECURSION_BLOCK paths and reduces each slice of
+PATH_BLOCK rows to its functionals, coefficient sum (for the mean curve), min
+ell and foliation residual, without the slice's curves.  So simulate holds
+no (paths, grid) array, and the oracle's one (2K, n_x) array, its basis,
+lives only while its Gram matrices are built.  The time loops step on
 buffers allocated once per run and keep the plain expressions' operations
 in their order, so their results are those expressions' bits.
 """
@@ -31,8 +30,6 @@ from .curves import Grid, Weight, central_stencil, derivative, one_sided_ends
 from .errors import (CflViolated, ConstraintViolated, GridMismatch, HorizonMismatch,
                      LeftBoundary, NotInInitialSet)
 from .hjmm import SquareRootModel
-
-SCHEMES = ("full_truncation", "drift_implicit")
 
 # The direct oracle's recursion runs per block of RECURSION_BLOCK paths, wide
 # to share out its per-step overhead (its rows do not depend on the width).
@@ -53,7 +50,6 @@ class SimConfig:
     dt: float
     n_paths: int
     seed: int = 0
-    scheme: str = "full_truncation"
 
     def __post_init__(self):
         for key in ("horizon", "dt"):
@@ -63,8 +59,6 @@ class SimConfig:
             raise ConstraintViolated("paths must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ConstraintViolated("seed must lie in [0, 2**64)")
-        if self.scheme not in SCHEMES:
-            raise ConstraintViolated(f"scheme must be one of {SCHEMES}")
         if abs(round(self.horizon / self.dt) * self.dt - self.horizon) > 1e-9:
             raise ConstraintViolated("horizon must be an integer multiple of dt")
 
@@ -84,7 +78,7 @@ class Foliation:
 
 
 def _check_step(dt: float, grid: Grid) -> None:
-    """The CFL condition dt <= dx that both schemes need."""
+    """The CFL condition dt <= dx that the leaf and the direct oracle need."""
     if dt > grid.dx + 1e-12:
         raise CflViolated(f"dt = {dt} exceeds dx = {grid.dx}")
 
@@ -204,6 +198,14 @@ def _cached_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     return out
 
 
+def _normals(model: SquareRootModel, config: SimConfig) -> np.ndarray:
+    """A run's (n_paths, n_steps) normals: path_normals, or, at rho = 0, one
+    zero column read as all of them."""
+    if model.rho > 0:
+        return path_normals(config.seed, config.n_paths, config.n_steps)
+    return np.broadcast_to(np.zeros((config.n_paths, 1)), (config.n_paths, config.n_steps))
+
+
 def _validate_coefficient_reduction(model: SquareRootModel, foliation: Foliation) -> float:
     """Check the reduced state-SDE coefficients against the projected drift.
 
@@ -233,10 +235,8 @@ def simulate_state(model: SquareRootModel, foliation: Foliation,
     """Paths (n_paths, n_steps + 1) of dX = (b(t) + a X) dt + rho sqrt(X) dW
     from X_0 = foliation.x0 >= 0, one column per row of the leaf.
 
-    Both schemes clamp the state at 0 after each step, so the drift and
-    diffusion of full-truncation Euler read X >= 0 and every recorded value
-    is nonnegative.  The drift-implicit variant solves the linear implicit
-    step for the drift and truncates likewise.
+    Full-truncation Euler: the state is clamped at 0 after each step, so the
+    drift and diffusion read X >= 0 and every recorded value is nonnegative.
     """
     if foliation.x0 < 0:
         raise ConstraintViolated("x0 must be nonnegative")
@@ -246,8 +246,7 @@ def simulate_state(model: SquareRootModel, foliation: Foliation,
                               f"the run's {n} steps need {n + 1}")
     _validate_coefficient_reduction(model, foliation)
     a = model.state_drift_slope
-    normals = path_normals(config.seed, config.n_paths, n) if model.rho > 0 \
-        else np.broadcast_to(np.zeros((config.n_paths, 1)), (config.n_paths, n))
+    normals = _normals(model, config)
     x = np.full(config.n_paths, float(foliation.x0))
     diffusion, work = np.empty((2, config.n_paths))
     values = np.empty((config.n_paths, n + 1))
@@ -258,18 +257,12 @@ def simulate_state(model: SquareRootModel, foliation: Foliation,
         np.sqrt(x, out=diffusion)
         diffusion *= model.rho
         diffusion *= np.multiply(normals[:, k], np.sqrt(dt), out=work)
-        if config.scheme == "full_truncation":
-            # x + (b + a x) dt + diffusion
-            drift = np.multiply(x, a, out=work)
-            drift += b
-            drift *= dt
-            x += drift
-            x += diffusion
-        else:
-            # (x + b dt + diffusion) / (1 - a dt)
-            x += b * dt
-            x += diffusion
-            x /= 1.0 - a * dt
+        # x + (b + a x) dt + diffusion
+        drift = np.multiply(x, a, out=work)
+        drift += b
+        drift *= dt
+        x += drift
+        x += diffusion
         np.maximum(x, 0.0, out=x)
         values[:, k + 1] = x
     return values
@@ -283,14 +276,29 @@ class _FactoredOracle:
     pair j of the basis is S^(K-1-j) D, S^(K-1-j) L.  So ell(r_k) is
     ell_h0[k] plus the first 2k coefficients against ell_basis[2(K-k):].
     The basis itself is not kept: its rows are windows of D and L held past
-    x_max, and curves gathers it from them PATH_BLOCK columns at a time.
+    x_max, and basis writes it, or a column range of it, into a given buffer.
     """
 
     ell_h0: np.ndarray      # (K+1,), ell(S^i h0)
     ell_basis: np.ndarray   # (2K,), ell of each basis row
-    windows: tuple[np.ndarray, np.ndarray]   # (K, n_x) views S^0 f, ..., S^(K-1) f
-                                             # of D and of L held past x_max
+    held: tuple[np.ndarray, np.ndarray]   # (n_x + K - 1,) D = lam Lam and L = lam,
+                                          # each held K - 1 nodes past x_max
     tail: np.ndarray        # (n_x,), S^K h0
+
+    def basis(self, out: np.ndarray, dx: float | None = None, cols=slice(None)) -> np.ndarray:
+        """Rows S^(K-1) D, S^(K-1) L, ..., D, L into out, their columns cols
+        only when given; or, given dx, the derivative of every whole row,
+        entry for entry from one stencil pass per held curve."""
+        n_x = len(self.tail)
+        # from the end back, each curve's rows take S^0, S^1, ...
+        for rows, held in zip((out[-2::-2], out[::-2]), self.held):
+            windows = sliding_window_view(held, n_x)
+            if dx is None:
+                rows[...] = windows[:, cols]
+            else:
+                rows[:, 2:-2] = sliding_window_view(central_stencil(held, dx), n_x - 4)
+                one_sided_ends(windows, dx, rows)
+        return out
 
     def curves(self, coef: np.ndarray) -> np.ndarray:
         """coef @ basis + tail, multiplied by C-contiguous chunks of PATH_BLOCK
@@ -301,10 +309,7 @@ class _FactoredOracle:
         for c in range(0, n_x, PATH_BLOCK):
             cols = slice(c, c + PATH_BLOCK)
             part = chunk[:n_rows * len(self.tail[cols])].reshape(n_rows, -1)
-            # from the end back, each curve's rows take S^0, S^1, ...
-            for rows, windows in zip((part[-2::-2], part[::-2]), self.windows):
-                rows[...] = windows[:, cols]
-            r[..., cols] = coef @ part
+            r[..., cols] = coef @ self.basis(part, cols=cols)
         r += self.tail
         return r
 
@@ -315,11 +320,9 @@ class _FactoredOracle:
 
 
 def _factored_oracle(model: SquareRootModel, h0: np.ndarray,
-                     config: SimConfig) -> tuple[_FactoredOracle, np.ndarray]:
+                     config: SimConfig) -> _FactoredOracle:
     """Validate a direct run's inputs and precompute its fixed data.
 
-    Returns the oracle and the (2K, n_x) basis it was built from; the oracle
-    keeps no reference to the basis, so the caller decides how long it lives.
     The recursion's forcing a_k and b_k is that of the sqrt_ell amplitude, so
     any other amplitude raises ConstraintViolated.  S moves one node per step,
     so dt must equal dx: either side of it raises CflViolated.
@@ -334,37 +337,20 @@ def _factored_oracle(model: SquareRootModel, h0: np.ndarray,
                           f"is below dx = {grid.dx}")
 
     n = config.n_steps
-    basis = _shifted_basis(model, n)
     _, h0_rows = _held_windows(h0, n)
-    oracle = _FactoredOracle(ell_h0=model.ell(h0_rows), ell_basis=model.ell(basis),
-                             windows=tuple(w for _, w in _forcing_windows(model, n)),
-                             tail=h0_rows[n].copy())
-    return oracle, basis
+    forcing = [_held_windows(f, n - 1) for f in (model.lam * model.lam_capital, model.lam)]
+    ell_basis = np.empty(2 * n)
+    # ell of each basis row, laid out as in _FactoredOracle.basis
+    for rows, (_, windows) in zip((ell_basis[-2::-2], ell_basis[::-2]), forcing):
+        rows[...] = model.ell(windows)
+    return _FactoredOracle(ell_h0=model.ell(h0_rows), ell_basis=ell_basis,
+                           held=tuple(held for held, _ in forcing), tail=h0_rows[n].copy())
 
 
 def _held_windows(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """f held at its last value for n nodes, and its windows S^0 f, ..., S^n f."""
     held = np.concatenate([f, np.full(n, f[-1])])
     return held, sliding_window_view(held, len(f))
-
-
-def _forcing_windows(model: SquareRootModel, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_held_windows of D = lam Lam and of L = lam, with windows S^0, ..., S^(n-1)."""
-    return [_held_windows(f, n - 1) for f in (model.lam * model.lam_capital, model.lam)]
-
-
-def _shifted_basis(model: SquareRootModel, n: int, dx: float | None = None, out=None):
-    """Rows S^(n-1) D, S^(n-1) L, ..., D, L with D = lam Lam and L = lam, or, given
-    dx, derivative(row) entry for entry from one stencil pass per curve; into out."""
-    out = np.empty((2 * n, model.grid.n)) if out is None else out
-    # from the end back, each curve's rows take S^0, S^1, ...
-    for rows, (held, windows) in zip((out[-2::-2], out[::-2]), _forcing_windows(model, n)):
-        if dx is None:
-            rows[...] = windows
-        else:
-            rows[:, 2:-2] = sliding_window_view(central_stencil(held, dx), out.shape[1] - 4)
-            one_sided_ends(windows, dx, rows)
-    return out
 
 
 def _oracle_blocks(model: SquareRootModel, oracle: _FactoredOracle, config: SimConfig):
@@ -375,8 +361,7 @@ def _oracle_blocks(model: SquareRootModel, oracle: _FactoredOracle, config: SimC
     buffer, so a yielded slice is valid only until the generator advances.
     """
     n, dt, rho = config.n_steps, config.dt, model.rho
-    normals = path_normals(config.seed, config.n_paths, n) if rho > 0 \
-        else np.broadcast_to(np.zeros((config.n_paths, 1)), (config.n_paths, n))
+    normals = _normals(model, config)
     # (a_j, b_j) per path and step; step k reads only the columns below k
     buf = np.empty((min(RECURSION_BLOCK, config.n_paths), n, 2))
     for s in range(0, config.n_paths, RECURSION_BLOCK):
@@ -445,17 +430,18 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     P(S^K h0 - psi), and that vector's squared norm.  A slice's curves are
     built only when its max|r| bound exceeds 1; the normalizer stays exact.
 
-    The (2K, n_x) basis lives only while the Gram matrices are built: its
-    memory holds the basis (for ell_basis, the two columns and the row
-    bounds), then its projection P basis (for the residual's Gram and cross
-    vector), then its scaled derivative (for hw_norm's).  Each Gram is one
-    product w w^T on the whole array.  The basis is released before the
+    The (2K, n_x) basis, which the oracle writes, lives only while the Gram
+    matrices are built: its memory holds the basis (for the two columns and
+    the row bounds), then its projection P basis (for the residual's Gram
+    and cross vector), then its scaled derivative (for hw_norm's).  Each
+    Gram is one product w w^T on the whole array.  The basis is released before the
     recursion allocates its coefficient buffer, and the curves (the mean
     curve, and a slice's when the normalizer needs them) are multiplied by
-    column chunks of it gathered from the held windows of D and L.
+    column chunks of it, which the oracle writes from the held D and L.
     """
-    oracle, basis = _factored_oracle(model, h0, config)
+    oracle = _factored_oracle(model, h0, config)
     grid = model.grid
+    basis = oracle.basis(np.empty((len(oracle.ell_basis), grid.n)))
     nodes = [0, grid.index_of(1.0)]   # r(0) for hw_norm, and eval_at_1
     cols = basis[:, nodes]
     # the basis's memory then holds its projection and its scaled derivative
@@ -476,7 +462,7 @@ def summarize_direct(model: SquareRootModel, h0: np.ndarray, config: SimConfig,
     q[[0, -1]] /= 2.0
     # the Gram of w = sqrt(q) basis' is the symmetric product w w^T, whose
     # sums do not depend on the BLAS thread count
-    w = _shifted_basis(model, config.n_steps, grid.dx, out=basis)
+    w = oracle.basis(basis, grid.dx)
     d_tail = derivative(oracle.tail, grid)
     cross, const = 2.0 * (w @ (q * d_tail)), float(d_tail @ (q * d_tail))
     w *= np.sqrt(q)

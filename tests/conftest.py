@@ -67,7 +67,7 @@ def perturbed_cir_model(model, vol_curve, boundary_samples=None):
     """
     split = ker_ell_split(model.grid, model.ell, vol_curve)
     if boundary_samples is None:
-        boundary_samples = default_boundary_samples(model.grid, split)
+        boundary_samples = default_boundary_samples(model.grid, split, 6)
     return dataclasses.replace(model, lam=vol_curve, split=split,
                                boundary_samples=boundary_samples)
 

@@ -658,6 +658,32 @@ def test_initial_set_rejects_a_nan_in_the_x_column(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+def test_initial_set_refuses_a_curve_without_a_finite_norm(tmp_path, value):
+    # a nan or inf value, or a finite one whose derivative overflows, leaves
+    # the H_w norm not finite; the refusal names the file, without a numpy warning
+    curve = tmp_path / "curve.csv"
+    values = np.full(2001, 0.02)
+    values[7] = float(value)
+    write_curve(curve, 2001, values)
+    res = run_cli("initial-set", model_path("cir.model"), "--curve", str(curve))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: {curve}: the curve's H_w norm is not finite\n"
+
+
+def test_simulate_and_check_refuse_an_h0_without_a_finite_norm(fast_model, tmp_path):
+    # h0 and its derivative are finite, the integrand of the norm is not
+    bad = tmp_path / "huge_h0.model"
+    bad.write_text(Path(fast_model).read_text().replace(
+        "h0 = 0.02 + 0.01 * x * exp(-x)", "h0 = 0.02 + 1e307 * (x * x * exp(-x))"))
+    out = tmp_path / "run"
+    for argv in (["simulate", str(bad), "--out-dir", str(out)], ["check", str(bad)]):
+        res = run_cli(*argv)
+        assert (res.returncode, res.stdout) == (2, ""), argv
+        assert res.stderr == "error: [sim] h0: the curve's H_w norm is not finite\n", argv
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fast_model(tmp_path_factory):
     # same model as cir.model with a smaller path count for CLI round trips

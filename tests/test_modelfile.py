@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,11 @@ def test_eval_curve_rejects_complex_values(expr):
     (lambda t: t + "\n[check]\nspan_tool = 1e-3\n", "[check] span_tool: unknown key"),
     (lambda t: t.replace("gamma = 0.05", "gama = 0.05"), "[model] gama: unknown key"),
     (lambda t: t + "\n[chek]\nmax_dim = 3\n", "[chek]: unknown section"),
+    # the state process has one scheme, full truncation, and no key selects it
+    (lambda t: t + "\n[sim]\nhorizon = 0.5\nscheme = full_truncation\n",
+     "[sim] scheme: unknown key"),
+    (lambda t: t + "\n[sim]\nhorizon = 0.5\nscheme = drift_implicit\n",
+     "[sim] scheme: unknown key"),
 ])
 def test_error_diagnostics(mutate, fragment):
     with pytest.raises(ModelFileError) as exc:
@@ -217,3 +224,13 @@ def test_custom_vol_curve_must_lie_in_span():
     bad = text.replace("vol_curve = exp(-gamma * x)", "vol_curve = sin(x)")
     with pytest.raises(ModelFileError, match=r"^\[model\] vol_curve: "):
         parse_model_text(bad)
+
+
+def test_readme_key_table_names_exactly_the_model_file_keys():
+    # one row per key a section reads, and one `<name>` row for each section
+    # that names its curves freely
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `([^`]+)` \|", readme, flags=re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(section, key) for section, keys in modelfile._SECTION_KEYS.items()
+                         for key in keys or ("<name>",)}

@@ -35,7 +35,7 @@ def test_perturbed_lambda_flips_conditions(grid, cir_model):
 
 def test_negated_cir_samples_fail_only_cond_ar1(grid, cir_model):
     # -g points the boundary drift out of the cone, so only nu-1 is violated
-    samples = [-g for g in default_boundary_samples(grid, cir_model.split)]
+    samples = [-g for g in default_boundary_samples(grid, cir_model.split, 6)]
     report = rz.check_thm_main2(
         dataclasses.replace(cir_model, boundary_samples=samples))
     assert {c.name for c in report.failed()} == {"cond-AR-1"}
@@ -255,7 +255,7 @@ def _sweep_verdicts(grid, cir_model):
     for shape, curve in shapes.items():
         for i, eps in enumerate((0.0, 1e-8, 1e-6, 1e-5, 3e-5, 1e-4, 1e-2, 1e-1)):
             pert = cir_model.lam + eps * curve
-            samples = default_boundary_samples(grid, ker_ell_split(grid, cir_model.ell, pert))
+            samples = default_boundary_samples(grid, ker_ell_split(grid, cir_model.ell, pert), 6)
             rng = np.random.default_rng(10 * i + len(shape))
             factors = rng.choice([-1.0, 1.0], size=6) * 10.0 ** rng.uniform(-2, 2, 6)
             for variant, gs in (("plain", samples),

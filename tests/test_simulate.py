@@ -10,11 +10,10 @@ from affinefdr.errors import (AffineFdrError, CflViolated, ConstraintViolated, G
                               HorizonMismatch, LeftBoundary, NotInInitialSet)
 from affinefdr.hjmm import riccati_capital, riccati_small
 from affinefdr.modelfile import parse_model_file
-from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, SCHEMES, Foliation, SimConfig,
+from affinefdr.simulate import (PATH_BLOCK, RECURSION_BLOCK, Foliation, SimConfig,
                                 _FactoredOracle, _factored_oracle, _held_windows,
-                                _oracle_blocks, _shifted_basis, evolve_psi, fdr_phi_values,
-                                path_normals, simulate_state, summarize_direct,
-                                verify_invariance)
+                                _oracle_blocks, evolve_psi, fdr_phi_values, path_normals,
+                                simulate_state, summarize_direct, verify_invariance)
 
 from conftest import bundled_model, gathered_oracle, traced_peak
 
@@ -41,10 +40,16 @@ def realized_curves(foliation, paths, model, step=-1):
     return foliation.psi[step] + paths[:, step][:, None] * model.lam
 
 
+def whole_basis(oracle, dx=None):
+    """The oracle's whole (2K, n_x) basis, or its derivative given dx."""
+    return oracle.basis(np.empty((len(oracle.ell_basis), len(oracle.tail))), dx)
+
+
 def direct_curves(model, h0, config):
     """The direct run's final curves, each block's rows times the whole basis
     plus S^K h0, and its min ell."""
-    oracle, basis = _factored_oracle(model, h0, config)
+    oracle = _factored_oracle(model, h0, config)
+    basis = whole_basis(oracle)
     # a yielded slice is valid only until the generator advances
     curves, mins = zip(*((coef @ basis + oracle.tail, block_min)
                          for _, coef, _, block_min in _oracle_blocks(model, oracle, config)))
@@ -254,8 +259,11 @@ def test_simulate_state_mean_against_closed_form(grid, cir_model):
 
 
 def test_simulate_state_schemes_and_errors(cir_model, foliation):
-    cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=16, seed=5,
-                    scheme="drift_implicit")
+    # full truncation is the one state scheme: a run names none
+    assert [f.name for f in dataclasses.fields(SimConfig)] == ["horizon", "dt", "n_paths", "seed"]
+    with pytest.raises(TypeError):
+        SimConfig(horizon=0.5, dt=0.005, n_paths=2, scheme="drift_implicit")
+    cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=16, seed=5)
     paths = simulate_state(cir_model, foliation, cfg)
     assert np.all(paths >= 0.0)
     # a hand-built leaf may start below 0
@@ -265,8 +273,6 @@ def test_simulate_state_schemes_and_errors(cir_model, foliation):
     for horizon, dt in ((1.0, 0.005), (0.5, 0.01)):
         with pytest.raises(HorizonMismatch, match="the leaf has 101 rows"):
             simulate_state(cir_model, foliation, SimConfig(horizon=horizon, dt=dt, n_paths=2))
-    with pytest.raises(ConstraintViolated):
-        SimConfig(horizon=0.5, dt=0.005, n_paths=2, scheme="euler_exact")
 
 
 def reference_simulate_state(model, foliation, config):
@@ -278,22 +284,17 @@ def reference_simulate_state(model, foliation, config):
     for k in range(n):
         b = foliation.psi_ell_deriv[k]
         diffusion = model.rho * np.sqrt(x) * (normals[:, k] * np.sqrt(dt))
-        if config.scheme == "full_truncation":
-            x = x + (b + a * x) * dt + diffusion
-        else:
-            x = (x + b * dt + diffusion) / (1.0 - a * dt)
-        x = np.maximum(x, 0.0)
+        x = np.maximum(x + (b + a * x) * dt + diffusion, 0.0)
         columns.append(x)
     return np.column_stack(columns)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("dt", [0.005, 0.01])
-def test_simulate_state_matches_plain_expressions(cir_model, foliation, scheme, dt):
+def test_simulate_state_matches_plain_expressions(cir_model, foliation, dt):
     # dt = 0.01 runs on every second row of the 0.005 leaf
     k = round(dt / 0.005)
     leaf = Foliation(foliation.psi[::k], foliation.psi_ell_deriv[::k], foliation.x0)
-    cfg = SimConfig(horizon=0.5, dt=dt, n_paths=64, seed=5, scheme=scheme)
+    cfg = SimConfig(horizon=0.5, dt=dt, n_paths=64, seed=5)
     paths = simulate_state(cir_model, leaf, cfg)
     assert np.array_equal(paths, reference_simulate_state(cir_model, leaf, cfg))
 
@@ -462,18 +463,25 @@ def test_factored_oracle_matches_gathered_reference(grid, cir_model, case):
     model = cir_model if case == "short_end" else _held_point_model()
     h0 = 0.02 + 0.01 * grid.x * np.exp(-grid.x)
     cfg = SimConfig(horizon=0.5, dt=0.005, n_paths=1)
-    oracle, built = _factored_oracle(model, h0, cfg)
+    oracle = _factored_oracle(model, h0, cfg)
     basis, ell_basis, ell_h0, tail = gathered_oracle(model, h0, cfg.n_steps)
-    assert np.array_equal(_shifted_basis(model, cfg.n_steps), basis)
+    built = whole_basis(oracle)
     assert np.array_equal(built, basis)
     assert np.array_equal(oracle.ell_basis, ell_basis)
     assert np.array_equal(oracle.ell_h0, ell_h0)
     assert np.array_equal(oracle.tail, tail)
-    assert np.array_equal(_shifted_basis(model, cfg.n_steps, grid.dx), derivative(basis, grid))
-    # the oracle holds no basis; its curves gather column chunks of it, and
-    # for the mean row and a full slice they keep the whole product's bits
-    held = [oracle.ell_h0, oracle.ell_basis, *oracle.windows, oracle.tail]
+    assert np.array_equal(whole_basis(oracle, grid.dx), derivative(basis, grid))
+    # the oracle holds no basis, only lam Lam and lam held K - 1 nodes past
+    # x_max; it writes any column range of the basis
+    assert [len(f) for f in oracle.held] == [grid.n + cfg.n_steps - 1] * 2
+    held = [oracle.ell_h0, oracle.ell_basis, *oracle.held, oracle.tail]
     assert not any(np.shares_memory(built, a) for a in held)
+    for cols in (slice(0, PATH_BLOCK), slice(7 * PATH_BLOCK, None), [0, grid.index_of(1.0)]):
+        part = np.empty_like(basis[:, cols])
+        assert oracle.basis(part, cols=cols) is part
+        assert np.array_equal(part, basis[:, cols])
+    # its curves multiply column chunks of the basis, and for the mean row
+    # and a full slice they keep the whole product's bits
     coef = 1e-3 * np.random.default_rng(5).standard_normal((PATH_BLOCK, len(basis)))
     for rows in (coef, coef.mean(axis=0)):
         assert np.array_equal(oracle.curves(rows), rows @ basis + tail)
@@ -495,12 +503,16 @@ def test_shifted_basis_matches_gathered_reference_at_wider_shifts(grid, shift, n
     # each coarse window is every shift-th node of every shift-th fine window
     assert np.array_equal(_held_windows(h0, n)[1],
                           _held_windows(fine_h0, shift * n)[1][::shift, ::shift])
-    basis, _, ell_h0, tail = gathered_oracle(model, h0, n)
-    assert np.array_equal(_shifted_basis(model, n), basis)
-    assert np.array_equal(_shifted_basis(model, n, coarse.dx), derivative(basis, coarse))
+    oracle = _factored_oracle(model, h0, SimConfig(n * coarse.dx, coarse.dx, 1))
+    basis, ell_basis, ell_h0, tail = gathered_oracle(model, h0, n)
+    assert np.array_equal(whole_basis(oracle), basis)
+    assert np.array_equal(whole_basis(oracle, coarse.dx), derivative(basis, coarse))
+    assert np.array_equal(oracle.ell_basis, ell_basis)
     _, h0_rows = _held_windows(h0, n)
     assert np.array_equal(model.ell(h0_rows), ell_h0)
+    assert np.array_equal(oracle.ell_h0, ell_h0)
     assert np.array_equal(h0_rows[n], tail)
+    assert np.array_equal(oracle.tail, tail)
     assert (n > coarse.n) == (shift == 7)
     if shift == 7:
         assert np.ptp(basis[0]) == 0.0 and np.ptp(h0_rows[n]) == 0.0
@@ -548,15 +560,24 @@ def test_summarize_direct_builds_only_the_mean_curve(monkeypatch):
     spec = parse_model_file(resources.files("affinefdr") / "models" / "cir.model")
     model, cfg, h0 = spec.model, spec.sim, spec.h0
     psi = evolve_psi(model, h0, cfg).psi[-1]
-    rows = []
-    curves = _FactoredOracle.curves
+    rows, writes = [], []
+    curves, basis = _FactoredOracle.curves, _FactoredOracle.basis
     monkeypatch.setattr(_FactoredOracle, "curves",
                         lambda self, coef: rows.append(coef.copy()) or curves(self, coef))
+    monkeypatch.setattr(_FactoredOracle, "basis", lambda self, out, dx=None, cols=slice(None):
+                        writes.append((out.shape, dx, cols)) or basis(self, out, dx, cols))
     summary = summarize_direct(model, h0, cfg, spec.weight, psi)
     assert [r.shape for r in rows] == [(2 * cfg.n_steps,)] and summary.foliation_residual > 0.0
+    # the Gram phase asks the oracle for its one whole array, the basis and
+    # then its derivative; the mean curve for column chunks of the basis
+    n_rows, n_x = 2 * cfg.n_steps, model.grid.n
+    chunks = [slice(c, c + PATH_BLOCK) for c in range(0, n_x, PATH_BLOCK)]
+    whole = slice(None)
+    assert writes == [((n_rows, n_x), None, whole), ((n_rows, n_x), model.grid.dx, whole),
+                      *(((n_rows, len(range(n_x)[c])), None, c) for c in chunks)]
     # the mean row times the whole basis, bit for bit
-    oracle, basis = _factored_oracle(model, h0, cfg)
-    assert np.array_equal(summary.mean_curve, rows[0] @ basis + oracle.tail)
+    oracle = _factored_oracle(model, h0, cfg)
+    assert np.array_equal(summary.mean_curve, rows[0] @ whole_basis(oracle) + oracle.tail)
 
 
 def test_a_paths_outputs_do_not_depend_on_the_path_count(grid, cir_model):
@@ -603,6 +624,22 @@ def test_summarize_direct_holds_no_ensemble(grid, cir_model):
     h0, cfg, psi = _sim_inputs(grid, cir_model, n_paths)
     peak = traced_peak(lambda: summarize_direct(cir_model, h0, cfg, Weight(), psi))
     assert peak < 0.5 * n_paths * grid.n * 8
+
+
+@pytest.mark.parametrize("rho, draws", [(0.1, 2), (0.0, 0)])
+def test_both_simulators_read_one_zero_noise_rule(grid, monkeypatch, rho, draws):
+    # each simulator draws through path_normals, called by name, unless
+    # rho = 0, where both read one zero column instead
+    model = bundled_model("cir", rho=rho)
+    h0 = 0.01 * grid.x * np.exp(-grid.x) + 0.02 * model.lam
+    cfg = SimConfig(horizon=0.05, dt=0.005, n_paths=3, seed=8)
+    fol = evolve_psi(model, h0, cfg)
+    calls = []
+    monkeypatch.setattr(simulate, "path_normals",
+                        lambda *args: calls.append(args) or path_normals(*args))
+    simulate_state(model, fol, cfg)
+    summarize_direct(model, h0, cfg)
+    assert calls == [(8, 3, 10)] * draws
 
 
 def test_simulate_state_without_noise_holds_no_normals_array(grid):
